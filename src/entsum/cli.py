@@ -28,8 +28,8 @@ from .torsionfree import (
 from .transport import (
     identity_certificate,
     independent_pair_certificate,
-    is_translate,
     transport_exact,
+    translate_shift,
     uniformise_group,
 )
 
@@ -64,8 +64,8 @@ def _cmd_transport(args) -> int:
     if args.exact:
         cert = transport_exact(p, q, cap=args.cap)
     else:
-        if is_translate(p, q):
-            shift = p.group.sub(q.support()[0], p.support()[0])
+        shift = translate_shift(p, q)
+        if shift is not None:
             cert = identity_certificate(p, shift)
         elif p.group.is_finite() and q == q.__class__.uniform(
             q.group, q.group.elements()

@@ -19,22 +19,47 @@ from .progressions import CosetProgression
 def _read(path_or_obj):
     if isinstance(path_or_obj, (str, Path)):
         with open(path_or_obj) as fh:
-            return json.load(fh)
+            try:
+                return json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path_or_obj} is not valid JSON: {exc}") from exc
     return path_or_obj
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _group(obj) -> GroupSpec:
-    if not isinstance(obj, list) or not all(isinstance(m, int) and m >= 0 for m in obj):
+    if not isinstance(obj, list) or not all(_is_int(m) and m >= 0 for m in obj):
         raise SchemaError(f"group must be a list of non-negative ints, got {obj!r}")
     return GroupSpec(obj)
 
 
-def _fraction(atom) -> Fraction:
+def _atoms(obj) -> list[dict]:
+    atoms = obj["atoms"]
+    if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+        raise SchemaError(f"'atoms' must be a list of objects, got {atoms!r}")
+    return atoms
+
+
+def _element(coords, group: GroupSpec, atom: dict) -> tuple:
+    if (
+        not isinstance(coords, (list, tuple))
+        or len(coords) != group.dim
+        or not all(_is_int(c) for c in coords)
+    ):
+        raise SchemaError(f"atom coordinates {atom!r} do not match the group")
+    return group.reduce(coords)
+
+
+def _fraction(atom: dict) -> Fraction:
     try:
         num, den = atom["num"], atom["den"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"atom {atom!r} lacks exact num/den fields") from exc
-    if not isinstance(num, int) or not isinstance(den, int) or den <= 0:
+    if not _is_int(num) or not _is_int(den) or den <= 0:
         raise SchemaError(f"atom {atom!r} must carry integer num and positive den")
     return Fraction(num, den)
 
@@ -43,15 +68,12 @@ def load_dist(path_or_obj) -> Dist:
     obj = _read(path_or_obj)
     try:
         group = _group(obj["group"])
-        atoms = obj["atoms"]
+        atoms = _atoms(obj)
     except (KeyError, TypeError) as exc:
         raise SchemaError("distribution file needs 'group' and 'atoms'") from exc
     mass = {}
     for atom in atoms:
-        el = tuple(atom.get("x", ()))
-        if len(el) != group.dim or not all(isinstance(c, int) for c in el):
-            raise SchemaError(f"atom coordinates {atom!r} do not match the group")
-        key = group.reduce(el)
+        key = _element(atom.get("x", ()), group, atom)
         mass[key] = mass.get(key, Fraction(0)) + _fraction(atom)
     total = sum(mass.values(), Fraction(0))
     if total != 1:
@@ -73,7 +95,7 @@ def load_joint(path_or_obj) -> JointDist:
     obj = _read(path_or_obj)
     try:
         groups = [_group(g) for g in obj["groups"]]
-        atoms = obj["atoms"]
+        atoms = _atoms(obj)
     except (KeyError, TypeError) as exc:
         raise SchemaError("joint file needs 'groups' and 'atoms'") from exc
     mass = {}
@@ -81,7 +103,7 @@ def load_joint(path_or_obj) -> JointDist:
         xs = atom.get("xs")
         if not isinstance(xs, list) or len(xs) != len(groups):
             raise SchemaError(f"atom {atom!r} does not match the coordinate count")
-        key = tuple(g.reduce(tuple(x)) for g, x in zip(groups, xs))
+        key = tuple(_element(x, g, atom) for g, x in zip(groups, xs))
         mass[key] = mass.get(key, Fraction(0)) + _fraction(atom)
     total = sum(mass.values(), Fraction(0))
     if total != 1:

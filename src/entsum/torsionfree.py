@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .dists import Dist, convolve, entropy, f_nats, tv_distance
@@ -271,6 +270,8 @@ class _PiecewisePoly:
                 b = poly[1] if len(poly) == 2 else Fraction(0)
                 terms.append(_entropy_affine_piece(a, b, t0, t1))
                 continue
+            import mpmath  # loaded on first quadrature, not with the package
+
             coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in poly]
 
             def integrand(t, coeffs=coeffs):

@@ -2,11 +2,15 @@
 
 The transport cost from p to q is the infimum of Ent(Z) over couplings with
 X + Z distributed exactly as q.  The oracle minimises the (concave) entropy
-of the Z-marginal over the coupling polytope by enumerating its vertices
-(acyclic supports of the bipartite row/column graph); the constructive side
-builds certificates by flattening with two-point shifts, density-level
-splitting, and sigma-splits, all in exact rational arithmetic.  Certificate
-validity is always exact; only costs are floating point.
+of the Z-marginal over the vertices of the coupling polytope, the couplings
+with acyclic support.  With both margins scaled to integers over a common
+denominator every vertex is integral, so the vertex search runs in Python
+ints: it grows forests one atom of the larger support at a time, drops a
+branch as soon as a single-partner atom overdraws its partner, and builds
+Fractions only for the winning vertex.  The constructive side builds
+certificates by flattening with two-point shifts, density-level splitting,
+and sigma-splits, all in exact rational arithmetic.  Certificate validity is
+always exact; only costs are floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -204,8 +208,28 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
 
     The objective is concave in the coupling, so the minimum is attained at a
     vertex; vertices are exactly the feasible points whose bipartite support
-    graph is acyclic.  Refuses instances with more than `cap` coupling
-    variables (|supp p| * |difference set|).
+    graph is acyclic.  Both margins are scaled by D, the lcm of all mass
+    denominators; the polytope then has integral margins and hence integral
+    vertices, so the search runs in Python ints and builds Fractions only for
+    the winner.  It recurses over the atoms of the larger support ("lines"):
+
+    * each line picks a nonempty set of partners on the smaller side, at most
+      one per component of the forest built so far, which keeps it acyclic;
+    * a line with exactly one partner is a leaf in every completion, so all
+      of its mass goes to that partner at once; the branch is dropped as soon
+      as the partner's residual can no longer give one unit to each of its
+      other edges, or a component's partners can no longer absorb the mass
+      of the multi-partner lines inside it;
+    * a complete forest is solved by integer leaf elimination, and only
+      forests with every edge positive count, so each vertex is met once.
+
+    Vertices are ranked by the float score sum_z n_z log n_z over their
+    integer Z-counts, since Ent(Z) = log D - score / D.  Vertices within a
+    small tolerance of the best score are settled by their exact-rational
+    entropy, so the cost reported is the least vertex entropy as
+    `entropy(cert.noise())` computes it; among equal costs the first support
+    in `_support_order` wins.  Refuses instances with more than `cap`
+    coupling variables (|supp p| * |difference set|).
     """
     if p.group != q.group:
         raise IncompatibleGroupError("endpoints must share a group")
@@ -219,165 +243,207 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
             f"exact oracle refused: {nvars} coupling variables exceed cap {cap}; "
             "use the constructive bounds instead"
         )
-    pm = [p.mass[x] for x in xs]
-    qm = [q.mass[y] for y in ys]
-    a, b = len(xs), len(ys)
+    den = math.lcm(*(v.denominator for d in (p, q) for v in d.mass.values()))
+    pm = [int(p.mass[x] * den) for x in xs]
+    qm = [int(q.mass[y] * den) for y in ys]
     zs = [[g.sub(y, x) for y in ys] for x in xs]
+    zindex = {z: n for n, z in enumerate(sorted(zset))}
 
-    best_ent = math.inf
-    best_edges: list[tuple[int, int, Fraction]] | None = None
+    # lines are the atoms of the larger support, partners those of the smaller
+    if len(ys) >= len(xs):
+        lines, parts = qm, pm
+        cells = [[(i, j) for i in range(len(xs))] for j in range(len(ys))]
+    else:
+        lines, parts = pm, qm
+        cells = [[(i, j) for j in range(len(ys))] for i in range(len(xs))]
+    zid = [[zindex[zs[i][j]] for i, j in row] for row in cells]
+    n_lines, n_parts = len(lines), len(parts)
+    singles = [[s] for s in range(n_parts)]
+    multis = [
+        [s for s in range(n_parts) if mask >> s & 1]
+        for mask in range(1, 1 << n_parts)
+        if mask & (mask - 1)
+    ]
 
-    col_masks = [1 << j for j in range(b)]
-    full_cover = (1 << b) - 1
+    resid = parts[:]  # partner mass not yet taken by single-partner lines
+    need = [0] * n_parts  # multi-partner edges at each partner, one unit each at least
+    comp = list(range(n_parts))  # forest component of each partner
+    # residual of each component's partners not yet owed to its multi-partner
+    # lines; those lines give mass only inside the component, so it stays >= 0
+    free = parts + [0] * n_lines
+    picked: list[list[int]] = [[] for _ in range(n_lines)]
+    best = -math.inf
+    tol = 1e-9 * den  # a score slack worth 1e-9 nats of entropy
+    near: list[tuple[float, tuple[int, ...], list[tuple[int, int, int]]]] = []
 
-    def bits(mask: int) -> list[int]:
-        out = []
-        while mask:
-            out.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        return out
-
-    def subsets_ok(comp: list[int]) -> Iterable[int]:
-        # nonempty column subsets with at most one column per current component
-        for mask in range(1, 1 << b):
-            seen = set()
-            ok = True
-            for j in bits(mask):
-                cj = comp[j]
-                if cj in seen:
-                    ok = False
+    def solve() -> list[tuple[int, int, int]] | None:
+        # unique edge masses of the picked forest, all positive, by leaf elimination
+        edges = []
+        open_edges = []
+        rem_line = {}
+        deg_line = {}
+        for k, sub in enumerate(picked):
+            if len(sub) == 1:
+                edges.append((k, sub[0], lines[k]))
+            else:
+                rem_line[k] = lines[k]
+                deg_line[k] = len(sub)
+                open_edges.extend((k, s) for s in sub)
+        rem_part = resid[:]
+        deg_part = need[:]
+        while open_edges:
+            for n, (k, s) in enumerate(open_edges):
+                if deg_line[k] == 1:
+                    m = rem_line[k]
                     break
-                seen.add(cj)
-            if ok:
-                yield mask
-
-    def last_row_masks(comp: list[int], covered: int, budget: int) -> Iterable[int]:
-        # the final row must pick up every uncovered column, plus at most
-        # `budget` extra columns from pairwise-distinct covered components
-        uncovered = full_cover & ~covered
-        ucols = bits(uncovered)
-        used = set()
-        for j in ucols:
-            if comp[j] in used:
-                return
-            used.add(comp[j])
-        if budget < 0:
-            return
-        groups: dict[int, list[int]] = {}
-        for j in bits(covered):
-            if comp[j] not in used:
-                groups.setdefault(comp[j], []).append(j)
-        group_list = list(groups.values())
-
-        def grow(gi: int, mask: int, left: int):
-            if gi == len(group_list):
-                if mask:
-                    yield mask
-                return
-            yield from grow(gi + 1, mask, left)
-            if left > 0:
-                for j in group_list[gi]:
-                    yield from grow(gi + 1, mask | col_masks[j], left - 1)
-
-        yield from grow(0, uncovered, budget)
-
-    def solve(edges: list[tuple[int, int]]) -> list[tuple[int, int, Fraction]] | None:
-        # unique mass assignment on a forest support via leaf elimination
-        n_nodes = a + b
-        deg = [0] * n_nodes
-        adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        for e_idx, (i, j) in enumerate(edges):
-            deg[i] += 1
-            deg[a + j] += 1
-            adj[i].append(e_idx)
-            adj[a + j].append(e_idx)
-        rem = [Fraction(v) for v in pm] + [Fraction(v) for v in qm]
-        val: list[Fraction | None] = [None] * len(edges)
-        stack = [v for v in range(n_nodes) if deg[v] == 1]
-        while stack:
-            v = stack.pop()
-            if deg[v] != 1:
-                continue
-            e_idx = next(e for e in adj[v] if val[e] is None)
-            i, j = edges[e_idx]
-            u = a + j if v == i else i
-            m = rem[v]
-            if m < 0:
+                if deg_part[s] == 1:
+                    m = rem_part[s]
+                    break
+            else:
                 return None
-            val[e_idx] = m
-            rem[v] = Fraction(0)
-            rem[u] -= m
-            deg[v] -= 1
-            deg[u] -= 1
-            if deg[u] == 1:
-                stack.append(u)
-            elif deg[u] == 0 and rem[u] != 0:
+            if m <= 0:
                 return None
-        if any(v is None for v in val) or any(r != 0 for r in rem):
+            del open_edges[n]
+            rem_line[k] -= m
+            rem_part[s] -= m
+            deg_line[k] -= 1
+            deg_part[s] -= 1
+            edges.append((k, s, m))
+        if any(rem_line.values()) or any(rem_part):
             return None
-        return [(i, j, m) for (i, j), m in zip(edges, val) if m is not None]
+        return edges
 
-    def consider(edges: list[tuple[int, int]]) -> None:
-        nonlocal best_ent, best_edges
-        sol = solve(edges)
-        if sol is None:
+    def consider() -> None:
+        nonlocal best, near
+        edges = solve()
+        if edges is None:
             return
-        zmass: dict[Element, Fraction] = {}
-        for i, j, m in sol:
-            if m == 0:
-                continue
-            z = zs[i][j]
-            zmass[z] = zmass.get(z, Fraction(0)) + m
-        ent = math.fsum(f_nats(v) for _, v in sorted(zmass.items()))
-        if ent < best_ent:
-            best_ent = ent
-            best_edges = sol
-
-    max_edges = a + b - 1
-
-    def rec(i: int, comp: list[int], covered: int, edges: list[tuple[int, int]]):
-        if i == a:
-            consider(edges)
+        counts = [0] * len(zindex)
+        for k, s, m in edges:
+            counts[zid[k][s]] += m
+        score = math.fsum(n * math.log(n) for n in counts if n)
+        if score < best - tol:
             return
-        rows_left = a - i - 1
-        if rows_left == 0:
-            uncovered_count = b - bin(covered).count("1")
-            budget = max_edges - len(edges) - uncovered_count
-            masks: Iterable[int] = last_row_masks(comp, covered, budget)
-        else:
-            masks = subsets_ok(comp)
-        for mask in masks:
-            n_new = bin(mask).count("1")
-            if len(edges) + n_new > max_edges:
-                continue
-            uncovered_after = b - bin(covered | mask).count("1")
-            if len(edges) + n_new + max(uncovered_after, rows_left) > max_edges:
-                continue
-            new_comp = comp[:]
-            # merge all touched components into one id
-            touched = {comp[j] for j in range(b) if mask & col_masks[j]}
-            rep = min(touched)
-            for j in range(b):
-                if new_comp[j] in touched:
-                    new_comp[j] = rep
-            new_edges = edges + [(i, j) for j in range(b) if mask & col_masks[j]]
-            rec(i + 1, new_comp, covered | mask, new_edges)
+        if score > best + tol:
+            near = [c for c in near if c[0] >= score - tol]
+        best = max(best, score)
+        near.append((score, tuple(sorted(n for n in counts if n)), edges))
 
-    rec(0, list(range(b)), 0, [])
-    if best_edges is None:
+    def rows_of(edges: list[tuple[int, int, int]]) -> list[int]:
+        rows = [0] * len(xs)
+        for k, s, _ in edges:
+            i, j = cells[k][s]
+            rows[i] |= 1 << j
+        return rows
+
+    def rec(k: int) -> None:
+        if k == n_lines:
+            consider()
+            return
+        m = lines[k]
+        for s in range(n_parts):
+            r = resid[s] - m
+            c = comp[s]
+            if r < need[s] or free[c] < m:
+                continue
+            resid[s] = r
+            free[c] -= m
+            picked[k] = singles[s]
+            rec(k + 1)
+            resid[s] = r + m
+            free[c] += m
+        for sub in multis:
+            touched = {comp[s] for s in sub}
+            if len(sub) > m or len(touched) < len(sub):
+                continue
+            left = sum(free[c] for c in touched) - m
+            if left < 0 or any(resid[s] <= need[s] for s in sub):
+                continue
+            saved = comp[:]
+            for t in range(n_parts):
+                if comp[t] in touched:
+                    comp[t] = k + n_parts
+            free[k + n_parts] = left
+            for s in sub:
+                need[s] += 1
+            picked[k] = sub
+            rec(k + 1)
+            for s in sub:
+                need[s] -= 1
+            comp[:] = saved
+
+    rec(0)
+    rec = None  # break the closure's self-reference so the search state is freed at once
+    if not near:
         raise CertificateError("coupling polytope unexpectedly empty")
-    atoms = {(xs[i], zs[i][j]): m for i, j, m in best_edges if m != 0}
+    ents = {
+        key: math.fsum(f_nats(Fraction(n, den)) for n in key)
+        for score, key, _ in near
+        if score >= best - tol
+    }
+    low = min(ents.values())
+    edges = min(
+        (e for _, key, e in near if ents.get(key) == low),
+        key=lambda e: _support_order(rows_of(e), len(ys)),
+    )
+    atoms = {}
+    for k, s, m in edges:
+        i, j = cells[k][s]
+        atoms[(xs[i], zs[i][j])] = Fraction(m, den)
     cert = TransportCertificate(JointDist([g, g], atoms), q)
     cert.validate(p)
     return cert
 
 
+def _support_order(rows: list[int], n_cols: int) -> tuple:
+    """Sort key of a forest support given as one column bitmask per p-atom.
+
+    This is the order in which a row-by-row enumeration first reaches the
+    support: earlier rows compare as bitmasks, and the last row, which must
+    cover every column left uncovered, compares by the extra column it takes
+    from each covered component (none first, then by column), components
+    ordered by their least column.  Among vertices of equal cost the oracle
+    returns the first in this order, so its certificates are deterministic.
+    """
+    label = list(range(n_cols))
+    covered = 0
+    for r, mask in enumerate(rows[:-1]):
+        touched = {label[j] for j in range(n_cols) if mask >> j & 1}
+        label = [n_cols + r if c in touched else c for c in label]
+        covered |= mask
+    groups: dict[int, list[int]] = {}
+    for j in range(n_cols):
+        if covered >> j & 1:
+            groups.setdefault(label[j], []).append(j)
+    last = rows[-1]
+    extra = tuple(
+        next((1 + n for n, j in enumerate(cols) if last >> j & 1), 0)
+        for cols in groups.values()
+    )
+    return (*rows[:-1], extra)
+
+
+def translate_shift(p: Dist, q: Dist) -> Element | None:
+    """A shift c with q = p + c exactly, or None if q is no translate of p.
+
+    Each q-atom is tried as the image of p's first atom, so translates that
+    wrap around a finite factor are found too.
+    """
+    if p.group != q.group or len(p) != len(q):
+        return None
+    g = p.group
+    x0, m0 = next(iter(p))
+    for y, v in q:
+        if v == m0:
+            c = g.sub(y, x0)
+            if q == p.translate(c):
+                return c
+    return None
+
+
 def is_translate(p: Dist, q: Dist) -> bool:
     """True iff q is exactly a translate of p."""
-    if p.group != q.group or len(p) != len(q):
-        return False
-    c = p.group.sub(q.support()[0], p.support()[0])
-    return q == p.translate(c)
+    return translate_shift(p, q) is not None
 
 
 # ---------------------------------------------------------------------------

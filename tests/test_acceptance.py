@@ -13,6 +13,8 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from entsum.bsg import BsgInstance, build_path_joint, factorization_exact, verify_bsg
 from entsum.dists import (
     Dist,
@@ -180,7 +182,8 @@ def _uniformise_corpus():
     return fixtures
 
 
-def test_criterion_05_uniformisation():
+def _uniformise_costs() -> tuple[dict[str, float], bool]:
+    """Cost of each fixture's certificate, and whether all hit their targets."""
     costs = {}
     ok = True
     for name, kind, p, cp in _uniformise_corpus():
@@ -195,19 +198,30 @@ def test_criterion_05_uniformisation():
         if cert.target != target:
             ok = False
         costs[name] = cert.cost
+    return costs, ok
+
+
+def test_criterion_05_uniformisation():
     pin_path = DATA / "uniformise_costs.json"
-    if pin_path.exists():
-        pinned = json.loads(pin_path.read_text())
-        for name, cost in costs.items():
-            if abs(cost - pinned[name]) > 1e-6 * max(1.0, abs(pinned[name])):
-                ok = False
-    else:
-        DATA.mkdir(exist_ok=True)
-        pin_path.write_text(json.dumps(costs, indent=1, sort_keys=True) + "\n")
+    if not pin_path.exists():
+        _report(5, f"pin file {pin_path} missing; see scripts/regen_uniformise_pins.py", False)
+    pinned = json.loads(pin_path.read_text())
+    costs, ok = _uniformise_costs()
+    for name, cost in costs.items():
+        if abs(cost - pinned[name]) > 1e-6 * max(1.0, abs(pinned[name])):
+            ok = False
     worst_ratio = max(
         costs[n] / (math.log(64) + 1.0) for n in costs if n.startswith("z64")
     )
     _report(5, f"100 uniformisation fixtures exact; measured c0 <= {worst_ratio:.3f}", ok)
+
+
+def test_criterion_05_missing_pin_fails(tmp_path, monkeypatch):
+    # a gate must never pass, or rewrite its reference, when the pin is missing
+    monkeypatch.setitem(globals(), "DATA", tmp_path)
+    with pytest.raises(AssertionError, match="criterion 5 failed"):
+        test_criterion_05_uniformisation()
+    assert not any(tmp_path.iterdir())
 
 
 def test_criterion_06_coset_equivalence():

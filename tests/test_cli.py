@@ -57,6 +57,50 @@ def test_loader_rejects_unnormalised():
         load_dist({"group": [0], "atoms": [{"x": [0], "value": 1.0}]})
 
 
+BAD_DISTS = [
+    {"group": [0], "atoms": [5]},
+    {"group": [0], "atoms": {"x": [0], "num": 1, "den": 1}},
+    {"group": [0], "atoms": [{"x": [0], "num": True, "den": 1}]},
+    {"group": [0], "atoms": [{"x": [0], "num": 1, "den": True}]},
+    {"group": [0], "atoms": [{"x": 0, "num": 1, "den": 1}]},
+    {"group": [0], "atoms": [{"x": ["a"], "num": 1, "den": 1}]},
+    {"group": [True], "atoms": [{"x": [0], "num": 1, "den": 1}]},
+]
+BAD_JOINTS = [
+    {"groups": [[0], [0]], "atoms": [5]},
+    {"groups": [[0], [0]], "atoms": [{"xs": [[0], [0]], "num": True, "den": 1}]},
+    {"groups": [[0], [0]], "atoms": [{"xs": [0, [0]], "num": 1, "den": 1}]},
+    {"groups": [[0], [0]], "atoms": [{"xs": [["a"], [0]], "num": 1, "den": 1}]},
+]
+
+
+@pytest.mark.parametrize("obj", BAD_DISTS)
+def test_load_dist_schema_errors(obj):
+    with pytest.raises(SchemaError):
+        load_dist(obj)
+
+
+@pytest.mark.parametrize("obj", BAD_JOINTS)
+def test_load_joint_schema_errors(obj):
+    with pytest.raises(SchemaError):
+        load_joint(obj)
+
+
+def test_malformed_files_exit_2(capsys, tmp_path):
+    # exit 1 is reserved for violations found
+    for n, obj in enumerate(BAD_DISTS):
+        path = tmp_path / f"d{n}.json"
+        path.write_text(json.dumps(obj))
+        assert main(["entropy", str(path)]) == 2, obj
+    for n, obj in enumerate(BAD_JOINTS):
+        path = tmp_path / f"j{n}.json"
+        path.write_text(json.dumps(obj))
+        assert main(["bsg", str(path)]) == 2, obj
+    broken = tmp_path / "broken.json"
+    broken.write_text("{\"group\": [0], ")
+    assert main(["entropy", str(broken)]) == 2
+
+
 def test_entropy_command(capsys, dist_file):
     code, out = run(capsys, "entropy", str(dist_file))
     assert code == 0
@@ -94,6 +138,21 @@ def test_transport_construct_uniform_target(capsys, tmp_path, uniform_z8_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["cost"] >= 0.0
+
+
+def test_transport_construct_wraparound_translate(capsys, tmp_path):
+    g = GroupSpec([4])
+    p = Dist(g, {(0,): F(1, 3), (3,): F(2, 3)})
+    q = p.translate((1,))
+    src, dst = tmp_path / "src.json", tmp_path / "dst.json"
+    src.write_text(json.dumps(dump_dist(p)))
+    dst.write_text(json.dumps(dump_dist(q)))
+    code, out = run(capsys, "transport", str(src), str(dst), "--construct")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cost"] == 0.0
+    assert payload["target"] == dump_dist(q)["atoms"]
+    assert {tuple(a["z"]) for a in payload["coupling"]} == {(1,)}
 
 
 def test_bsg_command(capsys, tmp_path):

@@ -84,9 +84,10 @@ def test_oracle_lower_bound_and_validation():
 
 def test_oracle_zero_iff_translate():
     rng = random.Random(8)
-    for _ in range(60):
-        p = random_dist(rng, Z4, 3, 16)
-        q = random_dist(rng, Z4, 3, 16)
+    wrap = Dist(Z4, {(0,): F(1, 3), (3,): F(2, 3)})
+    pairs = [(wrap, wrap.translate((1,)))]  # the translate wraps 3 -> 0
+    pairs += [(random_dist(rng, Z4, 3, 16), random_dist(rng, Z4, 3, 16)) for _ in range(60)]
+    for p, q in pairs:
         cost = transport_exact(p, q).cost
         assert (cost <= 1e-12) == is_translate(p, q)
 
