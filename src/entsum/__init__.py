@@ -6,16 +6,15 @@ certificates, the entropy Balog-Szemeredi-Gowers construction, and a
 property-based verifier for the whole inequality suite.
 """
 
-from .groups import GroupSpec, add, is_subgroup, neg
+__version__ = "0.1.0"
+
+from .groups import GroupSpec, is_subgroup
 from .dists import (
     Dist,
     JointDist,
     ci_trials,
-    compare_dists,
-    condition_on_event,
     conditional_entropy,
     convolve,
-    dist_equal,
     entropy,
     independent_joint,
     iterated_convolve,
@@ -76,13 +75,11 @@ from .torsionfree import (
 )
 from .fuzz import Counterexample, FuzzConfig, fuzz_run, replay, report_render, submodularity_check
 
-__version__ = "0.1.0"
-
 __all__ = [
-    "GroupSpec", "add", "neg", "is_subgroup",
+    "GroupSpec", "is_subgroup",
     "Dist", "JointDist", "entropy", "convolve", "iterated_convolve",
-    "joint_entropy", "conditional_entropy", "condition_on_event", "ci_trials",
-    "tv_distance", "dist_equal", "compare_dists", "independent_joint",
+    "joint_entropy", "conditional_entropy", "ci_trials",
+    "tv_distance", "independent_joint",
     "MetricReport", "ruzsa_distance", "doubling_constant", "check_ese_suite",
     "check_lipschitz", "sumset_increase_lhs", "jensen_level_sets", "three_sum_bound",
     "CosetProgression", "BoxEmbedding", "is_t_proper", "uniform_on", "box_embedding",

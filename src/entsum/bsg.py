@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .dists import JointDist, conditional_entropy, joint_entropy
 from .errors import CapExceededError, PreconditionError
+from .fileio import dump_joint
 from .metrics import MetricReport
 
 # coordinate order of the path joint
@@ -117,16 +118,7 @@ def verify_bsg(inst: BsgInstance, support_cap: int = 10_000) -> list[MetricRepor
     hx = joint_entropy(j, [0])
     hy = joint_entropy(j, [1])
     logk = inst.log_k
-    w = {
-        "joint": {
-            "groups": [list(gr.moduli) for gr in j.groups],
-            "atoms": [
-                {"xs": [list(c) for c in atom], "num": v.numerator, "den": v.denominator}
-                for atom, v in j.mass.items()
-            ],
-        },
-        "log_k": logk,
-    }
+    w = {"joint": dump_joint(j), "log_k": logk}
 
     h_x2_given = conditional_entropy(path, [X2], [X1, Y])
     h_yp_given = conditional_entropy(path, [YP], [X1, Y])

@@ -168,18 +168,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    config = args.config or args.g_config
-    cfg = FuzzConfig.from_json(config) if config else FuzzConfig()
-    seed = args.seed if args.seed is not None else args.g_seed
-    if seed is not None:
-        cfg.seed = seed
+    cfg = FuzzConfig.from_json(args.config) if args.config else FuzzConfig()
+    if args.seed is not None:
+        cfg.seed = args.seed
     if args.count is not None:
         cfg.instance_count = args.count
-    workers = args.workers if args.workers is not None else args.g_workers
-    if workers is not None:
-        cfg.workers = workers
-    out = args.out or args.g_out or "fuzz-out"
-    summary = fuzz_run(cfg, out)
+    if args.workers is not None:
+        cfg.workers = args.workers
+    summary = fuzz_run(cfg, args.out)
     _emit(summary)
     return 1 if summary["violations"] else 0
 
@@ -204,11 +200,6 @@ def _cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="entsum", description=__doc__)
-    # global flags, honored by the commands that consume them (mainly fuzz)
-    ap.add_argument("--config", dest="g_config", metavar="PATH")
-    ap.add_argument("--seed", dest="g_seed", type=int)
-    ap.add_argument("--workers", dest="g_workers", type=int)
-    ap.add_argument("--out", dest="g_out", metavar="DIR")
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("entropy", help="entropy of a distribution file")
@@ -269,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int)
     s.add_argument("--count", type=int)
     s.add_argument("--workers", type=int)
-    s.add_argument("--out")
+    s.add_argument("--out", default="fuzz-out")
     s.set_defaults(fn=_cmd_fuzz)
 
     s = sub.add_parser("replay", help="replay a stored counterexample")

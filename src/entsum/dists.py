@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import IncompatibleGroupError, PreconditionError
 from .groups import Element, GroupSpec
@@ -37,14 +37,6 @@ def f_nats(p) -> float:
 def f_prime(x: float) -> float:
     """F'(x) = log(1/x) - 1 for x > 0."""
     return -math.log(x) - 1.0
-
-
-def log_plus(t: float) -> float:
-    return max(math.log(t), 0.0) if t > 0 else 0.0
-
-
-def _log_frac(p: Fraction) -> float:
-    return math.log(p.numerator) - math.log(p.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +197,6 @@ def tv_distance(p: Dist, q: Dist) -> float:
     exact = sum(abs(p.mass.get(k, Fraction(0)) - q.mass.get(k, Fraction(0)))
                 for k in keys)
     return float(exact)
-
-
-class DistComparison(NamedTuple):
-    equal: bool
-    compatible: bool
-
-
-def dist_equal(p: Dist, q: Dist) -> bool:
-    """Exact distribution identity (X ≡ Y); False when the groups differ."""
-    return p.group == q.group and p.mass == q.mass
-
-
-def compare_dists(p: Dist, q: Dist) -> DistComparison:
-    if p.group != q.group:
-        return DistComparison(False, False)
-    return DistComparison(p.mass == q.mass, True)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +364,6 @@ def conditional_entropy(
         ent = math.fsum(f_nats(v / w) for _, v in sorted(fib.items()))
         terms.append(float(w) * ent)
     return math.fsum(terms)
-
-
-def condition_on_event(
-    j: JointDist, coord: int, predicate: Callable[[Element], bool]
-) -> JointDist:
-    """Exact renormalised restriction to an event on one coordinate."""
-    return j.condition(coord, predicate)
 
 
 def ci_trials(j: JointDist, pivot: int) -> JointDist:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dists import Dist, JointDist
-from .errors import SchemaError
+from .errors import IncompatibleGroupError, SchemaError
 from .groups import GroupSpec
 from .progressions import CosetProgression
 
@@ -37,6 +37,12 @@ def _group(obj) -> GroupSpec:
     return GroupSpec(obj)
 
 
+def _known(obj: dict, keys: set[str], what: str) -> None:
+    extra = set(obj) - keys
+    if extra:
+        raise SchemaError(f"unknown {what} keys: {sorted(extra)}")
+
+
 def _atoms(obj) -> list[dict]:
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
@@ -59,8 +65,8 @@ def _fraction(atom: dict) -> Fraction:
         num, den = atom["num"], atom["den"]
     except KeyError as exc:
         raise SchemaError(f"atom {atom!r} lacks exact num/den fields") from exc
-    if not _is_int(num) or not _is_int(den) or den <= 0:
-        raise SchemaError(f"atom {atom!r} must carry integer num and positive den")
+    if not _is_int(num) or not _is_int(den) or num < 0 or den <= 0:
+        raise SchemaError(f"atom {atom!r} must carry non-negative integer num and positive den")
     return Fraction(num, den)
 
 
@@ -71,8 +77,10 @@ def load_dist(path_or_obj) -> Dist:
         atoms = _atoms(obj)
     except (KeyError, TypeError) as exc:
         raise SchemaError("distribution file needs 'group' and 'atoms'") from exc
+    _known(obj, {"group", "atoms"}, "distribution")
     mass = {}
     for atom in atoms:
+        _known(atom, {"x", "num", "den"}, "atom")
         key = _element(atom.get("x", ()), group, atom)
         mass[key] = mass.get(key, Fraction(0)) + _fraction(atom)
     total = sum(mass.values(), Fraction(0))
@@ -98,8 +106,10 @@ def load_joint(path_or_obj) -> JointDist:
         atoms = _atoms(obj)
     except (KeyError, TypeError) as exc:
         raise SchemaError("joint file needs 'groups' and 'atoms'") from exc
+    _known(obj, {"groups", "atoms"}, "joint")
     mass = {}
     for atom in atoms:
+        _known(atom, {"xs", "num", "den"}, "atom")
         xs = atom.get("xs")
         if not isinstance(xs, list) or len(xs) != len(groups):
             raise SchemaError(f"atom {atom!r} does not match the coordinate count")
@@ -133,9 +143,10 @@ def load_progression(path_or_obj) -> CosetProgression:
         raise SchemaError(
             "progression file needs 'group', 'H', 'base', 'steps', 'lengths'"
         ) from exc
+    _known(obj, {"group", "H", "base", "steps", "lengths"}, "progression")
     try:
         return CosetProgression(group, subgroup, base, steps, lengths)
-    except ValueError as exc:
+    except (ValueError, TypeError, IncompatibleGroupError) as exc:
         raise SchemaError(str(exc)) from exc
 
 

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from . import bsg as bsg_mod
 from .dists import (
     Dist,
@@ -42,7 +43,6 @@ from .metrics import (
 )
 from .torsionfree import PiecewiseDensity, abbn_check
 
-VERSION = "0.1.0"
 TOL = 1e-9
 
 DEFAULT_CHECKS = (
@@ -91,6 +91,7 @@ class Counterexample:
     slack: float
     version: str
     witness: dict
+    config: dict
 
 
 def _child_seed(seed: int, check: str, index: int) -> int:
@@ -421,8 +422,11 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
                 index=row["index"],
                 child_seed=row["child_seed"],
                 slack=row["slack"],
-                version=VERSION,
+                version=__version__,
                 witness=row["witness"],
+                # workers does not affect generation; leaving it out keeps
+                # counterexample names equal across worker counts
+                config={k: v for k, v in asdict(cfg).items() if k != "workers"},
             )
             payload = json.dumps(asdict(ce), sort_keys=True)
             digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -441,7 +445,7 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
     (out / "results.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
 
     summary = {
-        "version": VERSION,
+        "version": __version__,
         "seed": cfg.seed,
         "instances": cfg.instance_count,
         "violations": violations,
@@ -452,21 +456,23 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
     return summary
 
 
-def replay(path, cfg: FuzzConfig | None = None) -> dict:
+def replay(path) -> dict:
     """Recompute a stored counterexample and compare its slack.
 
-    The stored instance is regenerated from its child seed, so any tampering
-    with the recorded slack (or a version drift that changes generation)
-    shows up as a non-reproducing replay.
+    The stored instance is regenerated from its child seed under the stored
+    config, so any tampering with the recorded slack (or a version drift that
+    changes generation) shows up as a non-reproducing replay.
     """
     with open(path) as fh:
         ce = json.load(fh)
-    for key in ("check", "name", "child_seed", "slack", "version"):
+    for key in ("check", "name", "child_seed", "slack", "version", "config"):
         if key not in ce:
             raise SchemaError(f"counterexample file lacks {key!r}")
     if ce["check"] not in CHECKS:
         raise SchemaError(f"unknown check {ce['check']!r}")
-    cfg = cfg or FuzzConfig()
+    if not isinstance(ce["config"], dict):
+        raise SchemaError("counterexample 'config' must be an object")
+    cfg = FuzzConfig.from_json(ce["config"])
     rng = random.Random(ce["child_seed"])
     reports = CHECKS[ce["check"]](rng, cfg)
     matching = [r for r in reports if r.name == ce["name"]]
@@ -481,8 +487,8 @@ def replay(path, cfg: FuzzConfig | None = None) -> dict:
         "name": ce["name"],
         "check": ce["check"],
     }
-    if ce["version"] != VERSION:
-        out["version_warning"] = f"stored {ce['version']}, current {VERSION}"
+    if ce["version"] != __version__:
+        out["version_warning"] = f"stored {ce['version']}, current {__version__}"
     return out
 
 

@@ -100,14 +100,6 @@ class GroupSpec:
             )
 
 
-def add(g: GroupSpec, a: Element, b: Element) -> Element:
-    return g.add(a, b)
-
-
-def neg(g: GroupSpec, a: Element) -> Element:
-    return g.neg(a)
-
-
 def is_subgroup(g: GroupSpec, elements: Iterable[Element]) -> bool:
     """True iff the finite set contains 0 and is closed under subtraction."""
     s = set(elements)

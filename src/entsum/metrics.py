@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 from .dists import Dist, convolve, entropy, iterated_convolve
 from .errors import IncompatibleGroupError, PreconditionError
+from .fileio import dump_dist
 from .groups import Element
 
 DEFAULT_TOL = 1e-9
@@ -47,16 +48,6 @@ class MetricReport:
         }
 
 
-def dist_witness(p: Dist) -> dict:
-    return {
-        "group": list(p.group.moduli),
-        "atoms": [
-            {"x": list(e), "num": v.numerator, "den": v.denominator}
-            for e, v in p.mass.items()
-        ],
-    }
-
-
 def ruzsa_distance(p: Dist, q: Dist) -> float:
     """Ent(X' - Y') - Ent(X')/2 - Ent(Y')/2 for independent copies."""
     if p.group != q.group:
@@ -84,7 +75,7 @@ def check_ese_suite(
         raise IncompatibleGroupError("suite needs a common group")
     if n < 1 or n > 4:
         raise PreconditionError("n must be in 1..4 (convolution blow-up cap)")
-    w = {"p": dist_witness(p), "q": dist_witness(q), "r": dist_witness(r), "n": n}
+    w = {"p": dump_dist(p), "q": dump_dist(q), "r": dump_dist(r), "n": n}
 
     hp, hq = entropy(p), entropy(q)
     reports = [
@@ -165,10 +156,10 @@ def check_lipschitz(
     t_x = oracle_transport(p_x, p_x2).cost
     t_y = oracle_transport(p_y, p_y2).cost
     w = {
-        "p_x": dist_witness(p_x),
-        "p_x2": dist_witness(p_x2),
-        "p_y": dist_witness(p_y),
-        "p_y2": dist_witness(p_y2),
+        "p_x": dump_dist(p_x),
+        "p_x2": dump_dist(p_x2),
+        "p_y": dump_dist(p_y),
+        "p_y2": dump_dist(p_y2),
     }
     reports = [
         MetricReport(
@@ -224,7 +215,7 @@ def sumset_increase_report(p: Dist, q: Dist) -> MetricReport:
         "sumset_increase_formula",
         abs(lhs - gap),
         1.0,
-        {"p": dist_witness(p), "q": dist_witness(q), "L": lhs, "gap": gap},
+        {"p": dump_dist(p), "q": dump_dist(q), "L": lhs, "gap": gap},
     )
 
 
@@ -297,7 +288,7 @@ def jensen_level_report(p: Dist, ambient: Sequence[Element], k_bound: float) -> 
         "jensen_level_sets",
         rep.weighted_sum,
         rep.log_k,
-        {"p": dist_witness(p), "ambient_size": len(tuple(ambient)), "K": k_bound},
+        {"p": dump_dist(p), "ambient_size": len(tuple(ambient)), "K": k_bound},
     )
 
 
@@ -313,5 +304,5 @@ def three_sum_bound(x: Dist, y: Dist, z: Dist) -> MetricReport:
         "three_sum_bound",
         lhs,
         rhs,
-        {"x": dist_witness(x), "y": dist_witness(y), "z": dist_witness(z)},
+        {"x": dump_dist(x), "y": dump_dist(y), "z": dump_dist(z)},
     )

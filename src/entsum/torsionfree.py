@@ -120,13 +120,6 @@ def mod_fiber_decomposition(p: Dist, m: int) -> tuple[Dist, dict[int, Dist]]:
 Poly = tuple[Fraction, ...]  # coefficients, lowest degree first
 
 
-def _poly_eval(poly: Poly, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * t + c
-    return acc
-
-
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -193,10 +186,6 @@ class PiecewiseDensity:
     def uniform(lo, hi) -> "PiecewiseDensity":
         lo, hi = Fraction(lo), Fraction(hi)
         return PiecewiseDensity([lo, hi], [(Fraction(1, 1) / (hi - lo), 0)])
-
-    @staticmethod
-    def step(breakpoints, heights) -> "PiecewiseDensity":
-        return PiecewiseDensity(breakpoints, [(h, 0) for h in heights])
 
     def translate(self, c) -> "PiecewiseDensity":
         c = Fraction(c)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dists import Dist, JointDist, convolve, entropy, f_nats
+from .dists import Dist, JointDist, entropy, f_nats
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -31,6 +31,7 @@ from .errors import (
     PreconditionError,
     WraparoundError,
 )
+from .fileio import dump_dist
 from .groups import Element, GroupSpec
 from .metrics import density_level
 from .progressions import CosetProgression, box_embedding
@@ -84,44 +85,36 @@ class TransportCertificate:
                 {"x": list(x), "z": list(z), "num": v.numerator, "den": v.denominator}
                 for (x, z), v in self.coupling.mass.items()
             ],
-            "target": [
-                {"x": list(e), "num": v.numerator, "den": v.denominator}
-                for e, v in self.target.mass.items()
-            ],
+            "target": dump_dist(self.target)["atoms"],
         }
+
+
+def _cert(g: GroupSpec, raw: "_RawCert") -> TransportCertificate:
+    return TransportCertificate(JointDist([g, g], raw.coupling), Dist(g, raw.target))
+
+
+def _raw(c: TransportCertificate) -> "_RawCert":
+    return _RawCert(c.coupling.mass, c.target.mass)
 
 
 def identity_certificate(p: Dist, shift: Element | None = None) -> TransportCertificate:
     """Deterministic shift certificate; cost 0."""
     g = p.group
-    c = g.zero() if shift is None else g.reduce(shift)
-    coupling = JointDist([g, g], {(x, c): v for x, v in p.mass.items()})
-    return TransportCertificate(coupling, p.translate(c))
+    return _cert(g, _raw_identity(g, p.mass, None if shift is None else g.reduce(shift)))
 
 
 def independent_noise_certificate(p: Dist, z: Dist) -> TransportCertificate:
     """Certificate p -> p * z with Z independent of X."""
     if p.group != z.group:
         raise IncompatibleGroupError("noise must live in the same group")
-    g = p.group
-    atoms = {}
-    for x, vx in p.mass.items():
-        for zz, vz in z.mass.items():
-            atoms[(x, zz)] = vx * vz
-    return TransportCertificate(JointDist([g, g], atoms), convolve(p, z, "+"))
+    return _cert(p.group, _raw_noise(p.group, p.mass, z.mass))
 
 
 def independent_pair_certificate(p: Dist, q: Dist) -> TransportCertificate:
     """Always-feasible certificate p -> q from the product coupling of (X, Y)."""
     if p.group != q.group:
         raise IncompatibleGroupError("endpoints must share a group")
-    g = p.group
-    atoms: dict = {}
-    for x, vx in p.mass.items():
-        for y, vy in q.mass.items():
-            key = (x, g.sub(y, x))
-            atoms[key] = atoms.get(key, Fraction(0)) + vx * vy
-    return TransportCertificate(JointDist([g, g], atoms), q)
+    return _cert(p.group, _raw_independent_pair(p.group, p.mass, q.mass))
 
 
 def reverse_certificate(c: TransportCertificate) -> TransportCertificate:
@@ -131,11 +124,7 @@ def reverse_certificate(c: TransportCertificate) -> TransportCertificate:
     (negation permutes the Z-support), and is re-checkable exactly.
     """
     g = c.target.group
-    atoms: dict = {}
-    for (x, z), v in c.coupling.mass.items():
-        key = (g.add(x, z), g.neg(z))
-        atoms[key] = atoms.get(key, Fraction(0)) + v
-    return TransportCertificate(JointDist([g, g], atoms), c.source())
+    return _cert(g, _raw_reverse(g, _raw(c)))
 
 
 def compose_certificates(
@@ -146,21 +135,10 @@ def compose_certificates(
     Z2 is drawn conditionally on W = X + Z1 from the second coupling, so the
     composed coupling is exact whenever c2's source equals c1's target.
     """
-    if c2.source() != c1.target:
-        raise CertificateError("second certificate does not start at the first's target")
     g = c1.target.group
-    w_mass = c1.target.mass
-    by_w: dict = {}
-    for (w, z2), v in c2.coupling.mass.items():
-        by_w.setdefault(w, []).append((z2, v))
-    atoms: dict = {}
-    for (x, z1), v1 in c1.coupling.mass.items():
-        w = g.add(x, z1)
-        pw = w_mass[w]
-        for z2, v2 in by_w[w]:
-            key = (x, g.add(z1, z2))
-            atoms[key] = atoms.get(key, Fraction(0)) + v1 * v2 / pw
-    return TransportCertificate(JointDist([g, g], atoms), c2.target)
+    if c2.target.group != g:
+        raise CertificateError("certificates live in different groups")
+    return _cert(g, _raw_compose(g, _raw(c1), _raw(c2)))
 
 
 def transport_split(
@@ -178,20 +156,10 @@ def transport_split(
     if sum(weights, Fraction(0)) != 1:
         raise CertificateError("piece weights must sum to exactly 1")
     g = pieces[0][1].target.group
-    atoms: dict = {}
-    tgt: dict = {}
-    bound = selector_entropy
-    for w, cert in pieces:
-        if cert.target.group != g:
-            raise CertificateError("pieces live in different groups")
-        if w == 0:
-            continue
-        bound += float(w) * cert.cost
-        for key, v in cert.coupling.mass.items():
-            atoms[key] = atoms.get(key, Fraction(0)) + w * v
-        for e, v in cert.target.mass.items():
-            tgt[e] = tgt.get(e, Fraction(0)) + w * v
-    out = TransportCertificate(JointDist([g, g], atoms), Dist(g, tgt))
+    if any(cert.target.group != g for _, cert in pieces):
+        raise CertificateError("pieces live in different groups")
+    bound = sum((float(w) * c.cost for w, (_, c) in zip(weights, pieces) if w), selector_entropy)
+    out = _cert(g, _raw_mix([(w, _raw(c)) for w, (_, c) in zip(weights, pieces)]))
     if out.cost > bound + 1e-9:
         raise CertificateError(
             f"glued cost {out.cost} exceeds split bound {bound}"
@@ -452,24 +420,16 @@ def is_translate(p: Dist, q: Dist) -> bool:
 # Flattening and uniformisation need a concrete finite group that is not
 # always a plain product of cyclic factors (the coset-progression pipeline
 # works inside H x prod Z/2NiZ with H an arbitrary finite subgroup), so the
-# raw machinery runs on mass dicts over a small group adapter.
+# certificate algebra runs on mass dicts over any group with `add`, `neg`,
+# `sub` and `zero()`: a GroupSpec, or an adapter that also lists the
+# elements of a finite group for flattening.
 
 
 class _SpecAdapter:
     def __init__(self, g: GroupSpec):
-        self.g = g
+        self.add, self.neg, self.sub, self.zero = g.add, g.neg, g.sub, g.zero
         self.elems = sorted(g.elements())
         self.size = len(self.elems)
-        self.zero = g.zero()
-
-    def add(self, a, b):
-        return self.g.add(a, b)
-
-    def neg(self, a):
-        return self.g.neg(a)
-
-    def sub(self, a, b):
-        return self.g.sub(a, b)
 
 
 class _SubgroupBoxAdapter:
@@ -486,7 +446,9 @@ class _SubgroupBoxAdapter:
         ]
         self.elems.sort()
         self.size = len(self.elems)
-        self.zero = (ambient.zero(), (0,) * len(self.mods))
+
+    def zero(self):
+        return (self.ambient.zero(), (0,) * len(self.mods))
 
     def add(self, a, b):
         return (
@@ -517,13 +479,6 @@ def _raw_source(c: _RawCert) -> dict:
     return out
 
 
-def _raw_zmass(c: _RawCert) -> dict:
-    out: dict = {}
-    for (_, z), v in c.coupling.items():
-        out[z] = out.get(z, Fraction(0)) + v
-    return out
-
-
 def _raw_validate(ad, c: _RawCert, source: dict | None = None) -> None:
     push: dict = {}
     for (x, z), v in c.coupling.items():
@@ -535,8 +490,12 @@ def _raw_validate(ad, c: _RawCert, source: dict | None = None) -> None:
         raise CertificateError("raw source mismatch")
 
 
-def _raw_identity(ad, q: dict) -> _RawCert:
-    return _RawCert({(x, ad.zero): v for x, v in q.items()}, dict(q))
+def _raw_identity(ad, q: dict, c: Element | None = None) -> _RawCert:
+    """Deterministic shift by c, or by zero when c is None; cost 0."""
+    if c is None:
+        c = ad.zero()
+        return _RawCert({(x, c): v for x, v in q.items()}, dict(q))
+    return _RawCert({(x, c): v for x, v in q.items()}, {ad.add(x, c): v for x, v in q.items()})
 
 
 def _raw_independent_pair(ad, qp: dict, qm: dict) -> _RawCert:
@@ -570,7 +529,7 @@ def _raw_reverse(ad, c: _RawCert) -> _RawCert:
 def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
     w_mass = c1.target
     if _raw_source(c2) != w_mass:
-        raise CertificateError("raw composition endpoints disagree")
+        raise CertificateError("second certificate does not start at the first's target")
     by_w: dict = {}
     for (w, z2), v in c2.coupling.items():
         by_w.setdefault(w, []).append((z2, v))
@@ -688,15 +647,9 @@ def _raw_flatten(
 
 
 def _shift_noise(ad, shifts: Sequence[Element]) -> dict:
-    z = {ad.zero: Fraction(1)}
-    half = Fraction(1, 2)
+    z = {ad.zero(): Fraction(1)}
     for h in shifts:
-        nxt: dict = {}
-        for x, v in z.items():
-            nxt[x] = nxt.get(x, Fraction(0)) + half * v
-            y = ad.add(x, h)
-            nxt[y] = nxt.get(y, Fraction(0)) + half * v
-        z = nxt
+        z = _shift_mix(ad, z, h)
     return z
 
 
@@ -736,32 +689,23 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
     if k < 0:
         raise ValueError("k must be >= 0")
     ad = _SpecAdapter(p.group)
-    final, shifts, sqs = _raw_flatten(ad, dict(p.mass), k, lambda m, s: False)
-    out = Dist(p.group, final)
-    trace = FlattenTrace(shifts, sqs)
+    _, raw, trace = _raw_flatten_cert(ad, dict(p.mass), k, lambda m, s: False)
     trace.verify()
-    if shifts:
-        z = Dist(p.group, _shift_noise(ad, shifts))
-        cert = independent_noise_certificate(p, z)
-    else:
-        cert = identity_certificate(p)
+    cert = _cert(p.group, raw)
     cert.validate(p)
-    if cert.target != out:
-        raise CertificateError("flatten certificate does not reach the flattened law")
-    return out, trace, cert
+    return cert.target, trace, cert
 
 
 # -- uniformisation ----------------------------------------------------------
 
 
-def _raw_flatten_cert(ad, q: dict, stop) -> tuple[dict, _RawCert]:
-    final, shifts, _ = _raw_flatten(ad, q, _MAX_FLATTEN_ROUNDS, stop)
-    if not shifts:
-        return final, _raw_identity(ad, q)
-    cert = _raw_noise(ad, q, _shift_noise(ad, shifts))
+def _raw_flatten_cert(ad, q: dict, max_rounds: int, stop) -> tuple[dict, _RawCert, FlattenTrace]:
+    """Flatten q and couple it with the independent sum of the chosen shifts."""
+    final, shifts, sqs = _raw_flatten(ad, q, max_rounds, stop)
+    cert = _raw_noise(ad, q, _shift_noise(ad, shifts)) if shifts else _raw_identity(ad, q)
     if cert.target != final:
-        raise CertificateError("raw flatten target mismatch")
-    return final, cert
+        raise CertificateError("flatten certificate does not reach the flattened law")
+    return final, cert, FlattenTrace(shifts, sqs)
 
 
 def _uniform_mass(ad) -> dict:
@@ -778,8 +722,8 @@ def _raw_to_uniform(ad, q: dict, depth: int = 0) -> _RawCert:
     """
     u = _uniform_mass(ad)
     target_sigma = max(SIGMA_MIN, Fraction(1, 2 ** (10 * (depth + 1))))
-    cur, flat_cert = _raw_flatten_cert(
-        ad, q, lambda m, s: _sigma_excess(ad, m) <= target_sigma
+    cur, flat_cert, _ = _raw_flatten_cert(
+        ad, q, _MAX_FLATTEN_ROUNDS, lambda m, s: _sigma_excess(ad, m) <= target_sigma
     )
     if cur == u:
         return flat_cert
@@ -826,7 +770,9 @@ def _raw_uniformise(ad, q: dict) -> _RawCert:
         if k == 0:
             pieces.append((w, _raw_identity(ad, cond)))
         else:
-            _, cert = _raw_flatten_cert(ad, cond, lambda m, s: s <= sq_bound)
+            _, cert, _ = _raw_flatten_cert(
+                ad, cond, _MAX_FLATTEN_ROUNDS, lambda m, s: s <= sq_bound
+            )
             pieces.append((w, cert))
     glued = _raw_mix(pieces)
     tail = _raw_to_uniform(ad, glued.target, depth=0)
@@ -855,10 +801,7 @@ def uniformise_group(p: Dist, k_bound: float) -> TransportCertificate:
     ad = _SpecAdapter(p.group)
     raw = _raw_uniformise(ad, dict(p.mass))
     _raw_validate(ad, raw, dict(p.mass))
-    cert = TransportCertificate(
-        JointDist([p.group, p.group], raw.coupling),
-        Dist(p.group, raw.target),
-    )
+    cert = _cert(p.group, raw)
     cert.validate(p)
     return cert
 

@@ -44,9 +44,7 @@ def test_roundtrip_formats(tmp_path):
     assert load_dist(dump_dist(p)) == p
     j = independent_joint(p, p)
     assert load_joint(dump_joint(j)) == j
-    prog = load_progression(
-        {"group": [0], "H": [[0]], "base": [0], "steps": [[1]], "lengths": [4]}
-    )
+    prog = load_progression(GOOD_PROGRESSION)
     assert sorted(prog.enumerate()) == [(0,), (1,), (2,), (3,)]
 
 
@@ -65,12 +63,27 @@ BAD_DISTS = [
     {"group": [0], "atoms": [{"x": 0, "num": 1, "den": 1}]},
     {"group": [0], "atoms": [{"x": ["a"], "num": 1, "den": 1}]},
     {"group": [True], "atoms": [{"x": [0], "num": 1, "den": 1}]},
+    # negative masses that still sum to 1
+    {"group": [0], "atoms": [{"x": [0], "num": -1, "den": 2}, {"x": [1], "num": 3, "den": 2}]},
+    # unknown keys at the top level and in an atom
+    {"group": [0], "atoms": [{"x": [0], "num": 1, "den": 1}], "name": "p"},
+    {"group": [0], "atoms": [{"x": [0], "num": 1, "den": 1, "weight": 1}]},
 ]
 BAD_JOINTS = [
     {"groups": [[0], [0]], "atoms": [5]},
     {"groups": [[0], [0]], "atoms": [{"xs": [[0], [0]], "num": True, "den": 1}]},
     {"groups": [[0], [0]], "atoms": [{"xs": [0, [0]], "num": 1, "den": 1}]},
     {"groups": [[0], [0]], "atoms": [{"xs": [["a"], [0]], "num": 1, "den": 1}]},
+    {"groups": [[0], [0]], "atoms": [{"xs": [[0], [0]], "num": -1, "den": 1},
+                                     {"xs": [[1], [0]], "num": 2, "den": 1}]},
+    {"groups": [[0], [0]], "atoms": [{"xs": [[0], [0]], "num": 1, "den": 1}], "k": 2},
+    {"groups": [[0], [0]], "atoms": [{"xs": [[0], [0]], "num": 1, "den": 1, "x": [0]}]},
+]
+GOOD_PROGRESSION = {"group": [0], "H": [[0]], "base": [0], "steps": [[1]], "lengths": [4]}
+BAD_PROGRESSIONS = [
+    {**GOOD_PROGRESSION, "rank": 1},
+    {**GOOD_PROGRESSION, "base": [0, 1]},
+    {**GOOD_PROGRESSION, "lengths": [None]},
 ]
 
 
@@ -84,6 +97,12 @@ def test_load_dist_schema_errors(obj):
 def test_load_joint_schema_errors(obj):
     with pytest.raises(SchemaError):
         load_joint(obj)
+
+
+@pytest.mark.parametrize("obj", BAD_PROGRESSIONS)
+def test_load_progression_schema_errors(obj):
+    with pytest.raises(SchemaError):
+        load_progression(obj)
 
 
 def test_malformed_files_exit_2(capsys, tmp_path):
@@ -251,9 +270,9 @@ def test_check_command(capsys, tmp_path):
 
 
 def test_global_flags(capsys, tmp_path):
+    # fuzz options belong to the fuzz subcommand; the top-level form is a usage error
     out_dir = tmp_path / "gf"
-    code, out = run(capsys, "--seed", "4", "--workers", "1",
-                    "--out", str(out_dir), "fuzz", "--count", "1")
-    assert code == 0
-    assert json.loads(out)["seed"] == 4
-    assert (out_dir / "results.jsonl").exists()
+    for flags in (["--seed", "4"], ["--workers", "1"], ["--out", str(out_dir)],
+                  ["--config", str(tmp_path / "cfg.json")]):
+        assert main([*flags, "fuzz", "--count", "1"]) == 2
+    assert not out_dir.exists()

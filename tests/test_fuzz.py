@@ -1,6 +1,7 @@
 """Fuzz orchestration: determinism, corpus persistence, replay, rendering."""
 
 import json
+from dataclasses import asdict
 from fractions import Fraction as F
 
 import pytest
@@ -91,6 +92,7 @@ def test_replay_roundtrip(tmp_path):
         slack=rep.slack,
         version="0.1.0",
         witness={},
+        config=asdict(cfg),
     )
     path = tmp_path / "ce.json"
     path.write_text(json.dumps(ce.__dict__))
@@ -184,6 +186,43 @@ def test_violation_path_writes_corpus_and_replays(tmp_path, monkeypatch):
     assert len(files) == 3
     out = replay(files[0])
     assert out["reproduced"]  # same seed regenerates the same slack
+
+
+def test_replay_uses_stored_config(capsys, tmp_path, monkeypatch):
+    # instances drawn under a non-default config must replay under that config
+    from entsum import fuzz as fuzz_mod
+    from entsum.cli import main
+    from entsum.metrics import MetricReport
+
+    triv = fuzz_mod.CHECKS["triv"]
+
+    def shifted_triv(rng, cfg):
+        ent_sum = triv(rng, cfg)[2].lhs  # Ent(X + Y) of the drawn instance
+        return [MetricReport("shifted_sum_entropy", 1.0 + ent_sum, 0.0, {})]
+
+    monkeypatch.setitem(fuzz_mod.CHECKS, "shifted", shifted_triv)
+    cfg = FuzzConfig(seed=4, instance_count=5, support_cap=2, denominator_cap=8,
+                     groups=[[4]], inequality_set=["shifted"])
+    assert fuzz_run(cfg, tmp_path)["violations"] == 5
+    files = sorted((tmp_path / "counterexamples").iterdir())
+    assert len(files) == 5
+    for path in files:
+        stored = json.loads(path.read_text())
+        assert stored["config"]["support_cap"] == 2 and stored["config"]["groups"] == [[4]]
+        assert main(["replay", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["reproduced"]
+
+
+def test_replay_requires_config(tmp_path):
+    path = tmp_path / "ce.json"
+    ce = {"check": "triv", "name": "sum_upper", "child_seed": 1, "slack": 0.0,
+          "version": "0.1.0"}
+    path.write_text(json.dumps(ce))
+    with pytest.raises(SchemaError):
+        replay(path)
+    path.write_text(json.dumps({**ce, "config": {"bogus": 1}}))
+    with pytest.raises(SchemaError):
+        replay(path)
 
 
 def test_cap_violations_skipped_with_counts(tmp_path, monkeypatch):

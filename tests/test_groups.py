@@ -6,19 +6,19 @@ import random
 import pytest
 
 from entsum.errors import IncompatibleGroupError
-from entsum.groups import GroupSpec, add, is_subgroup, neg
+from entsum.groups import GroupSpec, is_subgroup
 
 
 def test_add_examples():
-    assert add(GroupSpec([0]), (3,), (-1,)) == (2,)
-    assert add(GroupSpec([4]), (3,), (2,)) == (1,)
-    assert add(GroupSpec([2, 0]), (1, 5), (1, -5)) == (0, 0)
+    assert GroupSpec([0]).add((3,), (-1,)) == (2,)
+    assert GroupSpec([4]).add((3,), (2,)) == (1,)
+    assert GroupSpec([2, 0]).add((1, 5), (1, -5)) == (0, 0)
 
 
 def test_neg_examples():
-    assert neg(GroupSpec([4]), (1,)) == (3,)
-    assert neg(GroupSpec([0]), (7,)) == (-7,)
-    assert neg(GroupSpec([2]), (0,)) == (0,)
+    assert GroupSpec([4]).neg((1,)) == (3,)
+    assert GroupSpec([0]).neg((7,)) == (-7,)
+    assert GroupSpec([2]).neg((0,)) == (0,)
 
 
 def test_is_subgroup_examples():
@@ -30,9 +30,9 @@ def test_is_subgroup_examples():
 
 def test_dimension_mismatch():
     with pytest.raises(IncompatibleGroupError):
-        add(GroupSpec([4]), (1,), (1, 2))
+        GroupSpec([4]).add((1,), (1, 2))
     with pytest.raises(IncompatibleGroupError):
-        neg(GroupSpec([2, 2]), (1,))
+        GroupSpec([2, 2]).neg((1,))
 
 
 def test_add_associative_commutative_random():
