@@ -2,7 +2,8 @@
 
 Every registered inequality is a theorem, so a violation is an
 implementation bug; the campaign persists any violation as a replayable
-counterexample file named by content hash.
+counterexample file named by content hash.  This demo writes the campaign
+into a temporary directory and removes it at the end.
 """
 
 import json
@@ -12,10 +13,11 @@ from pathlib import Path
 from entsum import FuzzConfig, fuzz_run, report_render
 
 cfg = FuzzConfig(seed=20260809, instance_count=50, workers=1)
-out = Path(tempfile.mkdtemp(prefix="entsum-fuzz-"))
-summary = fuzz_run(cfg, out)
+with tempfile.TemporaryDirectory(prefix="entsum-fuzz-") as tmp:
+    out = Path(tmp)
+    summary = fuzz_run(cfg, out)
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
 
-rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
 text, _ = report_render(rows)
 print(text)
-print(f"\nviolations: {summary['violations']}  (results under {out})")
+print(f"\nviolations: {summary['violations']}")

@@ -146,11 +146,12 @@ def entropy(p: Dist) -> float:
     return math.fsum(f_nats(v) for v in p.mass.values())
 
 
-def _common_denominator(p: Dist) -> tuple[int, dict[Element, int]]:
+def _common_denominator(mass: Mapping) -> tuple[int, dict]:
+    """Integer counts over the least common denominator of Fraction masses."""
     den = 1
-    for v in p.mass.values():
+    for v in mass.values():
         den = den * v.denominator // math.gcd(den, v.denominator)
-    return den, {e: v.numerator * (den // v.denominator) for e, v in p.mass.items()}
+    return den, {e: v.numerator * (den // v.denominator) for e, v in mass.items()}
 
 
 def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
@@ -160,8 +161,8 @@ def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     g = p.group
-    dp, np_ = _common_denominator(p)
-    dq, nq = _common_denominator(q)
+    dp, np_ = _common_denominator(p.mass)
+    dq, nq = _common_denominator(q.mass)
     if sign == "-":
         nq = {g.neg(e): n for e, n in nq.items()}
     acc: dict[Element, int] = {}

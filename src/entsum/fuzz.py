@@ -31,6 +31,7 @@ from .dists import (
     joint_entropy,
 )
 from .errors import CapExceededError, PremiseError, SchemaError
+from .fileio import _group, _is_int, _read
 from .groups import GroupSpec
 from .metrics import (
     MetricReport,
@@ -72,13 +73,27 @@ class FuzzConfig:
 
     @staticmethod
     def from_json(obj) -> "FuzzConfig":
-        if isinstance(obj, (str, Path)):
-            with open(obj) as fh:
-                obj = json.load(fh)
+        """Config from a JSON object or file; SchemaError for unknown keys or bad values."""
+        obj = _read(obj)
+        if not isinstance(obj, dict):
+            raise SchemaError(f"fuzz config must be a JSON object, got {obj!r}")
         known = {f for f in FuzzConfig.__dataclass_fields__}
         extra = set(obj) - known
         if extra:
             raise SchemaError(f"unknown config keys: {sorted(extra)}")
+        for key in ("seed", "instance_count", "support_cap", "denominator_cap", "workers"):
+            if key in obj and not _is_int(obj[key]):
+                raise SchemaError(f"config {key!r} must be an int, got {obj[key]!r}")
+        if obj.get("support_cap", 1) < 1:
+            raise SchemaError(f"config 'support_cap' must be >= 1, got {obj['support_cap']}")
+        groups = obj.get("groups", [[0]])
+        if not isinstance(groups, list) or not groups:
+            raise SchemaError(f"config 'groups' must be a non-empty list of groups, got {groups!r}")
+        for g in groups:
+            _group(g)
+        checks = obj.get("inequality_set", [])
+        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+            raise SchemaError(f"config 'inequality_set' must be a list of names, got {checks!r}")
         return FuzzConfig(**obj)
 
 

@@ -9,12 +9,16 @@ ints: it grows forests one atom of the larger support at a time, drops a
 branch as soon as a single-partner atom overdraws its partner, and builds
 Fractions only for the winning vertex.  The constructive side builds
 certificates by flattening with two-point shifts, density-level splitting,
-and sigma-splits, all in exact rational arithmetic.  Certificate validity is
-always exact; only costs are floating point.
+and sigma-splits.  It runs in Python int counts over one common denominator,
+with the elements of a finite group encoded as indices into one addition
+table, and builds Fractions only where a law enters and where the finished
+certificate leaves.  Certificate validity is always exact; only costs are
+floating point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dists import Dist, JointDist, entropy, f_nats
+from .dists import Dist, JointDist, _common_denominator, entropy, f_nats
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -36,7 +40,7 @@ from .groups import Element, GroupSpec
 from .metrics import density_level
 from .progressions import CosetProgression, box_embedding
 
-SIGMA_MIN = Fraction(1, 2**20)
+SIGMA_MIN_BITS = 20  # the sigma-split floor is sigma_min = 2**-SIGMA_MIN_BITS
 _MAX_FLATTEN_ROUNDS = 400
 
 
@@ -89,32 +93,47 @@ class TransportCertificate:
         }
 
 
-def _cert(g: GroupSpec, raw: "_RawCert") -> TransportCertificate:
-    return TransportCertificate(JointDist([g, g], raw.coupling), Dist(g, raw.target))
+def _cert(g: GroupSpec, raw: "_RawCert", elems: Sequence | None = None) -> TransportCertificate:
+    """Wrap a kernel certificate; `elems` decodes index-encoded elements."""
+    den, coupling, target = raw.den, raw.coupling, raw.target
+    if elems is not None:
+        coupling = {(elems[x], elems[z]): n for (x, z), n in coupling.items()}
+        target = {elems[y]: n for y, n in target.items()}
+    return TransportCertificate(
+        JointDist([g, g], {key: Fraction(n, den) for key, n in coupling.items()}),
+        Dist(g, {e: Fraction(n, den) for e, n in target.items()}),
+    )
 
 
 def _raw(c: TransportCertificate) -> "_RawCert":
-    return _RawCert(c.coupling.mass, c.target.mass)
+    dc, coupling = _common_denominator(c.coupling.mass)
+    dt, target = _common_denominator(c.target.mass)
+    den = math.lcm(dc, dt)
+    return _RawCert(den, _scaled(coupling, den // dc), _scaled(target, den // dt))
 
 
 def identity_certificate(p: Dist, shift: Element | None = None) -> TransportCertificate:
     """Deterministic shift certificate; cost 0."""
     g = p.group
-    return _cert(g, _raw_identity(g, p.mass, None if shift is None else g.reduce(shift)))
+    law = _common_denominator(p.mass)
+    return _cert(g, _raw_identity(g, law, None if shift is None else g.reduce(shift)))
 
 
 def independent_noise_certificate(p: Dist, z: Dist) -> TransportCertificate:
     """Certificate p -> p * z with Z independent of X."""
     if p.group != z.group:
         raise IncompatibleGroupError("noise must live in the same group")
-    return _cert(p.group, _raw_noise(p.group, p.mass, z.mass))
+    return _cert(p.group, _raw_noise(p.group, _common_denominator(p.mass), _common_denominator(z.mass)))
 
 
 def independent_pair_certificate(p: Dist, q: Dist) -> TransportCertificate:
     """Always-feasible certificate p -> q from the product coupling of (X, Y)."""
     if p.group != q.group:
         raise IncompatibleGroupError("endpoints must share a group")
-    return _cert(p.group, _raw_independent_pair(p.group, p.mass, q.mass))
+    return _cert(
+        p.group,
+        _raw_independent_pair(p.group, _common_denominator(p.mass), _common_denominator(q.mass)),
+    )
 
 
 def reverse_certificate(c: TransportCertificate) -> TransportCertificate:
@@ -159,7 +178,10 @@ def transport_split(
     if any(cert.target.group != g for _, cert in pieces):
         raise CertificateError("pieces live in different groups")
     bound = sum((float(w) * c.cost for w, (_, c) in zip(weights, pieces) if w), selector_entropy)
-    out = _cert(g, _raw_mix([(w, _raw(c)) for w, (_, c) in zip(weights, pieces)]))
+    wden = math.lcm(*(w.denominator for w in weights))
+    out = _cert(g, _raw_mix(wden, [
+        (w.numerator * (wden // w.denominator), _raw(c)) for w, (_, c) in zip(weights, pieces)
+    ]))
     if out.cost > bound + 1e-9:
         raise CertificateError(
             f"glued cost {out.cost} exceeds split bound {bound}"
@@ -415,230 +437,305 @@ def is_translate(p: Dist, q: Dist) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# finite-group adapters for the constructive pipeline
+# the integer certificate kernel
 #
 # Flattening and uniformisation need a concrete finite group that is not
 # always a plain product of cyclic factors (the coset-progression pipeline
 # works inside H x prod Z/2NiZ with H an arbitrary finite subgroup), so the
-# certificate algebra runs on mass dicts over any group with `add`, `neg`,
-# `sub` and `zero()`: a GroupSpec, or an adapter that also lists the
-# elements of a finite group for flattening.
+# certificate algebra runs over any group with `add`, `neg`, `sub` and
+# `zero()`: a GroupSpec, whose elements are tuples, or an `_IndexedGroup`,
+# which encodes each element of a finite group as its index in a sorted list
+# and looks the group law up in one table.  Masses are Python ints over one
+# common denominator: a law is a pair (den, counts) whose positive counts sum
+# to den, and a `_RawCert` keeps one denominator for its coupling and its
+# target.  Fractions are built only where a law enters (`_common_denominator`)
+# and where a certificate leaves (`_cert` and the box push-forward).
+
+_Law = tuple  # (den, {element: count}) with the counts summing to den
 
 
-class _SpecAdapter:
-    def __init__(self, g: GroupSpec):
-        self.add, self.neg, self.sub, self.zero = g.add, g.neg, g.sub, g.zero
-        self.elems = sorted(g.elements())
-        self.size = len(self.elems)
+class _IndexedGroup:
+    """A finite group H x prod Z/mZ whose elements are the indices of `elems`.
+
+    H is given by its own addition table over the indices of its elements,
+    and `elems` lists the group in row-major order, which is sorted order.
+    The group's addition table, |G|^2 entries, is built on first use.
+    """
+
+    def __init__(self, elems: list, h_table: np.ndarray, mods: Sequence[int], zero):
+        self.elems = elems
+        self.size = len(elems)
+        self.index = {e: i for i, e in enumerate(elems)}
+        self._h_table = h_table
+        self._mods = mods
+        self._zero = self.index[zero]
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """table[a, b] is the index of elems[a] + elems[b]."""
+        tbl = self._h_table
+        for m in self._mods:
+            n, r = len(tbl), np.arange(m)
+            cyclic = (r[:, None] + r) % m
+            tbl = (tbl[:, None, :, None] * m + cyclic[None, :, None, :]).reshape(n * m, n * m)
+        return tbl
+
+    @functools.cached_property
+    def _rows(self) -> list:
+        # views into `table` whose items read as Python ints, with no second copy
+        return [memoryview(row) for row in self.table]
+
+    @functools.cached_property
+    def _neg(self) -> list[int]:
+        return np.argmax(self.table == self._zero, axis=1).tolist()
+
+    def zero(self) -> int:
+        return self._zero
+
+    def add(self, a: int, b: int) -> int:
+        return self._rows[a][b]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._rows[a][self._neg[b]]
+
+    def encode(self, mass: dict) -> _Law:
+        """Counts over the least common denominator, keyed by element index."""
+        return _common_denominator({self.index[e]: v for e, v in mass.items()})
 
 
-class _SubgroupBoxAdapter:
-    """Direct product of a finite subgroup H (ambient elements) with cyclic boxes."""
+@functools.lru_cache(maxsize=8)
+def _spec_group(g: GroupSpec) -> _IndexedGroup:
+    """A finite GroupSpec, with a trivial H."""
+    return _IndexedGroup(list(g.elements()), np.zeros((1, 1), dtype=np.int64), g.moduli, g.zero())
 
-    def __init__(self, ambient: GroupSpec, subgroup: Sequence[Element], mods: Sequence[int]):
-        self.ambient = ambient
-        self.subgroup = tuple(sorted(subgroup))
-        self.mods = tuple(int(m) for m in mods)
-        self.elems = [
-            (h, ns)
-            for h in self.subgroup
-            for ns in itertools.product(*(range(m) for m in self.mods))
-        ]
-        self.elems.sort()
-        self.size = len(self.elems)
 
-    def zero(self):
-        return (self.ambient.zero(), (0,) * len(self.mods))
+@functools.lru_cache(maxsize=8)
+def _box_group(ambient: GroupSpec, subgroup: tuple, mods: tuple) -> _IndexedGroup:
+    """H x prod Z/mZ for a finite subgroup H of `ambient`, given as sorted elements."""
+    index = {h: i for i, h in enumerate(subgroup)}
+    h_table = np.array([[index[ambient.add(a, b)] for b in subgroup] for a in subgroup])
+    elems = [(h, ns) for h in subgroup for ns in itertools.product(*(range(m) for m in mods))]
+    return _IndexedGroup(elems, h_table, mods, (ambient.zero(), (0,) * len(mods)))
 
-    def add(self, a, b):
-        return (
-            self.ambient.add(a[0], b[0]),
-            tuple((x + y) % m for x, y, m in zip(a[1], b[1], self.mods)),
-        )
 
-    def neg(self, a):
-        return (
-            self.ambient.neg(a[0]),
-            tuple((-x) % m for x, m in zip(a[1], self.mods)),
-        )
+def _scaled(counts: dict, k: int) -> dict:
+    return counts if k == 1 else {e: n * k for e, n in counts.items()}
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+
+def _reduce(den: int, counts: dict) -> _Law:
+    g = math.gcd(den, *counts.values())
+    return (den, counts) if g == 1 else (den // g, {e: n // g for e, n in counts.items()})
+
+
+def _same_law(a: _Law, b: _Law) -> bool:
+    (da, ma), (db, mb) = a, b
+    return ma.keys() == mb.keys() and all(n * db == mb[e] * da for e, n in ma.items())
+
+
+def _is_uniform(ad, law: _Law) -> bool:
+    den, mass = law
+    return len(mass) == ad.size and all(ad.size * n == den for n in mass.values())
 
 
 @dataclass
 class _RawCert:
-    coupling: dict  # (x, z) -> Fraction
-    target: dict  # x -> Fraction
+    """Coupling and target counts over one denominator, kept in lowest terms."""
+
+    den: int
+    coupling: dict  # (x, z) -> count
+    target: dict  # y -> count
+
+    def __post_init__(self):
+        g = math.gcd(self.den, *self.coupling.values(), *self.target.values())
+        if g > 1:
+            self.den //= g
+            self.coupling = {k: n // g for k, n in self.coupling.items()}
+            self.target = {k: n // g for k, n in self.target.items()}
 
 
 def _raw_source(c: _RawCert) -> dict:
     out: dict = {}
-    for (x, _), v in c.coupling.items():
-        out[x] = out.get(x, Fraction(0)) + v
+    for (x, _), n in c.coupling.items():
+        out[x] = out.get(x, 0) + n
     return out
 
 
-def _raw_validate(ad, c: _RawCert, source: dict | None = None) -> None:
+def _raw_validate(ad, c: _RawCert, source: _Law | None = None) -> None:
     push: dict = {}
-    for (x, z), v in c.coupling.items():
-        y = ad.add(x, z)
-        push[y] = push.get(y, Fraction(0)) + v
+    add = ad.add
+    for (x, z), n in c.coupling.items():
+        y = add(x, z)
+        push[y] = push.get(y, 0) + n
     if push != c.target:
         raise CertificateError("raw pushforward mismatch")
-    if source is not None and _raw_source(c) != source:
+    if source is not None and not _same_law((c.den, _raw_source(c)), source):
         raise CertificateError("raw source mismatch")
 
 
-def _raw_identity(ad, q: dict, c: Element | None = None) -> _RawCert:
+def _raw_identity(ad, q: _Law, c: Element | None = None) -> _RawCert:
     """Deterministic shift by c, or by zero when c is None; cost 0."""
+    den, mass = q
     if c is None:
         c = ad.zero()
-        return _RawCert({(x, c): v for x, v in q.items()}, dict(q))
-    return _RawCert({(x, c): v for x, v in q.items()}, {ad.add(x, c): v for x, v in q.items()})
+        return _RawCert(den, {(x, c): n for x, n in mass.items()}, dict(mass))
+    add = ad.add
+    return _RawCert(
+        den, {(x, c): n for x, n in mass.items()}, {add(x, c): n for x, n in mass.items()}
+    )
 
 
-def _raw_independent_pair(ad, qp: dict, qm: dict) -> _RawCert:
+def _raw_independent_pair(ad, qp: _Law, qm: _Law) -> _RawCert:
+    (dp, mp), (dm, mm) = qp, qm
     atoms: dict = {}
-    for x, vx in qp.items():
-        for y, vy in qm.items():
-            key = (x, ad.sub(y, x))
-            atoms[key] = atoms.get(key, Fraction(0)) + vx * vy
-    return _RawCert(atoms, dict(qm))
+    sub = ad.sub
+    for x, nx in mp.items():
+        for y, ny in mm.items():
+            key = (x, sub(y, x))
+            atoms[key] = atoms.get(key, 0) + nx * ny
+    return _RawCert(dp * dm, atoms, _scaled(mm, dp))
 
 
-def _raw_noise(ad, q: dict, z: dict) -> _RawCert:
+def _raw_noise(ad, q: _Law, z: _Law) -> _RawCert:
+    (dq, mq), (dz, mz) = q, z
     atoms: dict = {}
     tgt: dict = {}
-    for x, vx in q.items():
-        for zz, vz in z.items():
-            atoms[(x, zz)] = atoms.get((x, zz), Fraction(0)) + vx * vz
-            y = ad.add(x, zz)
-            tgt[y] = tgt.get(y, Fraction(0)) + vx * vz
-    return _RawCert(atoms, tgt)
+    add = ad.add
+    for x, nx in mq.items():
+        for zz, nz in mz.items():
+            n = nx * nz
+            atoms[(x, zz)] = n
+            y = add(x, zz)
+            tgt[y] = tgt.get(y, 0) + n
+    return _RawCert(dq * dz, atoms, tgt)
 
 
 def _raw_reverse(ad, c: _RawCert) -> _RawCert:
-    atoms: dict = {}
-    for (x, z), v in c.coupling.items():
-        key = (ad.add(x, z), ad.neg(z))
-        atoms[key] = atoms.get(key, Fraction(0)) + v
-    return _RawCert(atoms, _raw_source(c))
+    add, neg = ad.add, ad.neg
+    atoms = {(add(x, z), neg(z)): n for (x, z), n in c.coupling.items()}
+    return _RawCert(c.den, atoms, _raw_source(c))
 
 
 def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
-    w_mass = c1.target
-    if _raw_source(c2) != w_mass:
+    src = _raw_source(c2)
+    if not _same_law((c2.den, src), (c1.den, c1.target)):
         raise CertificateError("second certificate does not start at the first's target")
     by_w: dict = {}
-    for (w, z2), v in c2.coupling.items():
-        by_w.setdefault(w, []).append((z2, v))
+    for (w, z2), n in c2.coupling.items():
+        by_w.setdefault(w, []).append((z2, n))
+    # Z2 given W = w has masses n / src[w]; put them all over m, the lcm of
+    # their denominators in lowest terms, so each atom is n1 * n2 / (den1 * m)
+    m = math.lcm(*(src[w] // math.gcd(src[w], *(n for _, n in row)) for w, row in by_w.items()))
+    cond = {w: [(z2, n * m // src[w]) for z2, n in row] for w, row in by_w.items()}
     atoms: dict = {}
-    for (x, z1), v1 in c1.coupling.items():
-        w = ad.add(x, z1)
-        pw = w_mass[w]
-        for z2, v2 in by_w[w]:
-            key = (x, ad.add(z1, z2))
-            atoms[key] = atoms.get(key, Fraction(0)) + v1 * v2 / pw
-    return _RawCert(atoms, dict(c2.target))
+    add = ad.add
+    for (x, z1), n1 in c1.coupling.items():
+        for z2, n2 in cond[add(x, z1)]:
+            key = (x, add(z1, z2))
+            atoms[key] = atoms.get(key, 0) + n1 * n2
+    den = math.lcm(c1.den * m, c2.den)
+    return _RawCert(
+        den, _scaled(atoms, den // (c1.den * m)), _scaled(c2.target, den // c2.den)
+    )
 
 
-def _raw_mix(pieces: Sequence[tuple[Fraction, _RawCert]]) -> _RawCert:
+def _raw_mix(wden: int, pieces: Sequence[tuple[int, _RawCert]]) -> _RawCert:
+    """Mixture with weights w / wden over the pieces (w, cert)."""
+    pieces = [(w, cert) for w, cert in pieces if w]
+    base = math.lcm(*(cert.den for _, cert in pieces))
     atoms: dict = {}
     tgt: dict = {}
     for w, cert in pieces:
-        if w == 0:
-            continue
-        for key, v in cert.coupling.items():
-            atoms[key] = atoms.get(key, Fraction(0)) + w * v
-        for e, v in cert.target.items():
-            tgt[e] = tgt.get(e, Fraction(0)) + w * v
-    return _RawCert(atoms, tgt)
+        f = w * (base // cert.den)
+        for key, n in cert.coupling.items():
+            atoms[key] = atoms.get(key, 0) + f * n
+        for e, n in cert.target.items():
+            tgt[e] = tgt.get(e, 0) + f * n
+    return _RawCert(wden * base, atoms, tgt)
 
 
 # -- flattening rounds -------------------------------------------------------
 
 
-def _sq_to_uniform(ad, mass: dict) -> Fraction:
-    u = Fraction(1, ad.size)
-    off = ad.size - len(mass)
-    return sum(((v - u) ** 2 for v in mass.values()), Fraction(0)) + off * u * u
+def _sq_to_uniform(ad, q: _Law) -> tuple[int, int]:
+    """Squared l2 distance to uniform, as (numerator, denominator)."""
+    den, mass = q
+    n = ad.size
+    num = sum((n * v - den) ** 2 for v in mass.values()) + (n - len(mass)) * den * den
+    return num, n * n * den * den
 
 
-def _sub_table(ad) -> np.ndarray:
-    tbl = getattr(ad, "_sub_table", None)
-    if tbl is None:
-        idx = {e: i for i, e in enumerate(ad.elems)}
-        n = ad.size
-        tbl = np.empty((n, n), dtype=np.int64)
-        for i, x in enumerate(ad.elems):
-            for j, h in enumerate(ad.elems):
-                tbl[i, j] = idx[ad.sub(x, h)]
-        ad._sub_table = tbl
-    return tbl
+def _halves(new: tuple[int, int], old: tuple[int, int]) -> bool:
+    return 2 * new[0] * old[1] <= old[0] * new[1]
 
 
-def _pick_shift(ad, mass: dict) -> Element:
+def _pick_shift(ad, q: _Law) -> int:
     """Shift h minimizing the post-average squared distance to uniform.
 
     Scans with floats for speed; the caller re-verifies the halving invariant
     exactly and falls back to an exact scan if rounding misled the choice.
+    Each d[x] is the correctly rounded mass minus 1/|G|, summed over x in
+    element order, so the choice does not depend on the denominator.
     """
-    u = 1.0 / ad.size
-    d = np.array([float(mass.get(e, 0)) - u for e in ad.elems])
-    tbl = _sub_table(ad)
-    autocorr = (d[:, None] * d[tbl]).sum(axis=0)
-    return ad.elems[int(np.argmin(autocorr))]
+    den, mass = q
+    d = np.array([mass.get(e, 0) / den for e in range(ad.size)]) - 1.0 / ad.size
+    shifted = (d[:, None] * d[ad.table]).sum(axis=0)  # sum_x d[x] d[x + h]
+    return int(np.argmin(shifted[ad._neg]))  # the autocorrelation at h is shifted[-h]
 
 
-def _pick_shift_exact(ad, mass: dict) -> Element:
-    u = Fraction(1, ad.size)
-    d = {e: mass.get(e, Fraction(0)) - u for e in ad.elems}
+def _pick_shift_exact(ad, q: _Law) -> int:
+    den, mass = q
+    n = ad.size
+    d = [n * mass.get(e, 0) - den for e in range(n)]  # (mass - 1/n) * n * den
+    sub = ad.sub
     best_h = None
     best = None
-    for h in ad.elems:
-        s = sum((d[x] * d[ad.sub(x, h)] for x in ad.elems), Fraction(0))
+    for h in range(n):
+        s = sum(d[x] * d[sub(x, h)] for x in range(n))
         if best is None or s < best:
             best, best_h = s, h
     return best_h
 
 
-def _shift_mix(ad, mass: dict, h: Element) -> dict:
+def _shift_mix(ad, q: _Law, h) -> _Law:
+    den, mass = q
     out: dict = {}
-    half = Fraction(1, 2)
+    add = ad.add
     for x, v in mass.items():
-        out[x] = out.get(x, Fraction(0)) + half * v
-        y = ad.add(x, h)
-        out[y] = out.get(y, Fraction(0)) + half * v
-    return {k: v for k, v in out.items() if v != 0}
+        out[x] = out.get(x, 0) + v
+        y = add(x, h)
+        out[y] = out.get(y, 0) + v
+    return _reduce(2 * den, out)
 
 
 def _raw_flatten(
     ad,
-    mass: dict,
+    q: _Law,
     max_rounds: int,
-    stop: Callable[[dict, Fraction], bool],
-) -> tuple[dict, list[Element], list[Fraction]]:
-    """Run mixing rounds until `stop(mass, sq)` or the round budget ends.
+    stop: Callable[[_Law, tuple[int, int]], bool],
+) -> tuple[_Law, list[int], list[tuple[int, int]]]:
+    """Run mixing rounds until `stop(law, sq)` or the round budget ends.
 
-    Returns (final mass, chosen shifts, squared distances incl. initial).
+    Returns (final law, chosen shifts, squared distances incl. initial).
     Each executed round exactly halves (or better) the squared distance.
     """
-    cur = dict(mass)
+    cur = q
     sq = _sq_to_uniform(ad, cur)
-    shifts: list[Element] = []
+    shifts: list[int] = []
     sqs = [sq]
     for _ in range(max_rounds):
-        if sq == 0 or stop(cur, sq):
+        if sq[0] == 0 or stop(cur, sq):
             break
         h = _pick_shift(ad, cur)
         nxt = _shift_mix(ad, cur, h)
         nsq = _sq_to_uniform(ad, nxt)
-        if 2 * nsq > sq:
+        if not _halves(nsq, sq):
             h = _pick_shift_exact(ad, cur)
             nxt = _shift_mix(ad, cur, h)
             nsq = _sq_to_uniform(ad, nxt)
-            if 2 * nsq > sq:
+            if not _halves(nsq, sq):
                 raise AssertionError("flattening failed to halve the squared norm")
         cur, sq = nxt, nsq
         shifts.append(h)
@@ -646,16 +743,18 @@ def _raw_flatten(
     return cur, shifts, sqs
 
 
-def _shift_noise(ad, shifts: Sequence[Element]) -> dict:
-    z = {ad.zero(): Fraction(1)}
+def _shift_noise(ad, shifts: Sequence[int]) -> _Law:
+    z = (1, {ad.zero(): 1})
     for h in shifts:
         z = _shift_mix(ad, z, h)
     return z
 
 
-def _sigma_excess(ad, mass: dict) -> Fraction:
-    u = Fraction(1, ad.size)
-    return sum((v - u for v in mass.values() if v > u), Fraction(0))
+def _sigma_excess(ad, q: _Law) -> int:
+    """The excess mass above 1/|G|, times |G| * den."""
+    den, mass = q
+    n = ad.size
+    return sum(n * v - den for v in mass.values() if n * v > den)
 
 
 @dataclass
@@ -688,10 +787,11 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
         raise PreconditionError("flattening needs a finite group")
     if k < 0:
         raise ValueError("k must be >= 0")
-    ad = _SpecAdapter(p.group)
-    _, raw, trace = _raw_flatten_cert(ad, dict(p.mass), k, lambda m, s: False)
+    ad = _spec_group(p.group)
+    _, raw, shifts, sqs = _raw_flatten_cert(ad, ad.encode(p.mass), k, lambda q, sq: False)
+    trace = FlattenTrace([ad.elems[h] for h in shifts], [Fraction(*sq) for sq in sqs])
     trace.verify()
-    cert = _cert(p.group, raw)
+    cert = _cert(p.group, raw, ad.elems)
     cert.validate(p)
     return cert.target, trace, cert
 
@@ -699,85 +799,76 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
 # -- uniformisation ----------------------------------------------------------
 
 
-def _raw_flatten_cert(ad, q: dict, max_rounds: int, stop) -> tuple[dict, _RawCert, FlattenTrace]:
+def _raw_flatten_cert(
+    ad, q: _Law, max_rounds: int, stop
+) -> tuple[_Law, _RawCert, list[int], list[tuple[int, int]]]:
     """Flatten q and couple it with the independent sum of the chosen shifts."""
     final, shifts, sqs = _raw_flatten(ad, q, max_rounds, stop)
     cert = _raw_noise(ad, q, _shift_noise(ad, shifts)) if shifts else _raw_identity(ad, q)
-    if cert.target != final:
+    if not _same_law((cert.den, cert.target), final):
         raise CertificateError("flatten certificate does not reach the flattened law")
-    return final, cert, FlattenTrace(shifts, sqs)
+    return final, cert, shifts, sqs
 
 
-def _uniform_mass(ad) -> dict:
-    u = Fraction(1, ad.size)
-    return {e: u for e in ad.elems}
-
-
-def _raw_to_uniform(ad, q: dict, depth: int = 0) -> _RawCert:
+def _raw_to_uniform(ad, q: _Law, depth: int = 0) -> _RawCert:
     """Iterated sigma-split: flatten, peel the positive excess, recurse.
 
-    The sigma target tightens with depth and bottoms out at SIGMA_MIN, where
+    The sigma target tightens with depth and bottoms out at sigma_min, where
     the remaining excess is moved by the independent coupling at cost at most
-    sigma_min * log|G|.
+    sigma_min * log|G|.  With the flattened law over den, sigma = s / (|G| den).
     """
-    u = _uniform_mass(ad)
-    target_sigma = max(SIGMA_MIN, Fraction(1, 2 ** (10 * (depth + 1))))
-    cur, flat_cert, _ = _raw_flatten_cert(
-        ad, q, _MAX_FLATTEN_ROUNDS, lambda m, s: _sigma_excess(ad, m) <= target_sigma
+    n = ad.size
+    bits = min(SIGMA_MIN_BITS, 10 * (depth + 1))  # target sigma 2**-bits
+    cur, flat_cert, _, _ = _raw_flatten_cert(
+        ad, q, _MAX_FLATTEN_ROUNDS, lambda c, sq: _sigma_excess(ad, c) << bits <= n * c[0]
     )
-    if cur == u:
+    if _is_uniform(ad, cur):
         return flat_cert
-    uu = Fraction(1, ad.size)
-    sigma = _sigma_excess(ad, cur)
-    q_plus = {e: (v - uu) / sigma for e, v in cur.items() if v > uu}
-    q_minus = {
-        e: (uu - cur.get(e, Fraction(0))) / sigma
-        for e in ad.elems
-        if cur.get(e, Fraction(0)) < uu
-    }
-    mu = {
-        e: (min(cur.get(e, Fraction(0)), uu)) / (1 - sigma)
-        for e in ad.elems
-        if min(cur.get(e, Fraction(0)), uu) > 0
-    }
-    if sigma <= SIGMA_MIN:
+    den, mass = cur
+    s = _sigma_excess(ad, cur)
+    q_plus = _reduce(s, {e: n * v - den for e, v in mass.items() if n * v > den})
+    q_minus = _reduce(s, {
+        e: den - n * mass.get(e, 0) for e in range(n) if n * mass.get(e, 0) < den
+    })
+    mu = _reduce(n * den - s, {e: min(n * v, den) for e, v in mass.items()})
+    if s << SIGMA_MIN_BITS <= n * den:
         piece = _raw_independent_pair(ad, q_plus, q_minus)
     else:
         up = _raw_to_uniform(ad, q_plus, depth + 1)
         um = _raw_to_uniform(ad, q_minus, depth + 1)
         piece = _raw_compose(ad, up, _raw_reverse(ad, um))
-    split = _raw_mix([(sigma, piece), (1 - sigma, _raw_identity(ad, mu))])
+    split = _raw_mix(n * den, [(s, piece), (n * den - s, _raw_identity(ad, mu))])
     return _raw_compose(ad, flat_cert, split)
 
 
-def _raw_uniformise(ad, q: dict) -> _RawCert:
+def _raw_uniformise(ad, q: _Law) -> _RawCert:
     """Full pipeline: density-level partition, per-level flattening, sigma-splits."""
-    u = _uniform_mass(ad)
-    if q == u:
+    if _is_uniform(ad, q):
         return _raw_identity(ad, q)
+    den, mass = q
     size = ad.size
     levels: dict[int, dict] = {}
-    weights: dict[int, Fraction] = {}
-    for e, v in q.items():
-        k = density_level(v * size)
+    weights: dict[int, int] = {}
+    for e, v in mass.items():
+        k = density_level(v * size // den)  # the level thresholds are integers
         levels.setdefault(k, {})[e] = v
-        weights[k] = weights.get(k, Fraction(0)) + v
-    pieces: list[tuple[Fraction, _RawCert]] = []
-    sq_bound = Fraction(1, size)  # matches ||q_k - u||_2 <= 1/sqrt|G|
+        weights[k] = weights.get(k, 0) + v
+    pieces: list[tuple[int, _RawCert]] = []
     for k in sorted(levels):
         w = weights[k]
-        cond = {e: v / w for e, v in levels[k].items()}
+        cond = _reduce(w, levels[k])
         if k == 0:
             pieces.append((w, _raw_identity(ad, cond)))
         else:
-            _, cert, _ = _raw_flatten_cert(
-                ad, cond, _MAX_FLATTEN_ROUNDS, lambda m, s: s <= sq_bound
+            # stop at ||q_k - u||_2^2 <= 1/|G|
+            _, cert, _, _ = _raw_flatten_cert(
+                ad, cond, _MAX_FLATTEN_ROUNDS, lambda c, sq: sq[0] * size <= sq[1]
             )
             pieces.append((w, cert))
-    glued = _raw_mix(pieces)
-    tail = _raw_to_uniform(ad, glued.target, depth=0)
+    glued = _raw_mix(den, pieces)
+    tail = _raw_to_uniform(ad, _reduce(glued.den, glued.target), depth=0)
     out = _raw_compose(ad, glued, tail)
-    if out.target != u:
+    if not _is_uniform(ad, (out.den, out.target)):
         raise CertificateError("uniformisation failed to reach the uniform law")
     return out
 
@@ -798,10 +889,8 @@ def uniformise_group(p: Dist, k_bound: float) -> TransportCertificate:
         raise PreconditionError(
             f"entropy deficit {deficit:.6f} exceeds log K = {math.log(k_bound):.6f}"
         )
-    ad = _SpecAdapter(p.group)
-    raw = _raw_uniformise(ad, dict(p.mass))
-    _raw_validate(ad, raw, dict(p.mass))
-    cert = _cert(p.group, raw)
+    ad = _spec_group(p.group)
+    cert = _cert(p.group, _raw_uniformise(ad, ad.encode(p.mass)), ad.elems)
     cert.validate(p)
     return cert
 
@@ -825,34 +914,37 @@ def uniformise_coset_progression(
             raise PreconditionError("entropy deficit exceeds log K")
     if p == target:
         return identity_certificate(p)
-    box_mass = emb.pull(p)  # raises if support leaves H+P
     lengths = cp.lengths
-    ad = _SubgroupBoxAdapter(g, cp.subgroup, tuple(2 * n for n in lengths))
-    box_uniform = {
-        (h, ns): Fraction(1, len(hp))
+    ad = _box_group(g, cp.subgroup, tuple(2 * n for n in lengths))
+    box_mass = ad.encode(emb.pull(p))  # raises if support leaves H+P
+    box_uniform = (len(hp), {
+        ad.index[(h, ns)]: 1
         for h in cp.subgroup
         for ns in itertools.product(*(range(n) for n in lengths))
-    }
+    })
     c1 = _raw_uniformise(ad, box_mass)
     c2 = _raw_uniformise(ad, box_uniform)
     raw = _raw_compose(ad, c1, _raw_reverse(ad, c2))
     _raw_validate(ad, raw, box_mass)
 
     atoms: dict = {}
-    for (x, z), v in raw.coupling.items():
+    for (x, z), n in raw.coupling.items():
         y = ad.add(x, z)
         if y not in raw.target:
-            raise WraparoundError(f"composed atom leaves the box at {y}")
+            raise WraparoundError(f"composed atom leaves the box at {ad.elems[y]}")
+        xs, ys = ad.elems[x][1], ad.elems[y][1]
         dns = []
-        for xi, yi, n in zip(x[1], y[1], lengths):
+        for xi, yi, m in zip(xs, ys, lengths):
             di = yi - xi
-            if not -n < di < n:
-                raise WraparoundError(f"shift coordinate {di} outside (-{n}, {n})")
+            if not -m < di < m:
+                raise WraparoundError(f"shift coordinate {di} outside (-{m}, {m})")
             dns.append(di)
-        dh = g.sub(y[0], x[0])
+        dh = ad.elems[ad.sub(y, x)][0]
         shift = emb.push_shift(dh, tuple(dns))
-        key = (emb.forward[x], shift)
-        atoms[key] = atoms.get(key, Fraction(0)) + v
-    cert = TransportCertificate(JointDist([g, g], atoms), target)
+        key = (emb.forward[ad.elems[x]], shift)
+        atoms[key] = atoms.get(key, 0) + n
+    den = raw.den
+    coupling = JointDist([g, g], {key: Fraction(n, den) for key, n in atoms.items()})
+    cert = TransportCertificate(coupling, target)
     cert.validate(p)
     return cert

@@ -3,9 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Expected values are frozen from independent closed forms or stated
 tolerances; the uniformisation costs are regression-pinned in
-tests/data/uniformise_costs.json.
+tests/data/uniformise_costs.json, and the certificates themselves by the
+sha256 in tests/data/uniformise_certs.sha256.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -182,9 +184,15 @@ def _uniformise_corpus():
     return fixtures
 
 
-def _uniformise_costs() -> tuple[dict[str, float], bool]:
-    """Cost of each fixture's certificate, and whether all hit their targets."""
+def _uniformise_costs() -> tuple[dict[str, float], str, bool]:
+    """Cost of each fixture's certificate, the sha256 of their certificates, and
+    whether all hit their targets.
+
+    The digest covers one `json.dumps(cert.to_json(), sort_keys=True)` line per
+    fixture, newline-terminated, in fixture order.
+    """
     costs = {}
+    digest = hashlib.sha256()
     ok = True
     for name, kind, p, cp in _uniformise_corpus():
         if kind == "group":
@@ -198,22 +206,30 @@ def _uniformise_costs() -> tuple[dict[str, float], bool]:
         if cert.target != target:
             ok = False
         costs[name] = cert.cost
-    return costs, ok
+        digest.update((json.dumps(cert.to_json(), sort_keys=True) + "\n").encode())
+    return costs, digest.hexdigest(), ok
 
 
 def test_criterion_05_uniformisation():
-    pin_path = DATA / "uniformise_costs.json"
-    if not pin_path.exists():
-        _report(5, f"pin file {pin_path} missing; see scripts/regen_uniformise_pins.py", False)
-    pinned = json.loads(pin_path.read_text())
-    costs, ok = _uniformise_costs()
+    pins = [DATA / "uniformise_costs.json", DATA / "uniformise_certs.sha256"]
+    for path in pins:
+        if not path.exists():
+            _report(5, f"pin file {path} missing; see scripts/regen_uniformise_pins.py", False)
+    pinned = json.loads(pins[0].read_text())
+    costs, digest, ok = _uniformise_costs()
     for name, cost in costs.items():
         if abs(cost - pinned[name]) > 1e-6 * max(1.0, abs(pinned[name])):
             ok = False
+    same_certs = digest == pins[1].read_text().strip()
     worst_ratio = max(
         costs[n] / (math.log(64) + 1.0) for n in costs if n.startswith("z64")
     )
-    _report(5, f"100 uniformisation fixtures exact; measured c0 <= {worst_ratio:.3f}", ok)
+    _report(
+        5,
+        f"100 uniformisation fixtures exact; certificates pinned: {same_certs}; "
+        f"measured c0 <= {worst_ratio:.3f}",
+        ok and same_certs,
+    )
 
 
 def test_criterion_05_missing_pin_fails(tmp_path, monkeypatch):
@@ -222,6 +238,20 @@ def test_criterion_05_missing_pin_fails(tmp_path, monkeypatch):
     with pytest.raises(AssertionError, match="criterion 5 failed"):
         test_criterion_05_uniformisation()
     assert not any(tmp_path.iterdir())
+
+
+def test_criterion_05_changed_certificate_fails(tmp_path, monkeypatch):
+    # equal costs are not enough: a certificate whose bytes differ must fail
+    corpus = _uniformise_corpus()[:2]
+    (tmp_path / "uniformise_costs.json").write_text((DATA / "uniformise_costs.json").read_text())
+    monkeypatch.setitem(globals(), "_uniformise_corpus", lambda: corpus)
+    monkeypatch.setitem(globals(), "DATA", tmp_path)
+    _, digest, _ = _uniformise_costs()
+    (tmp_path / "uniformise_certs.sha256").write_text(digest + "\n")
+    test_criterion_05_uniformisation()
+    (tmp_path / "uniformise_certs.sha256").write_text(digest[::-1] + "\n")
+    with pytest.raises(AssertionError, match="criterion 5 failed"):
+        test_criterion_05_uniformisation()
 
 
 def test_criterion_06_coset_equivalence():

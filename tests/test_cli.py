@@ -253,6 +253,27 @@ def test_fuzz_config_flag(capsys, tmp_path):
     assert "ruzsa_nonnegative" in names and "conditional_entropy_identity" in names
 
 
+BAD_FUZZ_CONFIGS = [
+    [], "x", {"support_cap": "x"}, {"seed": True}, {"instance_count": 1.5},
+    {"denominator_cap": None}, {"workers": "2"}, {"support_cap": 0}, {"groups": []},
+    {"groups": [4]}, {"groups": [[4.5]]}, {"groups": [[-1]]}, {"inequality_set": "triv"},
+    {"inequality_set": [1]},
+]
+
+
+def test_fuzz_config_schema_errors(capsys, tmp_path):
+    # a malformed config is a schema error (exit 2), never a traceback
+    cfg_path = tmp_path / "cfg.json"
+    out_dir = tmp_path / "out"
+    for obj in BAD_FUZZ_CONFIGS:
+        cfg_path.write_text(json.dumps(obj))
+        assert main(["fuzz", "--config", str(cfg_path), "--out", str(out_dir)]) == 2, obj
+        assert "schema error" in capsys.readouterr().err, obj
+    cfg_path.write_text("{not json")
+    assert main(["fuzz", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
 def test_check_command(capsys, tmp_path):
     p = Dist.uniform(Z, [(0,), (1,)])
     path = tmp_path / "p.json"

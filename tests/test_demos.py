@@ -17,10 +17,11 @@ def test_demos_present():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demo 09 writes under mkdtemp
+    env = dict(os.environ, TMPDIR=str(tmp_path))  # so that leftovers show up below
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     r = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
+    assert not list(tmp_path.glob("entsum-fuzz-*")), "demo left its campaign directory behind"

@@ -225,6 +225,18 @@ def test_replay_requires_config(tmp_path):
         replay(path)
 
 
+def test_replay_mistyped_config(capsys, tmp_path):
+    from entsum.cli import main
+
+    path = tmp_path / "ce.json"
+    ce = {"check": "triv", "name": "sum_upper", "child_seed": 1, "slack": 0.0,
+          "version": "0.1.0"}
+    for config in ({"support_cap": "x"}, {"groups": [["4"]]}, {"denominator_cap": True}):
+        path.write_text(json.dumps({**ce, "config": config}))
+        assert main(["replay", str(path)]) == 2, config
+        assert "schema error" in capsys.readouterr().err, config
+
+
 def test_cap_violations_skipped_with_counts(tmp_path, monkeypatch):
     from entsum import fuzz as fuzz_mod
     from entsum.errors import CapExceededError

@@ -1,0 +1,591 @@
+"""Differential test of the integer uniformisation kernel against the Fraction pipeline.
+
+Everything from `_cert` down to `_uniformise_coset_progression_reference` is
+the constructive side of `entsum.transport` as it was before it moved to
+integer counts over one common denominator and index-encoded elements, kept
+here unchanged as the reference: flattening, the sigma-split, the density-level
+pipeline and the box push-forward, all in exact `Fraction` arithmetic over
+tuple elements.  The tests compare `to_json()` of the public certificates,
+the flatten traces, and the kernel operations one by one.
+"""
+
+import itertools
+import math
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Sequence
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entsum import transport
+from entsum.dists import Dist, JointDist, entropy
+from entsum.errors import CertificateError, PreconditionError, WraparoundError
+from entsum.fuzz import random_dist
+from entsum.groups import Element, GroupSpec
+from entsum.metrics import density_level
+from entsum.progressions import CosetProgression, box_embedding
+from entsum.transport import (
+    FlattenTrace,
+    TransportCertificate,
+    flatten,
+    identity_certificate,
+    uniformise_coset_progression,
+    uniformise_group,
+)
+
+SIGMA_MIN = Fraction(1, 2**20)
+_MAX_FLATTEN_ROUNDS = 400
+
+
+def _cert(g: GroupSpec, raw: "_RawCert") -> TransportCertificate:
+    return TransportCertificate(JointDist([g, g], raw.coupling), Dist(g, raw.target))
+
+
+
+class _SpecAdapter:
+    def __init__(self, g: GroupSpec):
+        self.add, self.neg, self.sub, self.zero = g.add, g.neg, g.sub, g.zero
+        self.elems = sorted(g.elements())
+        self.size = len(self.elems)
+
+
+class _SubgroupBoxAdapter:
+    """Direct product of a finite subgroup H (ambient elements) with cyclic boxes."""
+
+    def __init__(self, ambient: GroupSpec, subgroup: Sequence[Element], mods: Sequence[int]):
+        self.ambient = ambient
+        self.subgroup = tuple(sorted(subgroup))
+        self.mods = tuple(int(m) for m in mods)
+        self.elems = [
+            (h, ns)
+            for h in self.subgroup
+            for ns in itertools.product(*(range(m) for m in self.mods))
+        ]
+        self.elems.sort()
+        self.size = len(self.elems)
+
+    def zero(self):
+        return (self.ambient.zero(), (0,) * len(self.mods))
+
+    def add(self, a, b):
+        return (
+            self.ambient.add(a[0], b[0]),
+            tuple((x + y) % m for x, y, m in zip(a[1], b[1], self.mods)),
+        )
+
+    def neg(self, a):
+        return (
+            self.ambient.neg(a[0]),
+            tuple((-x) % m for x, m in zip(a[1], self.mods)),
+        )
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+
+@dataclass
+class _RawCert:
+    coupling: dict  # (x, z) -> Fraction
+    target: dict  # x -> Fraction
+
+
+def _raw_source(c: _RawCert) -> dict:
+    out: dict = {}
+    for (x, _), v in c.coupling.items():
+        out[x] = out.get(x, Fraction(0)) + v
+    return out
+
+
+def _raw_validate(ad, c: _RawCert, source: dict | None = None) -> None:
+    push: dict = {}
+    for (x, z), v in c.coupling.items():
+        y = ad.add(x, z)
+        push[y] = push.get(y, Fraction(0)) + v
+    if push != c.target:
+        raise CertificateError("raw pushforward mismatch")
+    if source is not None and _raw_source(c) != source:
+        raise CertificateError("raw source mismatch")
+
+
+def _raw_identity(ad, q: dict, c: Element | None = None) -> _RawCert:
+    """Deterministic shift by c, or by zero when c is None; cost 0."""
+    if c is None:
+        c = ad.zero()
+        return _RawCert({(x, c): v for x, v in q.items()}, dict(q))
+    return _RawCert({(x, c): v for x, v in q.items()}, {ad.add(x, c): v for x, v in q.items()})
+
+
+def _raw_independent_pair(ad, qp: dict, qm: dict) -> _RawCert:
+    atoms: dict = {}
+    for x, vx in qp.items():
+        for y, vy in qm.items():
+            key = (x, ad.sub(y, x))
+            atoms[key] = atoms.get(key, Fraction(0)) + vx * vy
+    return _RawCert(atoms, dict(qm))
+
+
+def _raw_noise(ad, q: dict, z: dict) -> _RawCert:
+    atoms: dict = {}
+    tgt: dict = {}
+    for x, vx in q.items():
+        for zz, vz in z.items():
+            atoms[(x, zz)] = atoms.get((x, zz), Fraction(0)) + vx * vz
+            y = ad.add(x, zz)
+            tgt[y] = tgt.get(y, Fraction(0)) + vx * vz
+    return _RawCert(atoms, tgt)
+
+
+def _raw_reverse(ad, c: _RawCert) -> _RawCert:
+    atoms: dict = {}
+    for (x, z), v in c.coupling.items():
+        key = (ad.add(x, z), ad.neg(z))
+        atoms[key] = atoms.get(key, Fraction(0)) + v
+    return _RawCert(atoms, _raw_source(c))
+
+
+def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
+    w_mass = c1.target
+    if _raw_source(c2) != w_mass:
+        raise CertificateError("second certificate does not start at the first's target")
+    by_w: dict = {}
+    for (w, z2), v in c2.coupling.items():
+        by_w.setdefault(w, []).append((z2, v))
+    atoms: dict = {}
+    for (x, z1), v1 in c1.coupling.items():
+        w = ad.add(x, z1)
+        pw = w_mass[w]
+        for z2, v2 in by_w[w]:
+            key = (x, ad.add(z1, z2))
+            atoms[key] = atoms.get(key, Fraction(0)) + v1 * v2 / pw
+    return _RawCert(atoms, dict(c2.target))
+
+
+def _raw_mix(pieces: Sequence[tuple[Fraction, _RawCert]]) -> _RawCert:
+    atoms: dict = {}
+    tgt: dict = {}
+    for w, cert in pieces:
+        if w == 0:
+            continue
+        for key, v in cert.coupling.items():
+            atoms[key] = atoms.get(key, Fraction(0)) + w * v
+        for e, v in cert.target.items():
+            tgt[e] = tgt.get(e, Fraction(0)) + w * v
+    return _RawCert(atoms, tgt)
+
+
+# -- flattening rounds -------------------------------------------------------
+
+
+def _sq_to_uniform(ad, mass: dict) -> Fraction:
+    u = Fraction(1, ad.size)
+    off = ad.size - len(mass)
+    return sum(((v - u) ** 2 for v in mass.values()), Fraction(0)) + off * u * u
+
+
+def _sub_table(ad) -> np.ndarray:
+    tbl = getattr(ad, "_sub_table", None)
+    if tbl is None:
+        idx = {e: i for i, e in enumerate(ad.elems)}
+        n = ad.size
+        tbl = np.empty((n, n), dtype=np.int64)
+        for i, x in enumerate(ad.elems):
+            for j, h in enumerate(ad.elems):
+                tbl[i, j] = idx[ad.sub(x, h)]
+        ad._sub_table = tbl
+    return tbl
+
+
+def _pick_shift(ad, mass: dict) -> Element:
+    """Shift h minimizing the post-average squared distance to uniform.
+
+    Scans with floats for speed; the caller re-verifies the halving invariant
+    exactly and falls back to an exact scan if rounding misled the choice.
+    """
+    u = 1.0 / ad.size
+    d = np.array([float(mass.get(e, 0)) - u for e in ad.elems])
+    tbl = _sub_table(ad)
+    autocorr = (d[:, None] * d[tbl]).sum(axis=0)
+    return ad.elems[int(np.argmin(autocorr))]
+
+
+def _pick_shift_exact(ad, mass: dict) -> Element:
+    u = Fraction(1, ad.size)
+    d = {e: mass.get(e, Fraction(0)) - u for e in ad.elems}
+    best_h = None
+    best = None
+    for h in ad.elems:
+        s = sum((d[x] * d[ad.sub(x, h)] for x in ad.elems), Fraction(0))
+        if best is None or s < best:
+            best, best_h = s, h
+    return best_h
+
+
+def _shift_mix(ad, mass: dict, h: Element) -> dict:
+    out: dict = {}
+    half = Fraction(1, 2)
+    for x, v in mass.items():
+        out[x] = out.get(x, Fraction(0)) + half * v
+        y = ad.add(x, h)
+        out[y] = out.get(y, Fraction(0)) + half * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _raw_flatten(
+    ad,
+    mass: dict,
+    max_rounds: int,
+    stop: Callable[[dict, Fraction], bool],
+) -> tuple[dict, list[Element], list[Fraction]]:
+    """Run mixing rounds until `stop(mass, sq)` or the round budget ends.
+
+    Returns (final mass, chosen shifts, squared distances incl. initial).
+    Each executed round exactly halves (or better) the squared distance.
+    """
+    cur = dict(mass)
+    sq = _sq_to_uniform(ad, cur)
+    shifts: list[Element] = []
+    sqs = [sq]
+    for _ in range(max_rounds):
+        if sq == 0 or stop(cur, sq):
+            break
+        h = _pick_shift(ad, cur)
+        nxt = _shift_mix(ad, cur, h)
+        nsq = _sq_to_uniform(ad, nxt)
+        if 2 * nsq > sq:
+            h = _pick_shift_exact(ad, cur)
+            nxt = _shift_mix(ad, cur, h)
+            nsq = _sq_to_uniform(ad, nxt)
+            if 2 * nsq > sq:
+                raise AssertionError("flattening failed to halve the squared norm")
+        cur, sq = nxt, nsq
+        shifts.append(h)
+        sqs.append(sq)
+    return cur, shifts, sqs
+
+
+def _shift_noise(ad, shifts: Sequence[Element]) -> dict:
+    z = {ad.zero(): Fraction(1)}
+    for h in shifts:
+        z = _shift_mix(ad, z, h)
+    return z
+
+
+def _sigma_excess(ad, mass: dict) -> Fraction:
+    u = Fraction(1, ad.size)
+    return sum((v - u for v in mass.values() if v > u), Fraction(0))
+
+
+
+def _flatten_reference(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
+    """k mixing rounds toward uniform on a finite group.
+
+    Each round convolves with a fair two-point shift chosen by exhaustive
+    scan, halving the squared l2 distance to uniform; rounds are skipped once
+    the distance is exactly zero.  The certificate couples X with the
+    independent sum of the chosen shift variables, so its cost is at most
+    k log 2.
+    """
+    if not p.group.is_finite():
+        raise PreconditionError("flattening needs a finite group")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    ad = _SpecAdapter(p.group)
+    _, raw, trace = _raw_flatten_cert(ad, dict(p.mass), k, lambda m, s: False)
+    trace.verify()
+    cert = _cert(p.group, raw)
+    cert.validate(p)
+    return cert.target, trace, cert
+
+
+# -- uniformisation ----------------------------------------------------------
+
+
+def _raw_flatten_cert(ad, q: dict, max_rounds: int, stop) -> tuple[dict, _RawCert, FlattenTrace]:
+    """Flatten q and couple it with the independent sum of the chosen shifts."""
+    final, shifts, sqs = _raw_flatten(ad, q, max_rounds, stop)
+    cert = _raw_noise(ad, q, _shift_noise(ad, shifts)) if shifts else _raw_identity(ad, q)
+    if cert.target != final:
+        raise CertificateError("flatten certificate does not reach the flattened law")
+    return final, cert, FlattenTrace(shifts, sqs)
+
+
+def _uniform_mass(ad) -> dict:
+    u = Fraction(1, ad.size)
+    return {e: u for e in ad.elems}
+
+
+def _raw_to_uniform(ad, q: dict, depth: int = 0) -> _RawCert:
+    """Iterated sigma-split: flatten, peel the positive excess, recurse.
+
+    The sigma target tightens with depth and bottoms out at SIGMA_MIN, where
+    the remaining excess is moved by the independent coupling at cost at most
+    sigma_min * log|G|.
+    """
+    u = _uniform_mass(ad)
+    target_sigma = max(SIGMA_MIN, Fraction(1, 2 ** (10 * (depth + 1))))
+    cur, flat_cert, _ = _raw_flatten_cert(
+        ad, q, _MAX_FLATTEN_ROUNDS, lambda m, s: _sigma_excess(ad, m) <= target_sigma
+    )
+    if cur == u:
+        return flat_cert
+    uu = Fraction(1, ad.size)
+    sigma = _sigma_excess(ad, cur)
+    q_plus = {e: (v - uu) / sigma for e, v in cur.items() if v > uu}
+    q_minus = {
+        e: (uu - cur.get(e, Fraction(0))) / sigma
+        for e in ad.elems
+        if cur.get(e, Fraction(0)) < uu
+    }
+    mu = {
+        e: (min(cur.get(e, Fraction(0)), uu)) / (1 - sigma)
+        for e in ad.elems
+        if min(cur.get(e, Fraction(0)), uu) > 0
+    }
+    if sigma <= SIGMA_MIN:
+        piece = _raw_independent_pair(ad, q_plus, q_minus)
+    else:
+        up = _raw_to_uniform(ad, q_plus, depth + 1)
+        um = _raw_to_uniform(ad, q_minus, depth + 1)
+        piece = _raw_compose(ad, up, _raw_reverse(ad, um))
+    split = _raw_mix([(sigma, piece), (1 - sigma, _raw_identity(ad, mu))])
+    return _raw_compose(ad, flat_cert, split)
+
+
+def _raw_uniformise(ad, q: dict) -> _RawCert:
+    """Full pipeline: density-level partition, per-level flattening, sigma-splits."""
+    u = _uniform_mass(ad)
+    if q == u:
+        return _raw_identity(ad, q)
+    size = ad.size
+    levels: dict[int, dict] = {}
+    weights: dict[int, Fraction] = {}
+    for e, v in q.items():
+        k = density_level(v * size)
+        levels.setdefault(k, {})[e] = v
+        weights[k] = weights.get(k, Fraction(0)) + v
+    pieces: list[tuple[Fraction, _RawCert]] = []
+    sq_bound = Fraction(1, size)  # matches ||q_k - u||_2 <= 1/sqrt|G|
+    for k in sorted(levels):
+        w = weights[k]
+        cond = {e: v / w for e, v in levels[k].items()}
+        if k == 0:
+            pieces.append((w, _raw_identity(ad, cond)))
+        else:
+            _, cert, _ = _raw_flatten_cert(
+                ad, cond, _MAX_FLATTEN_ROUNDS, lambda m, s: s <= sq_bound
+            )
+            pieces.append((w, cert))
+    glued = _raw_mix(pieces)
+    tail = _raw_to_uniform(ad, glued.target, depth=0)
+    out = _raw_compose(ad, glued, tail)
+    if out.target != u:
+        raise CertificateError("uniformisation failed to reach the uniform law")
+    return out
+
+
+def _uniformise_group_reference(p: Dist, k_bound: float) -> TransportCertificate:
+    """Exact certificate transporting p to the uniform law on its finite group.
+
+    Requires Ent(p) >= log|G| - log K; values of K below 10 are accepted and
+    treated as 10.  The certificate is exact; its cost is reported, not
+    bounded a priori.
+    """
+    if not p.group.is_finite():
+        raise PreconditionError("uniformisation needs a finite group")
+    k_bound = max(float(k_bound), 10.0)
+    size = p.group.order()
+    deficit = math.log(size) - entropy(p)
+    if deficit > math.log(k_bound) + 1e-9:
+        raise PreconditionError(
+            f"entropy deficit {deficit:.6f} exceeds log K = {math.log(k_bound):.6f}"
+        )
+    ad = _SpecAdapter(p.group)
+    raw = _raw_uniformise(ad, dict(p.mass))
+    _raw_validate(ad, raw, dict(p.mass))
+    cert = _cert(p.group, raw)
+    cert.validate(p)
+    return cert
+
+
+def _uniformise_coset_progression_reference(
+    p: Dist, cp: CosetProgression, k_bound: float | None = None
+) -> TransportCertificate:
+    """Certificate transporting p to the uniform law on a proper H + P.
+
+    Pulls p back to the box H x prod [0, Ni), embeds it in H x prod Z/2NiZ,
+    uniformises there, and pushes the composed transport forward; every shift
+    used must come from a box difference (no wraparound), which is checked.
+    """
+    emb = box_embedding(cp, proper_required=True)
+    g = cp.group
+    hp = frozenset(emb.backward)
+    target = Dist.uniform(g, hp)
+    if k_bound is not None:
+        deficit = math.log(len(hp)) - entropy(p)
+        if deficit > math.log(max(float(k_bound), 10.0)) + 1e-9:
+            raise PreconditionError("entropy deficit exceeds log K")
+    if p == target:
+        return identity_certificate(p)
+    box_mass = emb.pull(p)  # raises if support leaves H+P
+    lengths = cp.lengths
+    ad = _SubgroupBoxAdapter(g, cp.subgroup, tuple(2 * n for n in lengths))
+    box_uniform = {
+        (h, ns): Fraction(1, len(hp))
+        for h in cp.subgroup
+        for ns in itertools.product(*(range(n) for n in lengths))
+    }
+    c1 = _raw_uniformise(ad, box_mass)
+    c2 = _raw_uniformise(ad, box_uniform)
+    raw = _raw_compose(ad, c1, _raw_reverse(ad, c2))
+    _raw_validate(ad, raw, box_mass)
+
+    atoms: dict = {}
+    for (x, z), v in raw.coupling.items():
+        y = ad.add(x, z)
+        if y not in raw.target:
+            raise WraparoundError(f"composed atom leaves the box at {y}")
+        dns = []
+        for xi, yi, n in zip(x[1], y[1], lengths):
+            di = yi - xi
+            if not -n < di < n:
+                raise WraparoundError(f"shift coordinate {di} outside (-{n}, {n})")
+            dns.append(di)
+        dh = g.sub(y[0], x[0])
+        shift = emb.push_shift(dh, tuple(dns))
+        key = (emb.forward[x], shift)
+        atoms[key] = atoms.get(key, Fraction(0)) + v
+    cert = TransportCertificate(JointDist([g, g], atoms), target)
+    cert.validate(p)
+    return cert
+
+
+# ---------------------------------------------------------------------------
+
+Z = GroupSpec([0])
+# criterion 5's four progression shapes
+CP_SHAPES = [
+    CosetProgression(Z, [(0,)], (0,), [(1,)], [16]),
+    CosetProgression(Z, [(0,)], (5,), [(2,)], [12]),
+    CosetProgression(GroupSpec([0, 0]), [(0, 0)], (0, 0), [(1, 0), (0, 1)], [4, 4]),
+    CosetProgression(GroupSpec([8, 0]), [(0, 0), (4, 0)], (1, 0), [(0, 1)], [6]),
+]
+
+
+def _json(cert: TransportCertificate) -> dict:
+    return cert.to_json()
+
+
+def _count_splits(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record each reference sigma-split depth and each independent-pair fallback."""
+    depths: list[int] = []
+    fallbacks: list[int] = []
+    to_uniform, pair = _raw_to_uniform, _raw_independent_pair
+
+    def counted_to_uniform(ad, q, depth=0):
+        depths.append(depth)
+        return to_uniform(ad, q, depth)
+
+    def counted_pair(ad, qp, qm):
+        fallbacks.append(len(qp))
+        return pair(ad, qp, qm)
+
+    monkeypatch.setitem(globals(), "_raw_to_uniform", counted_to_uniform)
+    monkeypatch.setitem(globals(), "_raw_independent_pair", counted_pair)
+    return depths, fallbacks
+
+
+def test_uniformise_group_matches_reference(monkeypatch):
+    depths, fallbacks = _count_splits(monkeypatch)
+    cases = []
+    for mods, cap, den_cap in [([8], 6, 64), ([2, 4], 6, 64), ([16], 12, 128), ([12], 8, 64)]:
+        rng = random.Random(sum(mods))
+        cases += [random_dist(rng, GroupSpec(mods), cap, den_cap) for _ in range(6)]
+    rng = random.Random(1)
+    z64 = [random_dist(rng, GroupSpec([64]), 48, 256) for _ in range(8)]
+    cases += [z64[0], z64[7]]  # the second one needs the sigma-split recursion
+    for p in cases:
+        assert _json(uniformise_group(p, 1e9)) == _json(_uniformise_group_reference(p, 1e9))
+    assert max(depths) >= 1 and fallbacks
+
+
+def test_uniformise_coset_progression_matches_reference(monkeypatch):
+    depths, fallbacks = _count_splits(monkeypatch)
+    rng = random.Random(3)
+    for cp in CP_SHAPES * 2:
+        elements = sorted(cp.enumerate())
+        size = rng.randrange(max(4, len(elements) // 3), len(elements) + 1)
+        support = sorted(rng.sample(elements, size))
+        den = rng.randrange(size, 257)
+        edges = [0] + sorted(rng.sample(range(1, den), size - 1)) + [den]
+        p = Dist(cp.group, {e: Fraction(b - a, den) for e, a, b in zip(support, edges, edges[1:])})
+        new = uniformise_coset_progression(p, cp)
+        assert _json(new) == _json(_uniformise_coset_progression_reference(p, cp))
+    assert max(depths) >= 1 and fallbacks
+
+
+def test_flatten_matches_reference():
+    rng = random.Random(11)
+    for mods in ([8], [2, 4], [6], [16], [3, 3]):
+        g = GroupSpec(mods)
+        for k in range(7):
+            p = random_dist(rng, g, 5, 48)
+            out, trace, cert = flatten(p, k)
+            ref_out, ref_trace, ref_cert = _flatten_reference(p, k)
+            assert out == ref_out
+            assert (trace.shifts, trace.sq_dists) == (ref_trace.shifts, ref_trace.sq_dists)
+            assert _json(cert) == _json(ref_cert)
+
+
+KERNEL_GROUPS = [GroupSpec([8]), GroupSpec([2, 4]), GroupSpec([6]), GroupSpec([12])]
+
+
+@st.composite
+def _kernel_case(draw):
+    g = draw(st.sampled_from(KERNEL_GROUPS))
+    elems = list(g.elements())
+
+    def law():
+        w = draw(st.dictionaries(st.sampled_from(elems), st.integers(1, 40), min_size=1, max_size=6))
+        total = sum(w.values())
+        return {e: Fraction(v, total) for e, v in w.items()}
+
+    return g, law(), law(), law(), draw(st.integers(0, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_case())
+def test_kernel_operations_match_reference(case):
+    g, p, z, r, w = case
+    ad, ref = transport._spec_group(g), _SpecAdapter(g)
+
+    def decoded(c):
+        coupling = {(ad.elems[x], ad.elems[zz]): Fraction(n, c.den) for (x, zz), n in c.coupling.items()}
+        return coupling, {ad.elems[y]: Fraction(n, c.den) for y, n in c.target.items()}
+
+    def same(c, c_ref):
+        return decoded(c) == (c_ref.coupling, c_ref.target)
+
+    noise = transport._raw_noise(ad, ad.encode(p), ad.encode(z))
+    noise_ref = _raw_noise(ref, p, z)
+    assert same(noise, noise_ref)
+    pair = transport._raw_independent_pair(ad, (noise.den, noise.target), ad.encode(r))
+    pair_ref = _raw_independent_pair(ref, noise_ref.target, r)
+    assert same(pair, pair_ref)
+    for c, c_ref in [(noise, noise_ref), (pair, pair_ref)]:
+        assert same(transport._raw_reverse(ad, c), _raw_reverse(ref, c_ref))
+    composed = transport._raw_compose(ad, noise, pair)
+    assert same(composed, _raw_compose(ref, noise_ref, pair_ref))
+    back = transport._raw_compose(ad, pair, transport._raw_reverse(ad, pair))
+    assert same(back, _raw_compose(ref, pair_ref, _raw_reverse(ref, pair_ref)))
+    mixed = transport._raw_mix(8, [(w, composed), (8 - w, back)])
+    weight = Fraction(w, 8)
+    mixed_ref = _raw_mix([(weight, _raw_compose(ref, noise_ref, pair_ref)),
+                          (1 - weight, _raw_compose(ref, pair_ref, _raw_reverse(ref, pair_ref)))])
+    assert same(mixed, mixed_ref)
+    # the float scan must choose exactly the reference's shift, ties included
+    for q in (p, z, r, decoded(composed)[1]):
+        assert ad.elems[transport._pick_shift(ad, ad.encode(q))] == _pick_shift(ref, q)
+        assert ad.elems[transport._pick_shift_exact(ad, ad.encode(q))] == _pick_shift_exact(ref, q)
