@@ -9,16 +9,18 @@ defect log K.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dists import JointDist, conditional_entropy, joint_entropy
+from .dists import JointDist, ci_trials, conditional_entropy, joint_entropy, push_masses
 from .errors import CapExceededError, PreconditionError
 from .fileio import dump_joint
 from .metrics import MetricReport
 
 # coordinate order of the path joint
 X1, X2, Y, YP = 0, 1, 2, 3
+PATH_ATOM_CAP = 10_000
 
 
 @dataclass
@@ -57,24 +59,14 @@ def build_path_joint(inst: BsgInstance) -> JointDist:
     """
     j = inst.joint
     g = j.groups[0]
-    px: dict = {}
-    py: dict = {}
-    for (x, y), v in j.mass.items():
-        px[x] = px.get(x, Fraction(0)) + v
-        py[y] = py.get(y, Fraction(0)) + v
-    by_y: dict = {}
+    px = push_masses(j.mass, lambda a: a[0])
     by_x: dict = {}
     for (x, y), v in j.mass.items():
-        by_y.setdefault(y, []).append((x, v))
         by_x.setdefault(x, []).append((y, v))
     atoms: dict = {}
-    for y, col in by_y.items():
-        pyv = py[y]
-        for x1, v1 in col:
-            for x2, v2 in col:
-                base = v1 * v2 / pyv
-                for yp, v3 in by_x[x1]:
-                    atoms[(x1, x2, y, yp)] = base * v3 / px[x1]
+    for (x1, x2, y), base in ci_trials(j, 1).mass.items():
+        for yp, v3 in by_x[x1]:
+            atoms[(x1, x2, y, yp)] = base * v3 / px[x1]
     return JointDist([g, g, g, g], atoms)
 
 
@@ -99,19 +91,22 @@ def factorization_exact(path: JointDist) -> bool:
     return True
 
 
-def verify_bsg(inst: BsgInstance, support_cap: int = 10_000) -> list[MetricReport]:
+def verify_bsg(inst: BsgInstance) -> list[MetricReport]:
     """Evaluate the path-joint entropy bounds at the instance's log K.
 
     Reports, in order: Ent(X2 | X1, Y) >= Ent(X) - log K; the same for Y';
     the weak bound Ent(X1 - X2 | Y) <= Ent(X) + 4 log K; and the main bound
     Ent(X2 + Y' | X1, Y) <= Ent(X)/2 + Ent(Y)/2 + 7 log K.
+    The path joint's size is checked against PATH_ATOM_CAP before it is built.
     """
     j = inst.joint
+    # one path atom per (x1, y) in the support, x2 with p(x2, y) > 0 and y' with p(x1, y') > 0
+    col = Counter(y for _, y in j.mass)
+    row = Counter(x for x, _ in j.mass)
+    size = sum(col[y] * row[x] for x, y in j.mass)
+    if size > PATH_ATOM_CAP:
+        raise CapExceededError(f"path joint has {size} atoms, cap {PATH_ATOM_CAP}")
     path = build_path_joint(inst)
-    if len(path) > support_cap:
-        raise CapExceededError(
-            f"path joint has {len(path)} atoms, cap {support_cap}"
-        )
     if not factorization_exact(path):
         raise AssertionError("conditional-independence factorization failed")
     g = j.groups[0]

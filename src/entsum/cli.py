@@ -14,7 +14,7 @@ from pathlib import Path
 from . import bsg as bsg_mod
 from .dists import entropy
 from .errors import EntsumError, SchemaError
-from .fileio import load_dist, load_joint
+from .fileio import load_dist, load_joint, read_jsonl
 from .fuzz import FuzzConfig, fuzz_run, replay, report_render
 from .inverse import detect_coset_uniform, effective_support_search
 from .metrics import check_ese_suite, doubling_constant, ruzsa_distance
@@ -187,13 +187,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = []
-    with open(args.results) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    text, _ = report_render(rows)
+    text, _ = report_render(read_jsonl(args.results))
     print(text)
     return 0
 
@@ -286,8 +280,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except EntsumError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,6 +53,45 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"mass must be an exact rational, got {type(v).__name__}")
 
 
+def _normalise(mass: Mapping, reduce: Callable) -> dict:
+    """Exact masses summed per reduce(key) and sorted by it, with zeros dropped.
+
+    Raises ValueError for a negative mass or a total other than exactly 1.
+    """
+    atoms: dict = {}
+    total = Fraction(0)
+    for key, v in mass.items():
+        v = _as_fraction(v)
+        if v == 0:
+            continue
+        if v < 0:
+            raise ValueError(f"negative mass {v} at {key}")
+        key = reduce(key)
+        atoms[key] = atoms.get(key, Fraction(0)) + v
+        total += v
+    if total != 1:
+        raise ValueError(f"masses sum to {total}, expected exactly 1")
+    return {key: atoms[key] for key in sorted(atoms)}
+
+
+def push_masses(mass: Mapping, key: Callable) -> dict:
+    """Exact masses of an image law: the masses of `mass` summed per key(atom)."""
+    out: dict = {}
+    for atom, v in mass.items():
+        k = key(atom)
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+def _condition(mass: Mapping, keep: Callable) -> dict:
+    """The masses of the atoms with keep(atom), renormalised to sum to 1."""
+    kept = {a: v for a, v in mass.items() if keep(a)}
+    total = sum(kept.values(), Fraction(0))
+    if total == 0:
+        raise PreconditionError("conditioning event has zero probability")
+    return {a: v / total for a, v in kept.items()}
+
+
 class Dist:
     """Finitely supported probability distribution with exact rational masses.
 
@@ -63,21 +102,8 @@ class Dist:
     __slots__ = ("group", "mass")
 
     def __init__(self, group: GroupSpec, mass: Mapping[Element, Fraction]):
-        atoms = {}
-        total = Fraction(0)
-        for el, v in mass.items():
-            v = _as_fraction(v)
-            if v == 0:
-                continue
-            if v < 0:
-                raise ValueError(f"negative mass {v} at {el}")
-            el = group.reduce(el)
-            atoms[el] = atoms.get(el, Fraction(0)) + v
-            total += v
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, expected exactly 1")
+        self.mass = _normalise(mass, group.reduce)
         self.group = group
-        self.mass = {el: atoms[el] for el in sorted(atoms)}
 
     # -- construction helpers ------------------------------------------------
 
@@ -134,11 +160,7 @@ class Dist:
         return entropy(self)
 
     def condition(self, predicate: Callable[[Element], bool]) -> "Dist":
-        kept = {e: v for e, v in self.mass.items() if predicate(e)}
-        total = sum(kept.values(), Fraction(0))
-        if total == 0:
-            raise PreconditionError("conditioning event has zero probability")
-        return Dist(self.group, {e: v / total for e, v in kept.items()})
+        return Dist(self.group, _condition(self.mass, predicate))
 
 
 def entropy(p: Dist) -> float:
@@ -215,25 +237,16 @@ class JointDist:
         groups = tuple(groups)
         if not groups:
             raise ValueError("a joint needs at least one coordinate")
-        atoms: dict[Atom, Fraction] = {}
-        total = Fraction(0)
-        for atom, v in mass.items():
-            v = _as_fraction(v)
-            if v == 0:
-                continue
-            if v < 0:
-                raise ValueError(f"negative mass {v} at {atom}")
+
+        def reduce(atom):
             if len(atom) != len(groups):
                 raise ValueError(
                     f"atom {atom} has {len(atom)} coordinates, expected {len(groups)}"
                 )
-            atom = tuple(g.reduce(x) for g, x in zip(groups, atom))
-            atoms[atom] = atoms.get(atom, Fraction(0)) + v
-            total += v
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, expected exactly 1")
+            return tuple(g.reduce(x) for g, x in zip(groups, atom))
+
+        self.mass = _normalise(mass, reduce)
         self.groups = groups
-        self.mass = {a: atoms[a] for a in sorted(atoms)}
 
     @property
     def k(self) -> int:
@@ -268,15 +281,14 @@ class JointDist:
 
     def marginal(self, coords: Sequence[int]) -> "JointDist":
         coords = self._check_coords(coords)
-        acc: dict[Atom, Fraction] = {}
-        for atom, v in self.mass.items():
-            key = tuple(atom[c] for c in coords)
-            acc[key] = acc.get(key, Fraction(0)) + v
-        return JointDist([self.groups[c] for c in coords], acc)
+        return JointDist(
+            [self.groups[c] for c in coords],
+            push_masses(self.mass, lambda a: tuple(a[c] for c in coords)),
+        )
 
     def dist(self, coord: int) -> Dist:
-        m = self.marginal([coord])
-        return Dist(self.groups[coord], {a[0]: v for a, v in m.mass.items()})
+        (coord,) = self._check_coords([coord])
+        return Dist(self.groups[coord], push_masses(self.mass, lambda a: a[coord]))
 
     def entropy(self) -> float:
         return math.fsum(f_nats(v) for v in self.mass.values())
@@ -287,11 +299,7 @@ class JointDist:
         groups: Sequence[GroupSpec],
     ) -> "JointDist":
         """Pushforward under an atom-wise map into new coordinates."""
-        acc: dict[Atom, Fraction] = {}
-        for atom, v in self.mass.items():
-            key = fn(atom)
-            acc[key] = acc.get(key, Fraction(0)) + v
-        return JointDist(groups, acc)
+        return JointDist(groups, push_masses(self.mass, fn))
 
     def sum_dist(self, coords: Sequence[int], signs: Sequence[int] | None = None) -> Dist:
         """Law of the signed sum of the selected coordinates (dependence kept)."""
@@ -302,22 +310,19 @@ class JointDist:
                 raise IncompatibleGroupError("summed coordinates must share a group")
         if signs is None:
             signs = [1] * len(coords)
-        acc: dict[Element, Fraction] = {}
-        for atom, v in self.mass.items():
+
+        def signed_sum(atom):
             s = g.zero()
             for c, sg in zip(coords, signs):
                 t = atom[c] if sg > 0 else g.neg(atom[c])
                 s = g.add(s, t)
-            acc[s] = acc.get(s, Fraction(0)) + v
-        return Dist(g, acc)
+            return s
+
+        return Dist(g, push_masses(self.mass, signed_sum))
 
     def condition(self, coord: int, predicate: Callable[[Element], bool]) -> "JointDist":
         (coord,) = self._check_coords([coord])
-        kept = {a: v for a, v in self.mass.items() if predicate(a[coord])}
-        total = sum(kept.values(), Fraction(0))
-        if total == 0:
-            raise PreconditionError("conditioning event has zero probability")
-        return JointDist(self.groups, {a: v / total for a, v in kept.items()})
+        return JointDist(self.groups, _condition(self.mass, lambda a: predicate(a[coord])))
 
 
 def independent_joint(*dists: Dist) -> JointDist:
@@ -349,22 +354,14 @@ def conditional_entropy(
         raise ValueError("target and given coordinate sets overlap")
     if not given:
         return joint_entropy(j, target)
-    # group atoms by the conditioning value, then average exact fibre entropies
-    fibres: dict[Atom, dict[Atom, Fraction]] = {}
-    weights: dict[Atom, Fraction] = {}
-    for atom, v in j.mass.items():
-        gkey = tuple(atom[c] for c in given)
-        tkey = tuple(atom[c] for c in target)
-        fib = fibres.setdefault(gkey, {})
-        fib[tkey] = fib.get(tkey, Fraction(0)) + v
-        weights[gkey] = weights.get(gkey, Fraction(0)) + v
-    terms = []
-    for gkey in sorted(fibres):
-        w = weights[gkey]
-        fib = fibres[gkey]
-        ent = math.fsum(f_nats(v / w) for _, v in sorted(fib.items()))
-        terms.append(float(w) * ent)
-    return math.fsum(terms)
+    # masses per (conditioning value, target value), then the exact fibre
+    # entropies averaged; fsum is correctly rounded, so order does not matter
+    pairs = push_masses(j.mass, lambda a: (tuple(a[c] for c in given), tuple(a[c] for c in target)))
+    weights = push_masses(pairs, lambda key: key[0])
+    fibres: dict[Atom, list] = {}
+    for (gkey, _), v in pairs.items():
+        fibres.setdefault(gkey, []).append(f_nats(v / weights[gkey]))
+    return math.fsum(float(w) * math.fsum(fibres[gkey]) for gkey, w in weights.items())
 
 
 def ci_trials(j: JointDist, pivot: int) -> JointDist:
@@ -378,20 +375,17 @@ def ci_trials(j: JointDist, pivot: int) -> JointDist:
     rest = [c for c in range(j.k) if c != pivot]
     if not rest:
         raise ValueError("joint needs at least one non-pivot coordinate")
-    blocks: dict[Element, dict[Atom, Fraction]] = {}
-    pivot_mass: dict[Element, Fraction] = {}
+    # each atom is one (pivot value, rest block) pair, so nothing needs summing
+    blocks: dict[Element, list] = {}
     for atom, v in j.mass.items():
-        y = atom[pivot]
-        x = tuple(atom[c] for c in rest)
-        blk = blocks.setdefault(y, {})
-        blk[x] = blk.get(x, Fraction(0)) + v
-        pivot_mass[y] = pivot_mass.get(y, Fraction(0)) + v
+        blocks.setdefault(atom[pivot], []).append((tuple(atom[c] for c in rest), v))
+    pivot_mass = push_masses(j.mass, lambda a: a[pivot])
     out: dict[Atom, Fraction] = {}
     for y, blk in blocks.items():
         py = pivot_mass[y]
-        for x1, v1 in blk.items():
-            for x2, v2 in blk.items():
-                out[x1 + x2 + (y,)] = out.get(x1 + x2 + (y,), Fraction(0)) + v1 * v2 / py
+        for x1, v1 in blk:
+            for x2, v2 in blk:
+                out[x1 + x2 + (y,)] = v1 * v2 / py
     groups = [j.groups[c] for c in rest] * 2 + [j.groups[pivot]]
     return JointDist(groups, out)
 
@@ -402,14 +396,7 @@ def is_independent(j: JointDist, coords_a: Sequence[int], coords_b: Sequence[int
     b = j.marginal(coords_b)
     ab = j.marginal(tuple(coords_a) + tuple(coords_b))
     ka = len(tuple(coords_a))
-    for atom, v in ab.mass.items():
-        va = a.mass.get(atom[:ka], Fraction(0))
-        vb = b.mass.get(atom[ka:], Fraction(0))
-        if v != va * vb:
-            return False
-    # absent atoms must have zero product mass
-    for xa, va in a.mass.items():
-        for xb, vb in b.mass.items():
-            if xa + xb not in ab.mass and va * vb != 0:
-                return False
-    return True
+    # every product atom has positive mass, so all of them must be in the support
+    if len(ab) != len(a) * len(b):
+        return False
+    return all(v == a.mass[atom[:ka]] * b.mass[atom[ka:]] for atom, v in ab.mass.items())

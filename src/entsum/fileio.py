@@ -21,9 +21,28 @@ def _read(path_or_obj):
         with open(path_or_obj) as fh:
             try:
                 return json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
                 raise SchemaError(f"{path_or_obj} is not valid JSON: {exc}") from exc
     return path_or_obj
+
+
+def read_jsonl(path) -> list:
+    """The JSON values on the non-blank lines of a file."""
+    with open(path) as fh:
+        try:
+            return [json.loads(line) for line in fh if line.strip()]
+        except ValueError as exc:
+            raise SchemaError(f"{path} is not valid JSON lines: {exc}") from exc
+
+
+def require_object(obj, fields: dict, what: str) -> dict:
+    """`obj` if it is a JSON object whose value at each key of `fields` has that key's type."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {obj!r}")
+    for key, kind in fields.items():
+        if not isinstance(obj.get(key), kind):
+            raise SchemaError(f"{what} needs {key!r} of type {kind}, got {obj.get(key)!r}")
+    return obj
 
 
 def _is_int(v) -> bool:

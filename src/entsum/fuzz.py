@@ -31,7 +31,7 @@ from .dists import (
     joint_entropy,
 )
 from .errors import CapExceededError, PremiseError, SchemaError
-from .fileio import _group, _is_int, _read
+from .fileio import _group, _is_int, _read, require_object
 from .groups import GroupSpec
 from .metrics import (
     MetricReport,
@@ -415,21 +415,9 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
     rows.sort(key=lambda r: (r["check"], r["index"], r["name"]))
 
     violations = 0
-    per_name: dict[str, dict] = {}
     for row in rows:
-        stats = per_name.setdefault(
-            row["name"],
-            {"count": 0, "min_slack": math.inf, "argmin": None, "violations": 0,
-             "kind": row["kind"]},
-        )
-        stats["count"] += 1
-        if row["slack"] < stats["min_slack"]:
-            stats["min_slack"] = row["slack"]
-            stats["argmin"] = {"check": row["check"], "index": row["index"],
-                               "child_seed": row["child_seed"]}
-        violated = row["kind"] == "bound" and row["slack"] < -TOL
-        if violated:
-            stats["violations"] += 1
+        row["witness_path"] = None
+        if row["kind"] == "bound" and row["slack"] < -TOL:
             violations += 1
             ce = Counterexample(
                 check=row["check"],
@@ -448,8 +436,10 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
             path = out / "counterexamples" / f"{row['name']}-{digest}.json"
             path.write_text(payload + "\n")
             row["witness_path"] = str(path)
-        else:
-            row["witness_path"] = None
+    per_name = _per_name(rows)
+    for stats in per_name.values():
+        row = stats["argmin"]
+        stats["argmin"] = row and {k: row[k] for k in ("check", "index", "child_seed")}
 
     lines = []
     for row in rows:
@@ -465,7 +455,7 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
         "instances": cfg.instance_count,
         "violations": violations,
         "skipped": skipped,
-        "per_name": {k: per_name[k] for k in sorted(per_name)},
+        "per_name": per_name,
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
     return summary
@@ -478,15 +468,11 @@ def replay(path) -> dict:
     config, so any tampering with the recorded slack (or a version drift that
     changes generation) shows up as a non-reproducing replay.
     """
-    with open(path) as fh:
-        ce = json.load(fh)
-    for key in ("check", "name", "child_seed", "slack", "version", "config"):
-        if key not in ce:
-            raise SchemaError(f"counterexample file lacks {key!r}")
+    fields = {"check": str, "name": str, "child_seed": int, "slack": (int, float),
+              "version": str, "config": dict}
+    ce = require_object(_read(path), fields, "counterexample file")
     if ce["check"] not in CHECKS:
         raise SchemaError(f"unknown check {ce['check']!r}")
-    if not isinstance(ce["config"], dict):
-        raise SchemaError("counterexample 'config' must be an object")
     cfg = FuzzConfig.from_json(ce["config"])
     rng = random.Random(ce["child_seed"])
     reports = CHECKS[ce["check"]](rng, cfg)
@@ -507,21 +493,35 @@ def replay(path) -> dict:
     return out
 
 
-def report_render(rows) -> tuple[str, dict]:
-    """Human-readable per-inequality table plus a machine summary."""
+def _per_name(rows) -> dict[str, dict]:
+    """Per report name, in name order: the row count, the least slack, the first
+    row attaining it (`argmin`), the number of rows with a witness file
+    (`violations`) and the first row's kind."""
     per_name: dict[str, dict] = {}
     for row in rows:
         stats = per_name.setdefault(
-            row["name"], {"count": 0, "min_slack": math.inf, "argmin_witness": None}
+            row["name"],
+            {"count": 0, "min_slack": math.inf, "argmin": None, "violations": 0,
+             "kind": row.get("kind")},
         )
         stats["count"] += 1
         if row["slack"] < stats["min_slack"]:
             stats["min_slack"] = row["slack"]
-            stats["argmin_witness"] = row.get("witness_path")
+            stats["argmin"] = row
+        stats["violations"] += row.get("witness_path") is not None
+    return {k: per_name[k] for k in sorted(per_name)}
+
+
+def report_render(rows) -> tuple[str, dict]:
+    """Human-readable per-inequality table plus a machine summary."""
+    for row in rows:
+        require_object(row, {"name": str, "slack": (int, float)}, "results row")
+    summary = {}
+    for name, s in _per_name(rows).items():
+        wit = s["argmin"] and s["argmin"].get("witness_path")
+        summary[name] = {"count": s["count"], "min_slack": s["min_slack"], "argmin_witness": wit}
     header = f"{'inequality':34} {'count':>7} {'min slack':>14}  argmin witness"
     lines = [header, "-" * len(header)]
-    for name in sorted(per_name):
-        s = per_name[name]
-        wit = s["argmin_witness"] or "-"
-        lines.append(f"{name:34} {s['count']:>7} {s['min_slack']:>14.6e}  {wit}")
-    return "\n".join(lines), {k: per_name[k] for k in sorted(per_name)}
+    for name, s in summary.items():
+        lines.append(f"{name:34} {s['count']:>7} {s['min_slack']:>14.6e}  {s['argmin_witness'] or '-'}")
+    return "\n".join(lines), summary

@@ -14,6 +14,8 @@ from .groups import Element, GroupSpec, is_subgroup
 from .metrics import doubling_constant, ruzsa_distance
 from .transport import independent_noise_certificate, reverse_certificate
 
+MAX_DOUBLINGS = 40  # effective_support_search tries c0 * 2**i for i < MAX_DOUBLINGS
+
 
 @dataclass
 class CosetReport:
@@ -78,12 +80,10 @@ def effective_support(p: Dist, c: float = 2.0) -> CoreReport:
     return CoreReport(core, mass, gap, ratio, c, c_too_small=mass < Fraction(1, 2))
 
 
-def effective_support_search(
-    p: Dist, c0: float = 2.0, max_doublings: int = 40
-) -> CoreReport:
+def effective_support_search(p: Dist, c0: float = 2.0) -> CoreReport:
     """Geometric search for the smallest tried C whose window holds half the mass."""
     c = c0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         rep = effective_support(p, c)
         if not rep.c_too_small:
             return rep

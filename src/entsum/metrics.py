@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .dists import Dist, convolve, entropy, iterated_convolve
 from .errors import IncompatibleGroupError, PreconditionError
@@ -142,19 +142,16 @@ def check_lipschitz(
     p_x2: Dist,
     p_y: Dist,
     p_y2: Dist,
-    oracle_transport: Callable[[Dist, Dist], object] | None = None,
 ) -> list[MetricReport]:
     """Transport-Lipschitz bounds for the Ruzsa distance and doubling constant.
 
     The transports are certified by the exact oracle, so the supports must be
     small enough for vertex enumeration.
     """
-    if oracle_transport is None:
-        from .transport import transport_exact
+    from .transport import transport_exact
 
-        oracle_transport = transport_exact
-    t_x = oracle_transport(p_x, p_x2).cost
-    t_y = oracle_transport(p_y, p_y2).cost
+    t_x = transport_exact(p_x, p_x2).cost
+    t_y = transport_exact(p_y, p_y2).cost
     w = {
         "p_x": dump_dist(p_x),
         "p_x2": dump_dist(p_x2),

@@ -25,6 +25,8 @@ from .groups import GroupSpec
 from .metrics import MetricReport
 
 BINOMIAL_CAP = 4096
+QUAD_TOL = 1e-9  # bound on the summed quadrature error estimates
+SHIFT_GROUP_CAP = 300_000  # largest embedding group smooth_shift_search transforms
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +243,7 @@ class _PiecewisePoly:
             Fraction(0),
         )
 
-    def entropy(self, quad_tol: float = 1e-9) -> float:
+    def entropy(self) -> float:
         """Entropy with closed forms for degree <= 1, quadrature above.
 
         Degree >= 2 pieces use tanh-sinh quadrature, which absorbs the
@@ -276,9 +278,9 @@ class _PiecewisePoly:
             )
             err_total += float(err)
             terms.append(float(val))
-        if err_total > quad_tol:
+        if err_total > QUAD_TOL:
             raise ArithmeticError(
-                f"quadrature error estimate {err_total} exceeds tolerance {quad_tol}"
+                f"quadrature error estimate {err_total} exceeds tolerance {QUAD_TOL}"
             )
         return math.fsum(terms)
 
@@ -336,11 +338,11 @@ def convolve_densities(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePo
     return out
 
 
-def abbn_check(f: PiecewiseDensity, g: PiecewiseDensity, quad_tol: float = 1e-9) -> MetricReport:
+def abbn_check(f: PiecewiseDensity, g: PiecewiseDensity) -> MetricReport:
     """Ent(S + T) >= (Ent(S) + Ent(T))/2 + (log 2)/2 for independent densities."""
     conv = convolve_densities(f, g)
     lhs = 0.5 * (continuous_entropy(f) + continuous_entropy(g)) + 0.5 * math.log(2)
-    rhs = conv.entropy(quad_tol)
+    rhs = conv.entropy()
     return MetricReport(
         "continuous_sum_lower_bound",
         lhs,
@@ -392,7 +394,7 @@ class SpectrumReport:
 
 
 def smooth_shift_search(
-    p: Dist, mu: float, box: Sequence[int] | None = None, group_cap: int = 300_000
+    p: Dist, mu: float, box: Sequence[int] | None = None
 ) -> SpectrumReport:
     """Search the box for a shift r that the large spectrum barely sees.
 
@@ -421,8 +423,8 @@ def smooth_shift_search(
         sizes = box
     dims = tuple(3 * n for n in sizes)
     total = math.prod(dims)
-    if total > group_cap:
-        raise CapExceededError(f"embedding group size {total} exceeds cap {group_cap}")
+    if total > SHIFT_GROUP_CAP:
+        raise CapExceededError(f"embedding group size {total} exceeds cap {SHIFT_GROUP_CAP}")
 
     arr = np.zeros(dims, dtype=float)
     for x, v in p0.mass.items():

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dists import Dist, JointDist, _common_denominator, entropy, f_nats
+from .dists import Dist, JointDist, _common_denominator, entropy, f_nats, push_masses
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -42,6 +42,9 @@ from .progressions import CosetProgression, box_embedding
 
 SIGMA_MIN_BITS = 20  # the sigma-split floor is sigma_min = 2**-SIGMA_MIN_BITS
 _MAX_FLATTEN_ROUNDS = 400
+# largest group order whose addition table is built: 2048^2 int64 entries are
+# 32 MiB, and the float shift scan adds two temporaries of the same size
+MAX_TABLE_ORDER = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +74,15 @@ class TransportCertificate:
     def cost(self) -> float:
         return entropy(self.noise())
 
-    def pushforward(self) -> Dist:
-        return self.coupling.sum_dist([0, 1])
-
     def validate(self, source: Dist | None = None) -> None:
         """Exact marginal and pushforward checks; raises on any mismatch."""
-        if self.pushforward() != self.target:
+        mass, add = self.coupling.mass, self.target.group.add
+        if push_masses(mass, lambda a: add(*a)) != self.target.mass:
             raise CertificateError("pushforward of coupling differs from target")
-        if source is not None and self.source() != source:
+        if source is not None and (
+            source.group != self.target.group
+            or push_masses(mass, lambda a: a[0]) != source.mass
+        ):
             raise CertificateError("X-marginal of coupling differs from source")
 
     def to_json(self) -> dict:
@@ -473,6 +477,8 @@ class _IndexedGroup:
     @functools.cached_property
     def table(self) -> np.ndarray:
         """table[a, b] is the index of elems[a] + elems[b]."""
+        if self.size > MAX_TABLE_ORDER:
+            raise CapExceededError(f"group order {self.size} exceeds the table cap {MAX_TABLE_ORDER}")
         tbl = self._h_table
         for m in self._mods:
             n, r = len(tbl), np.arange(m)
@@ -557,19 +563,12 @@ class _RawCert:
 
 
 def _raw_source(c: _RawCert) -> dict:
-    out: dict = {}
-    for (x, _), n in c.coupling.items():
-        out[x] = out.get(x, 0) + n
-    return out
+    return push_masses(c.coupling, lambda a: a[0])
 
 
 def _raw_validate(ad, c: _RawCert, source: _Law | None = None) -> None:
-    push: dict = {}
     add = ad.add
-    for (x, z), n in c.coupling.items():
-        y = add(x, z)
-        push[y] = push.get(y, 0) + n
-    if push != c.target:
+    if push_masses(c.coupling, lambda a: add(*a)) != c.target:
         raise CertificateError("raw pushforward mismatch")
     if source is not None and not _same_law((c.den, _raw_source(c)), source):
         raise CertificateError("raw source mismatch")

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from entsum import bsg as bsg_mod
 from entsum.bsg import BsgInstance, build_path_joint, factorization_exact, verify_bsg
 from entsum.dists import (
     Dist,
@@ -15,6 +16,7 @@ from entsum.dists import (
     independent_joint,
     joint_entropy,
 )
+from entsum.errors import CapExceededError
 from entsum.fuzz import random_joint
 from entsum.groups import GroupSpec
 
@@ -113,3 +115,28 @@ def test_verify_bsg_fuzz():
         j = random_joint(rng, g, 6, 64)
         for rep in verify_bsg(BsgInstance.from_joint(j)):
             assert not rep.violated(), rep.name
+
+
+def test_verify_bsg_cap_counts_path_atoms(monkeypatch):
+    # the cap is checked on a count that equals the built path joint's size
+    rng = random.Random(77)
+    for _ in range(30):
+        inst = BsgInstance.from_joint(random_joint(rng, Z4, 6, 64))
+        size = len(build_path_joint(inst))
+        monkeypatch.setattr(bsg_mod, "PATH_ATOM_CAP", size)
+        verify_bsg(inst)
+        monkeypatch.setattr(bsg_mod, "PATH_ATOM_CAP", size - 1)
+        with pytest.raises(CapExceededError):
+            verify_bsg(inst)
+
+
+def test_verify_bsg_cap_before_building(monkeypatch):
+    # 101 X values with one Y value: 101^2 path atoms, over the cap of 10,000
+    j = JointDist([Z, Z], {((i,), (0,)): F(1, 101) for i in range(101)})
+
+    def never(inst):
+        raise AssertionError("the path joint was built before the cap check")
+
+    monkeypatch.setattr(bsg_mod, "build_path_joint", never)
+    with pytest.raises(CapExceededError):
+        verify_bsg(BsgInstance.from_joint(j))

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from entsum.cli import main
 from entsum.fileio import dump_dist, dump_joint, load_dist, load_joint, load_progression
@@ -118,6 +120,70 @@ def test_malformed_files_exit_2(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{\"group\": [0], ")
     assert main(["entropy", str(broken)]) == 2
+
+
+def test_unreadable_inputs_exit_2(capsys, tmp_path):
+    # a directory, bytes that are not UTF-8, an existing file as the output
+    # directory and malformed records are usage/schema errors, never a traceback
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"group": [0], "atoms": "\xe9"}')
+    record = {"check": "triv", "name": "sum_upper", "child_seed": 1, "slack": 0.0,
+              "version": "0.1.0", "config": {}}
+    cases = [
+        ["entropy", str(tmp_path)],
+        ["entropy", str(latin1)],
+        ["fuzz", "--config", str(tmp_path), "--out", str(tmp_path / "o")],
+        ["fuzz", "--count", "1", "--out", write("existing", "")],
+        ["report", write("bad.jsonl", "{not json\n")],
+        ["report", str(tmp_path)],
+        ["report", write("noname.jsonl", '{"slack": 0.0}\n')],
+        ["report", write("list.jsonl", "[1, 2]\n")],
+        ["report", write("strslack.jsonl", '{"name": "a", "slack": "x"}\n')],
+        ["replay", write("bad.json", "{not json")],
+        ["replay", write("five.json", "5")],
+        ["replay", write("strseed.json", json.dumps({**record, "child_seed": "1"}))],
+        ["replay", write("listcheck.json", json.dumps({**record, "check": ["triv"]}))],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err, argv
+
+
+ATOM_FIELDS = st.fixed_dictionaries(
+    {"x": st.lists(st.integers(-2, 4), min_size=1, max_size=2), "num": st.integers(-1, 2),
+     "den": st.integers(0, 2)}
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["group", "atoms", "x", "num", "den"]) | st.text(max_size=2),
+                      inner, max_size=4),
+    max_leaves=16,
+)
+NEAR_DISTS = st.fixed_dictionaries(
+    {"group": st.lists(st.integers(-1, 4), min_size=1, max_size=1),
+     "atoms": st.lists(ATOM_FIELDS, min_size=1, max_size=3)}
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=JSON_VALUES | NEAR_DISTS)
+def test_any_json_loads_as_dist_or_schema_error(tmp_path, obj):
+    path = tmp_path / "any.json"
+    path.write_text(json.dumps(obj))
+    try:
+        p = load_dist(str(path))
+    except SchemaError:
+        return
+    assert isinstance(p, Dist) and sum(v for _, v in p) == 1
 
 
 def test_entropy_command(capsys, dist_file):

@@ -17,6 +17,7 @@ from entsum.fuzz import random_dist
 from entsum.groups import GroupSpec
 from entsum.progressions import CosetProgression, uniform_on
 from entsum.transport import (
+    MAX_TABLE_ORDER,
     compose_certificates,
     flatten,
     identity_certificate,
@@ -220,6 +221,24 @@ def test_flatten_fuzz_certificates():
         cert.validate(p)
         assert cert.target == out
         assert cert.cost <= k * LOG2 + 1e-9
+
+
+def test_flatten_table_cap():
+    # the smallest group over the cap fails before its addition table is built
+    g = GroupSpec([MAX_TABLE_ORDER + 1])
+    p = Dist(g, {(0,): F(1, 2), (1,): F(1, 2)})
+    with pytest.raises(CapExceededError):
+        flatten(p, 1)
+    with pytest.raises(CapExceededError):
+        uniformise_group(p, 1e9)
+    # the coset-progression box H x Z/2NZ is capped by its order as well
+    cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [MAX_TABLE_ORDER // 2 + 1])
+    with pytest.raises(CapExceededError):
+        uniformise_coset_progression(fair_bit(), cp)
+    # a uniform law and zero rounds need no table
+    u = Dist.uniform(g, g.elements())
+    assert uniformise_group(u, 10).cost == 0.0
+    assert flatten(p, 0)[0] == p
 
 
 # ---------------------------------------------------------------------------
