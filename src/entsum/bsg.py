@@ -80,14 +80,13 @@ def factorization_exact(path: JointDist) -> bool:
         cell["yp"][yp] = cell["yp"].get(yp, Fraction(0)) + v
         cell["atoms"][(x2, yp)] = cell["atoms"].get((x2, yp), Fraction(0)) + v
     for cell in cond.values():
+        # every path atom has positive mass, so every (x2, y') pair must be present
+        if len(cell["atoms"]) != len(cell["x2"]) * len(cell["yp"]):
+            return False
         w = cell["w"]
         for (x2, yp), v in cell["atoms"].items():
             if v * w != cell["x2"][x2] * cell["yp"][yp]:
                 return False
-        for x2, vx in cell["x2"].items():
-            for yp, vy in cell["yp"].items():
-                if (x2, yp) not in cell["atoms"] and vx * vy != 0:
-                    return False
     return True
 
 

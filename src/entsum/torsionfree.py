@@ -4,7 +4,7 @@ Fourier search for smooth shift directions.
 
 Densities are piecewise affine with exact rational coefficients; convolving
 two of them is computed exactly as a piecewise polynomial (degree at most
-deg f + deg g + 1) by sampling and Lagrange interpolation over Q.  Entropy of
+deg f + deg g + 1) by a closed-form binomial expansion over Q.  Entropy of
 affine pieces has a closed form; higher-degree pieces fall back to certified
 adaptive quadrature.
 """
@@ -145,18 +145,6 @@ def _poly_integral(poly: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     return acc
 
 
-def _lagrange(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    poly: Poly = (Fraction(0),)
-    for i, (xi, yi) in enumerate(points):
-        term: Poly = (yi,)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = _poly_mul(term, (-xj / (xi - xj), Fraction(1) / (xi - xj)))
-        poly = _poly_add(poly, term)
-    return poly
-
-
 class PiecewiseDensity:
     """Probability density that is affine on each piece of a rational partition.
 
@@ -178,7 +166,7 @@ class PiecewiseDensity:
         for (a, b), t0, t1 in zip(pcs, bps, bps[1:]):
             if a + b * t0 < 0 or a + b * t1 < 0:
                 raise ValueError("density must be non-negative")
-            total += a * (t1 - t0) + b * (t1 * t1 - t0 * t0) / 2
+            total += _poly_integral((a, b), t0, t1)
         if total != 1:
             raise ValueError(f"total integral is {total}, expected exactly 1")
         self.breakpoints = bps
@@ -225,10 +213,7 @@ def _entropy_affine_piece(a: Fraction, b: Fraction, t0: Fraction, t1: Fraction) 
 
 def continuous_entropy(f: PiecewiseDensity) -> float:
     """Differential entropy of a piecewise-affine density, in closed form."""
-    return math.fsum(
-        _entropy_affine_piece(a, b, t0, t1)
-        for (a, b), t0, t1 in zip(f.pieces, f.breakpoints, f.breakpoints[1:])
-    )
+    return _PiecewisePoly(f.breakpoints, f._polys()).entropy()
 
 
 @dataclass
@@ -288,38 +273,35 @@ class _PiecewisePoly:
 def convolve_densities(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePoly:
     """Exact convolution density of two independent piecewise-affine laws.
 
-    Per piece pair the contribution is polynomial between the four breakpoint
-    sums; each polynomial is recovered exactly from rational samples.
+    For pieces fp on [p0, p1) and gp on [q0, q1), the binomial theorem gives
+    fp(s) gp(t - s) = sum_k s^k c_k(t).  Between consecutive breakpoint sums
+    the limits s_lo = max(p0, t - q1) and s_hi = min(p1, t - q0) are each one
+    affine function of t, so the contribution
+    sum_k c_k(t) (s_hi^(k+1) - s_lo^(k+1)) / (k+1) is one polynomial over Q
+    with len(fp) + len(gp) coefficients.
     """
     contribs: list[tuple[Fraction, Fraction, Poly]] = []
-    fpolys = f._polys()
-    gpolys = g._polys()
-
-    def conv_at(fp: Poly, gp: Poly, p0, p1, q0, q1, t: Fraction) -> Fraction:
-        lo = max(p0, t - q1)
-        hi = min(p1, t - q0)
-        if hi <= lo:
-            return Fraction(0)
-        # integrand fp(s) * gp(t - s) as a polynomial in s
-        gshift: Poly = (Fraction(0),)
-        pw: Poly = (Fraction(1),)
-        for c in gp:
-            gshift = _poly_add(gshift, tuple(c * x for x in pw))
-            pw = _poly_mul(pw, (t, Fraction(-1)))
-        return _poly_integral(_poly_mul(fp, gshift), lo, hi)
-
-    for (fp, p0, p1) in zip(fpolys, f.breakpoints, f.breakpoints[1:]):
-        for (gp, q0, q1) in zip(gpolys, g.breakpoints, g.breakpoints[1:]):
+    for fp, p0, p1 in zip(f._polys(), f.breakpoints, f.breakpoints[1:]):
+        for gp, q0, q1 in zip(g._polys(), g.breakpoints, g.breakpoints[1:]):
+            n = len(fp) + len(gp)
+            c = [[Fraction(0)] * len(gp) for _ in range(n - 1)]  # c[k][e]: s^k t^e
+            for i, a in enumerate(fp):
+                for j, b in enumerate(gp):
+                    for k in range(j + 1):
+                        c[i + k][j - k] += a * b * math.comb(j, k) * (-1) ** k
             corners = sorted({p0 + q0, p0 + q1, p1 + q0, p1 + q1})
-            deg = (len(fp) - 1) + (len(gp) - 1) + 1
             for lo, hi in zip(corners, corners[1:]):
-                # sample deg+1 interior points and interpolate exactly
-                pts = []
-                for i in range(deg + 1):
-                    t = lo + (hi - lo) * Fraction(2 * i + 1, 2 * (deg + 1))
-                    pts.append((t, conv_at(fp, gp, p0, p1, q0, q1, t)))
-                poly = _lagrange(pts)
-                if any(c != 0 for c in poly):
+                mid = (lo + hi) / 2
+                s_lo: Poly = (p0,) if p0 >= mid - q1 else (-q1, Fraction(1))
+                s_hi: Poly = (p1,) if p1 <= mid - q0 else (-q0, Fraction(1))
+                poly: Poly = (Fraction(0),) * n
+                up, down = s_hi, s_lo  # s_hi^(k+1) and s_lo^(k+1)
+                for k, ck in enumerate(c):
+                    diff = _poly_add(up, tuple(-x for x in down))
+                    poly = _poly_add(poly, tuple(x / (k + 1) for x in _poly_mul(ck, diff)))
+                    up, down = _poly_mul(up, s_hi), _poly_mul(down, s_lo)
+                poly = poly[:n]  # entries past degree n - 1 are exact zeros
+                if any(x != 0 for x in poly):
                     contribs.append((lo, hi, poly))
 
     if not contribs:
@@ -361,12 +343,18 @@ def bridge_entropy(p: Dist) -> tuple[PiecewiseDensity, float]:
     equals the discrete entropy of X exactly (checked to 1e-9)."""
     if p.group.moduli != (0,):
         raise PreconditionError("bridge needs a rank-1 Z-valued law")
-    xs = [x for (x,) in p.mass]
-    lo, hi = min(xs), max(xs)
-    breaks = [Fraction(t) for t in range(lo, hi + 2)]
-    heights = [p.mass.get((t,), Fraction(0)) for t in range(lo, hi + 1)]
-    # merge away nothing: zero-height pieces are legal
-    dens = PiecewiseDensity(breaks, [(h, 0) for h in heights])
+    # one piece [x, x+1) per atom and one zero piece across each gap, so the
+    # work is linear in the support, not in its span
+    atoms = sorted((x, v) for (x,), v in p.mass.items())
+    breaks = [Fraction(atoms[0][0])]
+    pieces = []
+    for x, v in atoms:
+        if x > breaks[-1]:
+            breaks.append(Fraction(x))
+            pieces.append((0, 0))
+        breaks.append(Fraction(x + 1))
+        pieces.append((v, 0))
+    dens = PiecewiseDensity(breaks, pieces)
     ent = continuous_entropy(dens)
     if abs(ent - entropy(p)) > 1e-9:
         raise AssertionError("bridge identity failed beyond tolerance")

@@ -80,6 +80,21 @@ def test_factorization_is_exact_rational():
         assert factorization_exact(path)
 
 
+def test_factorization_detects_dependence():
+    # hand-built path joints in which X2 and Y' are dependent given (X1, Y) = (0, 0)
+    def path(masses):
+        return JointDist(
+            [Z2] * 4, {((0,), (x2,), (0,), (yp,)): v for (x2, yp), v in masses.items()}
+        )
+
+    # (X2, Y') in {(0, 0), (1, 1)}: the product atoms (0, 1) and (1, 0) are missing
+    assert not factorization_exact(path({(0, 0): F(1, 2), (1, 1): F(1, 2)}))
+    # every product atom is present, but the masses do not factor
+    unequal = {(0, 0): F(1, 2), (0, 1): F(1, 6), (1, 0): F(1, 6), (1, 1): F(1, 6)}
+    assert not factorization_exact(path(unequal))
+    assert factorization_exact(path({(a, b): F(1, 4) for a in range(2) for b in range(2)}))
+
+
 def test_trial_entropies_match_conditionals():
     rng = random.Random(7)
     for _ in range(40):

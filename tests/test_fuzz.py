@@ -1,8 +1,10 @@
 """Fuzz orchestration: determinism, corpus persistence, replay, rendering."""
 
+import hashlib
 import json
 from dataclasses import asdict
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from entsum.fuzz import (
 from entsum.groups import GroupSpec
 
 Z2 = GroupSpec([2])
+SEED1_PIN = Path(__file__).parent / "data" / "fuzz_seed1_results.sha256"
 
 
 def small_cfg(**kw):
@@ -50,6 +53,21 @@ def test_fuzz_byte_identical(tmp_path):
     assert (tmp_path / "a/results.jsonl").read_bytes() == (
         tmp_path / "b/results.jsonl"
     ).read_bytes()
+
+
+def test_fuzz_seed1_digest_pinned(tmp_path, pin=SEED1_PIN):
+    # the results.jsonl bytes of this fixed campaign must not move under a
+    # refactor; a missing pin fails rather than passing or being rewritten
+    assert pin.exists(), f"pin file {pin} missing"
+    fuzz_run(FuzzConfig(seed=1, instance_count=100, workers=1), tmp_path)
+    digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
+    assert digest == pin.read_text().strip()
+
+
+def test_fuzz_seed1_missing_pin_fails(tmp_path):
+    with pytest.raises(AssertionError, match="missing"):
+        test_fuzz_seed1_digest_pinned(tmp_path / "out", pin=tmp_path / "absent.sha256")
+    assert not any(tmp_path.iterdir())
 
 
 def test_fuzz_workers_identical(tmp_path):

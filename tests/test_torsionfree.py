@@ -202,6 +202,19 @@ def test_bridge_fuzz():
         assert ent == pytest.approx(entropy(p), abs=1e-9)
 
 
+def test_bridge_work_is_linear_in_support():
+    # one piece per atom and one zero piece per gap, however wide the span
+    p = Dist.uniform(Z, [(0,), (10**4,)])
+    dens, ent = bridge_entropy(p)
+    assert dens.breakpoints == (0, 1, 10**4, 10**4 + 1)
+    assert dens.pieces == ((F(1, 2), 0), (0, 0), (F(1, 2), 0))
+    assert ent == entropy(p)
+    wide = Dist(Z, {(-(10**9),): F(1, 3), (0,): F(1, 3), (10**9,): F(1, 3)})
+    dens, ent = bridge_entropy(wide)
+    assert len(dens.pieces) == 5
+    assert ent == entropy(wide)
+
+
 def test_bridge_needs_rank1():
     with pytest.raises(PreconditionError):
         bridge_entropy(Dist.point(GroupSpec([0, 0]), (0, 0)))

@@ -1,0 +1,235 @@
+"""Differential test of the piecewise-density convolution against its former body.
+
+`_convolve_densities_reference` is `convolve_densities` as it was before the
+closed-form expansion: it samples every piece pair's contribution at
+deg + 1 interior points and recovers the polynomial by Lagrange
+interpolation over Q.  It is kept here unchanged, with the polynomial helpers
+and the per-piece entropy loop it used, as the reference.  Both paths are
+exact, so breakpoints and coefficient tuples must be equal, trailing zeros
+included.
+"""
+
+import math
+import random
+from fractions import Fraction
+from typing import Sequence
+
+import pytest
+
+from entsum import fuzz
+from entsum.torsionfree import (
+    PiecewiseDensity,
+    _entropy_affine_piece,
+    _PiecewisePoly,
+    continuous_entropy,
+    convolve_densities,
+)
+
+Poly = tuple[Fraction, ...]
+
+
+def _poly_mul(a: Poly, b: Poly) -> Poly:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return tuple(out)
+
+
+def _poly_add(a: Poly, b: Poly) -> Poly:
+    n = max(len(a), len(b))
+    return tuple(
+        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
+        for i in range(n)
+    )
+
+
+def _poly_integral(poly: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for i, c in enumerate(poly):
+        acc += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+    return acc
+
+
+def _lagrange(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
+    poly: Poly = (Fraction(0),)
+    for i, (xi, yi) in enumerate(points):
+        term: Poly = (yi,)
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            term = _poly_mul(term, (-xj / (xi - xj), Fraction(1) / (xi - xj)))
+        poly = _poly_add(poly, term)
+    return poly
+
+
+def _continuous_entropy_reference(f: PiecewiseDensity) -> float:
+    """Differential entropy of a piecewise-affine density, in closed form."""
+    return math.fsum(
+        _entropy_affine_piece(a, b, t0, t1)
+        for (a, b), t0, t1 in zip(f.pieces, f.breakpoints, f.breakpoints[1:])
+    )
+
+
+def _convolve_densities_reference(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePoly:
+    """Exact convolution density of two independent piecewise-affine laws.
+
+    Per piece pair the contribution is polynomial between the four breakpoint
+    sums; each polynomial is recovered exactly from rational samples.
+    """
+    contribs: list[tuple[Fraction, Fraction, Poly]] = []
+    fpolys = f._polys()
+    gpolys = g._polys()
+
+    def conv_at(fp: Poly, gp: Poly, p0, p1, q0, q1, t: Fraction) -> Fraction:
+        lo = max(p0, t - q1)
+        hi = min(p1, t - q0)
+        if hi <= lo:
+            return Fraction(0)
+        # integrand fp(s) * gp(t - s) as a polynomial in s
+        gshift: Poly = (Fraction(0),)
+        pw: Poly = (Fraction(1),)
+        for c in gp:
+            gshift = _poly_add(gshift, tuple(c * x for x in pw))
+            pw = _poly_mul(pw, (t, Fraction(-1)))
+        return _poly_integral(_poly_mul(fp, gshift), lo, hi)
+
+    for (fp, p0, p1) in zip(fpolys, f.breakpoints, f.breakpoints[1:]):
+        for (gp, q0, q1) in zip(gpolys, g.breakpoints, g.breakpoints[1:]):
+            corners = sorted({p0 + q0, p0 + q1, p1 + q0, p1 + q1})
+            deg = (len(fp) - 1) + (len(gp) - 1) + 1
+            for lo, hi in zip(corners, corners[1:]):
+                # sample deg+1 interior points and interpolate exactly
+                pts = []
+                for i in range(deg + 1):
+                    t = lo + (hi - lo) * Fraction(2 * i + 1, 2 * (deg + 1))
+                    pts.append((t, conv_at(fp, gp, p0, p1, q0, q1, t)))
+                poly = _lagrange(pts)
+                if any(c != 0 for c in poly):
+                    contribs.append((lo, hi, poly))
+
+    if not contribs:
+        raise ArithmeticError("empty convolution")
+    breaks = sorted({b for lo, hi, _ in contribs for b in (lo, hi)})
+    polys = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        acc: Poly = (Fraction(0),)
+        for clo, chi, poly in contribs:
+            if clo <= lo and hi <= chi:
+                acc = _poly_add(acc, poly)
+        polys.append(acc)
+    out = _PiecewisePoly(tuple(breaks), tuple(polys))
+    if out.integral() != 1:
+        raise ArithmeticError(f"convolution integral is {out.integral()}, expected 1")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _fuzz_step_pairs(seed: int, count: int) -> list:
+    """The (f, g) pairs the fuzz `abbn` check draws for the first `count` indices."""
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuzz, "abbn_check", lambda f, g: pairs.append((f, g)))
+        for index in range(count):
+            fuzz._check_abbn(random.Random(fuzz._child_seed(seed, "abbn", index)), fuzz.FuzzConfig())
+    return pairs
+
+
+def _rand_affine(rng: random.Random, breaks: Sequence[Fraction]) -> PiecewiseDensity:
+    """A density that is affine on each [breaks[i], breaks[i+1]), with
+    independent rational end values per piece, some of them zero."""
+    ends = []
+    for _ in breaks[1:]:
+        u0, u1 = (Fraction(rng.choice([0, rng.randrange(1, 9)]), rng.randrange(1, 6))
+                  for _ in range(2))
+        ends.append((u0, u1) if u0 + u1 else (Fraction(1), u1))
+    total = sum((u0 + u1) * (t1 - t0) / 2 for (u0, u1), t0, t1 in zip(ends, breaks, breaks[1:]))
+    pieces = []
+    for (u0, u1), t0, t1 in zip(ends, breaks, breaks[1:]):
+        b = (u1 - u0) / (t1 - t0) / total
+        pieces.append((u0 / total - b * t0, b))
+    return PiecewiseDensity(breaks, pieces)
+
+
+def _rand_breaks(rng: random.Random, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    den = rng.randrange(1, 7)
+    inner = {lo + (hi - lo) * Fraction(rng.randrange(1, 4 * den), 4 * den)
+             for _ in range(rng.randrange(0, 3))}
+    return sorted({lo, hi} | inner)
+
+
+def _rand_step(rng: random.Random, breaks: Sequence[Fraction]) -> PiecewiseDensity:
+    weights = [Fraction(rng.randrange(0, 5), 1) for _ in breaks[1:]]
+    weights[rng.randrange(len(weights))] += 1
+    total = sum(w * (t1 - t0) for w, t0, t1 in zip(weights, breaks, breaks[1:]))
+    return PiecewiseDensity(breaks, [(w / total, 0) for w in weights])
+
+
+def _support_pairs(rng: random.Random) -> list:
+    """Supports of f and g that touch, overlap, nest, coincide or have equal widths."""
+    a = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+    w = Fraction(rng.randrange(1, 9), rng.randrange(1, 4))
+    v = Fraction(rng.randrange(1, 9), rng.randrange(1, 4))
+    return [
+        ((a, a + w), (a + w, a + w + v)),  # touching
+        ((a, a + w), (a + w / 2, a + w / 2 + v)),  # overlapping
+        ((a, a + w + v), (a + w / 3, a + w / 3 + v)),  # nested
+        ((a, a + w), (a, a + w)),  # equal
+        ((a, a + w), (a - 5, a - 5 + w)),  # equal widths, disjoint
+    ]
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def _assert_same(f: PiecewiseDensity, g: PiecewiseDensity) -> None:
+    new = convolve_densities(f, g)
+    old = _convolve_densities_reference(f, g)
+    assert new.breakpoints == old.breakpoints
+    assert new.polys == old.polys
+    assert all(isinstance(c, Fraction) for poly in new.polys for c in poly)
+
+
+def test_fuzz_step_pairs_match_reference():
+    pairs = _fuzz_step_pairs(1, 100) + _fuzz_step_pairs(7, 100)
+    assert len(pairs) == 200
+    for f, g in pairs:
+        _assert_same(f, g)
+
+
+def test_affine_pairs_match_reference():
+    rng = random.Random(2024)
+    count = 0
+    for _ in range(12):
+        for (f0, f1), (g0, g1) in _support_pairs(rng):
+            f = _rand_affine(rng, _rand_breaks(rng, f0, f1))
+            g = _rand_affine(rng, _rand_breaks(rng, g0, g1))
+            _assert_same(f, g)
+            _assert_same(g, f)
+            count += 1
+    assert count == 60
+
+
+def test_mixed_pairs_match_reference():
+    rng = random.Random(99)
+    for _ in range(6):
+        for (f0, f1), (g0, g1) in _support_pairs(rng):
+            f = _rand_step(rng, _rand_breaks(rng, f0, f1))
+            g = _rand_affine(rng, _rand_breaks(rng, g0, g1))
+            _assert_same(f, g)
+            _assert_same(g, f)
+
+
+def test_continuous_entropy_matches_reference():
+    rng = random.Random(5)
+    dens = [f for pair in _fuzz_step_pairs(3, 40) for f in pair]
+    for _ in range(8):
+        for (f0, f1), (g0, g1) in _support_pairs(rng):
+            dens.append(_rand_affine(rng, _rand_breaks(rng, f0, f1)))
+            dens.append(_rand_step(rng, _rand_breaks(rng, g0, g1)))
+    for f in dens:
+        assert continuous_entropy(f) == _continuous_entropy_reference(f)
