@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 inequality violations found, 2 usage/schema errors.
 All outputs are JSON on stdout except `report`, which prints a table.
+Each handler imports the modules it runs, so a command loads only its own code.
 """
 
 from __future__ import annotations
@@ -11,28 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import bsg as bsg_mod
-from .dists import entropy
 from .errors import EntsumError, SchemaError
 from .fileio import load_dist, load_joint, read_jsonl
-from .fuzz import FuzzConfig, fuzz_run, replay, report_render
-from .inverse import detect_coset_uniform, effective_support_search
-from .metrics import check_ese_suite, doubling_constant, ruzsa_distance
-from .torsionfree import (
-    binomial_entropy_gap,
-    bridge_entropy,
-    doubling_experiment,
-    entxx_explore,
-    smooth_shift_search,
-)
-from .transport import (
-    identity_certificate,
-    independent_pair_certificate,
-    transport_exact,
-    translate_shift,
-    uniformise_group,
-)
-
 
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, sort_keys=True)
@@ -40,18 +21,24 @@ def _emit(obj) -> None:
 
 
 def _cmd_entropy(args) -> int:
+    from .dists import entropy
+
     p = load_dist(args.dist)
     _emit({"entropy": entropy(p), "support": len(p)})
     return 0
 
 
 def _cmd_doubling(args) -> int:
+    from .metrics import doubling_constant
+
     p = load_dist(args.dist)
     _emit({"doubling": doubling_constant(p)})
     return 0
 
 
 def _cmd_ruzsa(args) -> int:
+    from .metrics import ruzsa_distance
+
     p = load_dist(args.dist_a)
     q = load_dist(args.dist_b)
     _emit({"ruzsa_distance": ruzsa_distance(p, q)})
@@ -59,6 +46,14 @@ def _cmd_ruzsa(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    from .transport import (
+        identity_certificate,
+        independent_pair_certificate,
+        transport_exact,
+        translate_shift,
+        uniformise_group,
+    )
+
     p = load_dist(args.source)
     q = load_dist(args.target)
     if args.exact:
@@ -84,6 +79,8 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .metrics import check_ese_suite
+
     p = load_dist(args.dist_a)
     q = load_dist(args.dist_b)
     r = load_dist(args.dist_c) if args.dist_c else p
@@ -111,14 +108,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bsg(args) -> int:
+    from .bsg import BsgInstance, verify_bsg
+
     j = load_joint(args.joint)
-    inst = bsg_mod.BsgInstance.from_joint(j)
-    for rep in bsg_mod.verify_bsg(inst):
+    inst = BsgInstance.from_joint(j)
+    for rep in verify_bsg(inst):
         _emit(rep.to_json())
     return 0
 
 
 def _cmd_inverse(args) -> int:
+    from .inverse import detect_coset_uniform, effective_support_search
+
     p = load_dist(args.dist)
     coset = detect_coset_uniform(p)
     core = effective_support_search(p)
@@ -143,6 +144,15 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .dists import entropy
+    from .torsionfree import (
+        binomial_entropy_gap,
+        bridge_entropy,
+        doubling_experiment,
+        entxx_explore,
+        smooth_shift_search,
+    )
+
     if args.what == "binomial-doubling":
         _emit({"n": args.n, "doubling": doubling_experiment(args.n),
                "entropy_gap": binomial_entropy_gap(args.n)})
@@ -168,6 +178,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .fuzz import FuzzConfig, fuzz_run
+
     cfg = FuzzConfig.from_json(args.config) if args.config else FuzzConfig()
     if args.seed is not None:
         cfg.seed = args.seed
@@ -181,12 +193,16 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from .fuzz import replay
+
     result = replay(args.path)
     _emit(result)
     return 0 if result["reproduced"] else 1
 
 
 def _cmd_report(args) -> int:
+    from .fuzz import report_render
+
     text, _ = report_render(read_jsonl(args.results))
     print(text)
     return 0

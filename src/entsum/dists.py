@@ -12,8 +12,10 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import IncompatibleGroupError, PreconditionError
+from .errors import CapExceededError, IncompatibleGroupError, PreconditionError
 from .groups import Element, GroupSpec
+
+SUPPORT_CAP = 200_000  # largest convolution support iterated_convolve builds
 
 # ---------------------------------------------------------------------------
 # the scalar building block F(x) = x log(1/x) and friends
@@ -196,19 +198,28 @@ def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
     return Dist(g, {e: Fraction(n, den) for e, n in acc.items()})
 
 
-def iterated_convolve(p: Dist, k: int, support_cap: int = 200_000) -> Dist:
-    """k-fold convolution power of p (k >= 1) with a loud size cap."""
-    from .errors import CapExceededError
+def _sum_support_bound(p: Dist, q: Dist) -> int:
+    """|supp(p * q)| is at most the pair count and at most the box of possible
+    sums, whose side is m on Z/m and span(p) + span(q) + 1 on Z."""
+    box = 1
+    for i, m in enumerate(p.group.moduli):
+        if m == 0:
+            m = sum(max(x[i] for x in r.mass) - min(x[i] for x in r.mass) for r in (p, q)) + 1
+        box *= m
+    return min(len(p) * len(q), box)
 
+
+def iterated_convolve(p: Dist, k: int) -> Dist:
+    """k-fold convolution power of p (k >= 1); CapExceededError when a step's
+    support bound exceeds SUPPORT_CAP, raised before that step is built."""
     if k < 1:
         raise ValueError("k must be >= 1")
     out = p
     for _ in range(k - 1):
+        bound = _sum_support_bound(out, p)
+        if bound > SUPPORT_CAP:
+            raise CapExceededError(f"convolution support may reach {bound}, cap {SUPPORT_CAP}")
         out = convolve(out, p, "+")
-        if len(out) > support_cap:
-            raise CapExceededError(
-                f"convolution support {len(out)} exceeds cap {support_cap}"
-            )
     return out
 
 

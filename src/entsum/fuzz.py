@@ -433,9 +433,9 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
             )
             payload = json.dumps(asdict(ce), sort_keys=True)
             digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-            path = out / "counterexamples" / f"{row['name']}-{digest}.json"
-            path.write_text(payload + "\n")
-            row["witness_path"] = str(path)
+            rel = f"counterexamples/{row['name']}-{digest}.json"  # relative to out_dir
+            (out / rel).write_text(payload + "\n")
+            row["witness_path"] = rel
     per_name = _per_name(rows)
     for stats in per_name.values():
         row = stats["argmin"]

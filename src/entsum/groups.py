@@ -16,6 +16,8 @@ from .errors import CapExceededError, IncompatibleGroupError
 
 Element = tuple[int, ...]
 
+ENUM_CAP = 100_000  # largest group or progression that is enumerated element by element
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -86,11 +88,11 @@ class GroupSpec:
         self._check(a)
         return tuple((k * x) % m if m > 0 else k * x for x, m in zip(a, self.moduli))
 
-    def elements(self, cap: int = 100_000) -> Iterator[Element]:
+    def elements(self) -> Iterator[Element]:
         """All elements of a finite group in row-major order."""
         n = self.order()
-        if n > cap:
-            raise CapExceededError(f"group order {n} exceeds enumeration cap {cap}")
+        if n > ENUM_CAP:
+            raise CapExceededError(f"group order {n} exceeds enumeration cap {ENUM_CAP}")
         return itertools.product(*(range(m) for m in self.moduli))
 
     def _check(self, a: Element) -> None:

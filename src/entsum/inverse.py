@@ -12,8 +12,8 @@ from .dists import Dist, entropy
 from .errors import CapExceededError
 from .groups import Element, GroupSpec, is_subgroup
 from .metrics import doubling_constant, ruzsa_distance
-from .transport import independent_noise_certificate, reverse_certificate
 
+ENERGY_CAP = 2000  # largest set additive_energy sums over, |A|^2 sums
 MAX_DOUBLINGS = 40  # effective_support_search tries c0 * 2**i for i < MAX_DOUBLINGS
 
 
@@ -91,11 +91,11 @@ def effective_support_search(p: Dist, c0: float = 2.0) -> CoreReport:
     return effective_support(p, c)
 
 
-def additive_energy(a_set: Iterable[Element], group: GroupSpec, cap: int = 2000) -> int:
+def additive_energy(a_set: Iterable[Element], group: GroupSpec) -> int:
     """Number of quadruples with a1 + a2 = a3 + a4, as sum of squared sum-counts."""
     els = list(a_set)
-    if len(els) > cap:
-        raise CapExceededError(f"additive energy cap {cap} exceeded: {len(els)}")
+    if len(els) > ENERGY_CAP:
+        raise CapExceededError(f"additive energy cap {ENERGY_CAP} exceeded: {len(els)}")
     counts: dict[Element, int] = {}
     for x in els:
         for y in els:
@@ -126,6 +126,8 @@ def verify_inverse_fixtures(corpus: Sequence[dict]) -> list[FixtureResult]:
       * "paired": {"x": Dist, "y": Dist}; checks the doubling bound
         log sigma[X] <= 4 d_R(X, Y) that follows from the metric suite.
     """
+    from .transport import independent_noise_certificate, reverse_certificate
+
     results = []
     for fx in corpus:
         name = fx.get("name", "fixture")

@@ -60,9 +60,7 @@ def doubling_constant(p: Dist) -> float:
     return math.exp(entropy(convolve(p, p, "+")) - entropy(p))
 
 
-def check_ese_suite(
-    p: Dist, q: Dist, r: Dist, n: int, support_cap: int = 200_000
-) -> list[MetricReport]:
+def check_ese_suite(p: Dist, q: Dist, r: Dist, n: int) -> list[MetricReport]:
     """Sumset estimate suite on a triple of independent distributions.
 
     Reports: the Ruzsa triangle inequality on (p, q, r); the 3x negation bound
@@ -103,7 +101,7 @@ def check_ese_suite(
         )
     )
     h_sum = entropy(pq_sum)
-    iterated = iterated_convolve(pq_sum, n + 1, support_cap)
+    iterated = iterated_convolve(pq_sum, n + 1)
     reports.append(
         MetricReport(
             "iterated_sum_bound",
@@ -113,7 +111,7 @@ def check_ese_suite(
         )
     )
     log_sigma = entropy(convolve(p, p, "+")) - hp
-    chain = iterated_convolve(p, 2 * n + 2, support_cap)
+    chain = iterated_convolve(p, 2 * n + 2)
     h_chain = entropy(chain)
     reports.append(
         MetricReport(

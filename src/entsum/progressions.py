@@ -9,9 +9,7 @@ from fractions import Fraction
 
 from .dists import Dist
 from .errors import CapExceededError, NonProperError, PreconditionError
-from .groups import Element, GroupSpec, is_subgroup
-
-ENUM_CAP = 100_000
+from .groups import ENUM_CAP, Element, GroupSpec, is_subgroup
 
 
 @dataclass(frozen=True)
@@ -58,11 +56,11 @@ class CosetProgression:
             out = g.add(out, g.scalar(n, r))
         return out
 
-    def enumerate(self, cap: int = ENUM_CAP) -> frozenset[Element]:
+    def enumerate(self) -> frozenset[Element]:
         """Exact element set, with collisions collapsed."""
-        if self.nominal_size() > cap:
+        if self.nominal_size() > ENUM_CAP:
             raise CapExceededError(
-                f"progression size {self.nominal_size()} exceeds cap {cap}"
+                f"progression size {self.nominal_size()} exceeds cap {ENUM_CAP}"
             )
         out = set()
         for h in self.subgroup:
@@ -70,8 +68,8 @@ class CosetProgression:
                 out.add(self._element(h, ns))
         return frozenset(out)
 
-    def is_proper(self, cap: int = ENUM_CAP) -> bool:
-        return is_t_proper(self, 1, cap)
+    def is_proper(self) -> bool:
+        return is_t_proper(self, 1)
 
 
 def _count_below(t: Fraction, n: int) -> int:
@@ -82,15 +80,15 @@ def _count_below(t: Fraction, n: int) -> int:
     return int(math.ceil(tn))
 
 
-def is_t_proper(cp: CosetProgression, t, cap: int = ENUM_CAP) -> bool:
+def is_t_proper(cp: CosetProgression, t) -> bool:
     """True iff all sums with ni in [0, t*Ni) are pairwise distinct."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
     counts = [_count_below(t, n) for n in cp.lengths]
     total = len(cp.subgroup) * math.prod(counts)
-    if total > cap:
-        raise CapExceededError(f"t-proper check needs {total} sums, cap {cap}")
+    if total > ENUM_CAP:
+        raise CapExceededError(f"t-proper check needs {total} sums, cap {ENUM_CAP}")
     seen = set()
     for h in cp.subgroup:
         for ns in itertools.product(*(range(c) for c in counts)):
@@ -101,8 +99,8 @@ def is_t_proper(cp: CosetProgression, t, cap: int = ENUM_CAP) -> bool:
     return True
 
 
-def uniform_on(cp: CosetProgression, cap: int = ENUM_CAP) -> Dist:
-    return Dist.uniform(cp.group, cp.enumerate(cap))
+def uniform_on(cp: CosetProgression) -> Dist:
+    return Dist.uniform(cp.group, cp.enumerate())
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .dists import Dist, convolve, entropy, f_nats, tv_distance
 from .errors import CapExceededError, PreconditionError, SearchExhaustedError
 from .groups import GroupSpec
@@ -413,6 +411,8 @@ def smooth_shift_search(
     total = math.prod(dims)
     if total > SHIFT_GROUP_CAP:
         raise CapExceededError(f"embedding group size {total} exceeds cap {SHIFT_GROUP_CAP}")
+
+    import numpy as np  # loaded by the search, not with the package
 
     arr = np.zeros(dims, dtype=float)
     for x, v in p0.mass.items():

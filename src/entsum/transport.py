@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .dists import Dist, JointDist, _common_denominator, entropy, f_nats, push_masses
 from .errors import (
     CapExceededError,
@@ -466,7 +464,7 @@ class _IndexedGroup:
     The group's addition table, |G|^2 entries, is built on first use.
     """
 
-    def __init__(self, elems: list, h_table: np.ndarray, mods: Sequence[int], zero):
+    def __init__(self, elems: list, h_table: list, mods: Sequence[int], zero):
         self.elems = elems
         self.size = len(elems)
         self.index = {e: i for i, e in enumerate(elems)}
@@ -477,9 +475,11 @@ class _IndexedGroup:
     @functools.cached_property
     def table(self) -> np.ndarray:
         """table[a, b] is the index of elems[a] + elems[b]."""
+        import numpy as np  # loaded with the first table, not with the package
+
         if self.size > MAX_TABLE_ORDER:
             raise CapExceededError(f"group order {self.size} exceeds the table cap {MAX_TABLE_ORDER}")
-        tbl = self._h_table
+        tbl = np.array(self._h_table)
         for m in self._mods:
             n, r = len(tbl), np.arange(m)
             cyclic = (r[:, None] + r) % m
@@ -493,7 +493,7 @@ class _IndexedGroup:
 
     @functools.cached_property
     def _neg(self) -> list[int]:
-        return np.argmax(self.table == self._zero, axis=1).tolist()
+        return (self.table == self._zero).argmax(axis=1).tolist()
 
     def zero(self) -> int:
         return self._zero
@@ -515,14 +515,14 @@ class _IndexedGroup:
 @functools.lru_cache(maxsize=8)
 def _spec_group(g: GroupSpec) -> _IndexedGroup:
     """A finite GroupSpec, with a trivial H."""
-    return _IndexedGroup(list(g.elements()), np.zeros((1, 1), dtype=np.int64), g.moduli, g.zero())
+    return _IndexedGroup(list(g.elements()), [[0]], g.moduli, g.zero())
 
 
 @functools.lru_cache(maxsize=8)
 def _box_group(ambient: GroupSpec, subgroup: tuple, mods: tuple) -> _IndexedGroup:
     """H x prod Z/mZ for a finite subgroup H of `ambient`, given as sorted elements."""
     index = {h: i for i, h in enumerate(subgroup)}
-    h_table = np.array([[index[ambient.add(a, b)] for b in subgroup] for a in subgroup])
+    h_table = [[index[ambient.add(a, b)] for b in subgroup] for a in subgroup]
     elems = [(h, ns) for h in subgroup for ns in itertools.product(*(range(m) for m in mods))]
     return _IndexedGroup(elems, h_table, mods, (ambient.zero(), (0,) * len(mods)))
 
@@ -678,6 +678,8 @@ def _pick_shift(ad, q: _Law) -> int:
     Each d[x] is the correctly rounded mass minus 1/|G|, summed over x in
     element order, so the choice does not depend on the denominator.
     """
+    import numpy as np
+
     den, mass = q
     d = np.array([mass.get(e, 0) / den for e in range(ad.size)]) - 1.0 / ad.size
     shifted = (d[:, None] * d[ad.table]).sum(axis=0)  # sum_x d[x] d[x + h]

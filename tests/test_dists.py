@@ -292,3 +292,27 @@ def test_normalisation_enforced():
         Dist(Z, {(0,): F(1, 2), (1,): F(1, 4)})
     with pytest.raises(ValueError):
         JointDist([Z, Z], {((0,), (0,)): F(1, 2)})
+
+
+def test_iterated_convolve_bounds_support_before_building(monkeypatch):
+    # each step's support is bounded by min(pair count, box of sums) and the
+    # cap is checked against that bound before convolve runs
+    from entsum import dists
+    from entsum.errors import CapExceededError
+
+    interval = Dist.uniform(Z, [(i,) for i in range(4)])  # sums span 0..6: box 7
+    quad = Dist.uniform(Z8, [(0,), (1,), (2,), (5,)])  # 16 pairs, box 8
+    spread = Dist.uniform(GroupSpec([0, 8]), [(0, 0), (0, 3), (5, 1), (5, 6)])  # 16 pairs, box 88
+    cases = ((interval, 7), (quad, 8), (spread, 16))
+    for p, bound in cases:
+        monkeypatch.setattr(dists, "SUPPORT_CAP", bound)
+        assert dists.iterated_convolve(p, 2) == convolve(p, p)
+
+    def never(*args):
+        raise AssertionError("convolve ran past the cap")
+
+    monkeypatch.setattr(dists, "convolve", never)
+    for p, bound in cases:
+        monkeypatch.setattr(dists, "SUPPORT_CAP", bound - 1)
+        with pytest.raises(CapExceededError):
+            dists.iterated_convolve(p, 2)

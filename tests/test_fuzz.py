@@ -206,6 +206,26 @@ def test_violation_path_writes_corpus_and_replays(tmp_path, monkeypatch):
     assert out["reproduced"]  # same seed regenerates the same slack
 
 
+def test_violation_results_independent_of_out_dir(tmp_path, monkeypatch):
+    # witness paths in results.jsonl are relative to the campaign directory,
+    # so a campaign with violations writes the same bytes wherever it runs
+    from entsum import fuzz as fuzz_mod
+    from entsum.metrics import MetricReport
+
+    def bogus(rng, cfg):
+        return [MetricReport("bogus_bound", 1.0 + rng.random(), 0.5, {"note": "injected"})]
+
+    monkeypatch.setitem(fuzz_mod.CHECKS, "bogus", bogus)
+    cfg = FuzzConfig(seed=1, instance_count=3, inequality_set=["bogus"])
+    for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+        assert fuzz_run(cfg, out)["violations"] == 3
+    first, second = ((tmp_path / d / "results.jsonl").read_bytes() for d in ("a", "deeper/b"))
+    assert first == second
+    for line in first.decode().splitlines():
+        witness = json.loads(line)["witness_path"]
+        assert witness.startswith("counterexamples/") and replay(tmp_path / "a" / witness)["reproduced"]
+
+
 def test_replay_uses_stored_config(capsys, tmp_path, monkeypatch):
     # instances drawn under a non-default config must replay under that config
     from entsum import fuzz as fuzz_mod

@@ -229,9 +229,11 @@ def test_doubling_one_iff_coset_uniform_subsets():
             assert accepted == (abs(sigma - 1.0) <= 1e-9), (n, subset)
 
 
-def test_ese_support_cap_error():
+def test_ese_support_cap_error(monkeypatch):
+    from entsum import dists
     from entsum.errors import CapExceededError
 
     wide = Dist.uniform(Z, [(7 * i,) for i in range(6)])
+    monkeypatch.setattr(dists, "SUPPORT_CAP", 50)
     with pytest.raises(CapExceededError):
-        check_ese_suite(wide, wide, wide, 4, support_cap=50)
+        check_ese_suite(wide, wide, wide, 4)

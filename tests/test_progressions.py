@@ -116,7 +116,10 @@ def test_doubling_at_most_two_per_rank():
         assert sigma <= 2**d + 1e-9
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    from entsum import progressions
+
     cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [10])
+    monkeypatch.setattr(progressions, "ENUM_CAP", 5)
     with pytest.raises(CapExceededError):
-        cp.enumerate(cap=5)
+        cp.enumerate()
