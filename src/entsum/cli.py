@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 inequality violations found, 2 usage/schema errors.
+Exit codes: 0 success, 1 inequality violations found, 2 usage/schema errors,
+141 when the reader closed stdout before the output was written.
 All outputs are JSON on stdout except `report`, which prints a table.
 Each handler imports the modules it runs, so a command loads only its own code.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -292,7 +294,15 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): as Python's signal docs advise for
+        # SIGPIPE, point stdout at devnull so the final flush cannot fail again,
+        # and exit as a shell reports a writer stopped by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

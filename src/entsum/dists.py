@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import CapExceededError, IncompatibleGroupError, PreconditionError
 from .groups import Element, GroupSpec
 
-SUPPORT_CAP = 200_000  # largest convolution support iterated_convolve builds
+SUPPORT_CAP = 200_000  # largest support bound of a sum law that convolve builds
 
 # ---------------------------------------------------------------------------
 # the scalar building block F(x) = x log(1/x) and friends
@@ -23,13 +23,15 @@ SUPPORT_CAP = 200_000  # largest convolution support iterated_convolve builds
 
 def f_nats(p) -> float:
     """F(p) = p log(1/p) in nats, safe for rationals with huge numerators."""
-    if p == 0:
-        return 0.0
     if isinstance(p, Fraction):
         num, den = p.numerator, p.denominator
+        if num == 0:
+            return 0.0
         # log of big ints is exact enough; num/den is correctly rounded and
         # may harmlessly underflow to 0.0 for masses below float resolution.
         return -(num / den) * (math.log(num) - math.log(den))
+    if p == 0:
+        return 0.0
     x = float(p)
     if x <= 0.0:
         return 0.0
@@ -172,53 +174,118 @@ def entropy(p: Dist) -> float:
 
 def _common_denominator(mass: Mapping) -> tuple[int, dict]:
     """Integer counts over the least common denominator of Fraction masses."""
-    den = 1
-    for v in mass.values():
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*[v.denominator for v in mass.values()])
     return den, {e: v.numerator * (den // v.denominator) for e, v in mass.items()}
 
 
-def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
-    """Exact law of X ± Y for independent X ~ p, Y ~ q on the same group."""
-    if p.group != q.group:
-        raise IncompatibleGroupError("convolution needs a common ambient group")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    g = p.group
-    dp, np_ = _common_denominator(p.mass)
-    dq, nq = _common_denominator(q.mass)
-    if sign == "-":
-        nq = {g.neg(e): n for e, n in nq.items()}
-    acc: dict[Element, int] = {}
-    for ex, nx in np_.items():
-        for ey, ny in nq.items():
-            s = g.add(ex, ey)
-            acc[s] = acc.get(s, 0) + nx * ny
-    den = dp * dq
-    return Dist(g, {e: Fraction(n, den) for e, n in acc.items()})
+def _from_counts(group: GroupSpec, den: int, atoms: Iterable[tuple[Element, int]]) -> Dist:
+    """The law with mass n/den at each key of `atoms`, whose (key, n) pairs
+    come reduced, distinct and sorted by key.
+
+    This skips `_normalise`: the counts are checked positive and summing to
+    den in ints.  Fraction(n, den) keeps each mass in lowest terms, which
+    f_nats needs to stay bitwise stable.
+    """
+    mass = {}
+    total = 0
+    for key, n in atoms:
+        if n <= 0:
+            raise ValueError(f"non-positive count {n} at {key}")
+        total += n
+        mass[key] = Fraction(n, den)
+    if total != den:
+        raise ValueError(f"counts sum to {total}, expected {den}")
+    out = Dist.__new__(Dist)
+    out.group = group
+    out.mass = mass
+    return out
 
 
-def _sum_support_bound(p: Dist, q: Dist) -> int:
-    """|supp(p * q)| is at most the pair count and at most the box of possible
-    sums, whose side is m on Z/m and span(p) + span(q) + 1 on Z."""
+def _kronecker(a: dict[int, int], b: dict[int, int], cap: int, m: int = 0) -> tuple[int, list[int]]:
+    """Dense convolution of two int count vectors by Kronecker substitution.
+
+    `a` and `b` map an integer (a residue on Z/m) to a positive count, and no
+    entry of the result exceeds `cap`.  Returns (lo, counts) with counts[i]
+    the total at lo + i; on Z/m, lo is 0 and the cyclic wrap is folded back.
+    Each vector is packed into one big int at a whole number of bytes per
+    slot, so one multiplication forms every product without carries between
+    slots, and the result is read back by byte slices.
+    """
+    w = (cap.bit_length() + 7) // 8
+    bases = (0, 0) if m else (min(a), min(b))
+    packed = 1
+    for vec, base in zip((a, b), bases):
+        buf = bytearray(w * (max(vec) - base + 1))
+        for x, n in vec.items():
+            i = (x - base) * w
+            buf[i:i + w] = n.to_bytes(w, "little")
+        packed *= int.from_bytes(buf, "little")
+    if m:
+        # slot i + m lands on slot i; folded sums still fit, since all are <= cap
+        shift = 8 * w * m
+        packed = (packed & ((1 << shift) - 1)) + (packed >> shift)
+    size = -(-packed.bit_length() // (8 * w)) * w
+    buf = packed.to_bytes(size, "little")
+    return sum(bases), [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
+
+
+def _sum_box(p: Dist, q: Dist) -> int:
+    """Number of possible sums: side m on Z/m and span(p) + span(q) + 1 on Z."""
     box = 1
     for i, m in enumerate(p.group.moduli):
         if m == 0:
             m = sum(max(x[i] for x in r.mass) - min(x[i] for x in r.mass) for r in (p, q)) + 1
         box *= m
-    return min(len(p) * len(q), box)
+    return box
+
+
+_DENSE_SLOTS_PER_PAIR = 4  # the Kronecker kernel runs while box <= this * |p| * |q|
+
+
+def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
+    """Exact law of X ± Y for independent X ~ p, Y ~ q on the same group.
+
+    Raises CapExceededError, before anything is built, when the support bound
+    min(|p|·|q|, box of possible sums) exceeds SUPPORT_CAP.  On a rank-1 group
+    the integer kernel `_kronecker` forms all sums at once; it costs one slot
+    per possible sum, which is quadratic work for a wide sparse law, so a box
+    beyond _DENSE_SLOTS_PER_PAIR slots per atom pair, and every group of
+    higher rank, sums the count products pair by pair instead.
+    """
+    if p.group != q.group:
+        raise IncompatibleGroupError("convolution needs a common ambient group")
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    pairs, box = len(p) * len(q), _sum_box(p, q)
+    if min(pairs, box) > SUPPORT_CAP:
+        raise CapExceededError(f"convolution support may reach {min(pairs, box)}, cap {SUPPORT_CAP}")
+    g = p.group
+    dp, np_ = _common_denominator(p.mass)
+    dq, nq = _common_denominator(q.mass)
+    if sign == "-":
+        nq = {g.neg(e): n for e, n in nq.items()}
+    den = dp * dq
+    if g.dim == 1 and box <= _DENSE_SLOTS_PER_PAIR * pairs:
+        lo, counts = _kronecker({x: n for (x,), n in np_.items()},
+                                {y: n for (y,), n in nq.items()}, den, g.moduli[0])
+        atoms = [((lo + i,), n) for i, n in enumerate(counts) if n]
+    else:
+        acc: dict[Element, int] = {}
+        for ex, nx in np_.items():
+            for ey, ny in nq.items():
+                s = g.add(ex, ey)
+                acc[s] = acc.get(s, 0) + nx * ny
+        atoms = sorted(acc.items())
+    return _from_counts(g, den, atoms)
 
 
 def iterated_convolve(p: Dist, k: int) -> Dist:
-    """k-fold convolution power of p (k >= 1); CapExceededError when a step's
-    support bound exceeds SUPPORT_CAP, raised before that step is built."""
+    """k-fold convolution power of p (k >= 1); `convolve` raises
+    CapExceededError before a step whose support bound exceeds SUPPORT_CAP."""
     if k < 1:
         raise ValueError("k must be >= 1")
     out = p
     for _ in range(k - 1):
-        bound = _sum_support_bound(out, p)
-        if bound > SUPPORT_CAP:
-            raise CapExceededError(f"convolution support may reach {bound}, cap {SUPPORT_CAP}")
         out = convolve(out, p, "+")
     return out
 

@@ -76,31 +76,32 @@ def check_ese_suite(p: Dist, q: Dist, r: Dist, n: int) -> list[MetricReport]:
     w = {"p": dump_dist(p), "q": dump_dist(q), "r": dump_dist(r), "n": n}
 
     hp, hq = entropy(p), entropy(q)
+    d_pq = ruzsa_distance(p, q)
     reports = [
         MetricReport(
             "ruzsa_triangle",
             ruzsa_distance(p, r),
-            ruzsa_distance(p, q) + ruzsa_distance(q, r),
+            d_pq + ruzsa_distance(q, r),
             w,
         ),
         MetricReport(
             "ruzsa_negation_3x",
             ruzsa_distance(p, q.negate()),
-            3.0 * ruzsa_distance(p, q),
+            3.0 * d_pq,
             w,
         ),
     ]
     pq_sum = convolve(p, q, "+")
     pq_diff = convolve(p, q, "-")
+    h_sum = entropy(pq_sum)
     reports.append(
         MetricReport(
             "sum_vs_difference",
-            entropy(pq_sum),
+            h_sum,
             3.0 * entropy(pq_diff) - hp - hq,
             w,
         )
     )
-    h_sum = entropy(pq_sum)
     iterated = iterated_convolve(pq_sum, n + 1)
     reports.append(
         MetricReport(
@@ -110,8 +111,10 @@ def check_ese_suite(p: Dist, q: Dist, r: Dist, n: int) -> list[MetricReport]:
             w,
         )
     )
-    log_sigma = entropy(convolve(p, p, "+")) - hp
-    chain = iterated_convolve(p, 2 * n + 2)
+    chain = convolve(p, p, "+")  # gives log sigma and starts the (2n+2)-fold chain
+    log_sigma = entropy(chain) - hp
+    for _ in range(2 * n):
+        chain = convolve(chain, p, "+")
     h_chain = entropy(chain)
     reports.append(
         MetricReport(
@@ -156,6 +159,7 @@ def check_lipschitz(
         "p_y": dump_dist(p_y),
         "p_y2": dump_dist(p_y2),
     }
+    log_sigma_x = math.log(doubling_constant(p_x))
     reports = [
         MetricReport(
             "ruzsa_transport_lipschitz",
@@ -165,17 +169,14 @@ def check_lipschitz(
         ),
         MetricReport(
             "doubling_transport_lipschitz",
-            abs(
-                math.log(doubling_constant(p_x))
-                - math.log(doubling_constant(p_x2))
-            ),
+            abs(log_sigma_x - math.log(doubling_constant(p_x2))),
             3.0 * t_x,
             w,
         ),
         # identity: log sigma[X] equals the Ruzsa distance from X to -X
         MetricReport(
             "doubling_negation_identity",
-            abs(math.log(doubling_constant(p_x)) - ruzsa_distance(p_x, p_x.negate())),
+            abs(log_sigma_x - ruzsa_distance(p_x, p_x.negate())),
             0.0,
             w,
         ),
@@ -191,8 +192,12 @@ def sumset_increase_lhs(p: Dist, q: Dist) -> float:
     """
     if p.group != q.group:
         raise IncompatibleGroupError("needs a common group")
+    return _increase_lhs(p, q, convolve(p, q, "+"))
+
+
+def _increase_lhs(p: Dist, q: Dist, s: Dist) -> float:
+    """sumset_increase_lhs with the sum law s = p * q already built."""
     g = p.group
-    s = convolve(p, q, "+")
     terms = []
     for y, qy in q.mass.items():
         for x, px in p.mass.items():
@@ -204,8 +209,9 @@ def sumset_increase_lhs(p: Dist, q: Dist) -> float:
 
 
 def sumset_increase_report(p: Dist, q: Dist) -> MetricReport:
-    lhs = sumset_increase_lhs(p, q)
-    gap = entropy(convolve(p, q, "+")) - entropy(p)
+    s = convolve(p, q, "+")
+    lhs = _increase_lhs(p, q, s)
+    gap = entropy(s) - entropy(p)
     return MetricReport(
         "sumset_increase_formula",
         abs(lhs - gap),
@@ -289,9 +295,10 @@ def jensen_level_report(p: Dist, ambient: Sequence[Element], k_bound: float) -> 
 
 def three_sum_bound(x: Dist, y: Dist, z: Dist) -> MetricReport:
     """Ent(X+Y+Z) <= (Ent(X+Y) + Ent(Y+Z) + Ent(Z+X)) / 2 for independent triples."""
-    lhs = entropy(convolve(convolve(x, y, "+"), z, "+"))
+    xy = convolve(x, y, "+")
+    lhs = entropy(convolve(xy, z, "+"))
     rhs = 0.5 * (
-        entropy(convolve(x, y, "+"))
+        entropy(xy)
         + entropy(convolve(y, z, "+"))
         + entropy(convolve(z, x, "+"))
     )

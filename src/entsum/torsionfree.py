@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dists import Dist, convolve, entropy, f_nats, tv_distance
+from .dists import Dist, _common_denominator, _kronecker, convolve, entropy, f_nats, tv_distance
 from .errors import CapExceededError, PreconditionError, SearchExhaustedError
 from .groups import GroupSpec
 from .metrics import MetricReport
@@ -268,8 +268,57 @@ class _PiecewisePoly:
         return math.fsum(terms)
 
 
+_UnitSteps = tuple[int, int, dict[int, int]]
+
+
+def _unit_steps(f: PiecewiseDensity) -> _UnitSteps | None:
+    """(first break, den, {i: count}) when f has height count/den > 0 on each
+    unit interval [first + i, first + i + 1); None for any other density."""
+    t0 = f.breakpoints[0]
+    if t0.denominator != 1 or any(t1 - t != 1 for t, t1 in zip(f.breakpoints, f.breakpoints[1:])):
+        return None
+    if any(b != 0 or a <= 0 for a, b in f.pieces):
+        return None
+    den, counts = _common_denominator({i: a for i, (a, _) in enumerate(f.pieces)})
+    return t0.numerator, den, counts
+
+
+def _unit_grid_convolve(f: _UnitSteps, g: _UnitSteps) -> _PiecewisePoly:
+    """Convolution of two unit step densities from `_unit_steps`.
+
+    Two unit boxes convolve to the hat on [0, 2] with peak 1, so the result
+    is piecewise linear on the integers from f0 + g0 to the far end, and its
+    value at f0 + g0 + k is the discrete convolution of the heights at k - 1
+    (the box-spline identity).  That convolution is the integer kernel's.
+    """
+    (f0, df, nf), (g0, dg, ng) = f, g
+    den = df * dg
+    knots = [0, *_kronecker(nf, ng, den)[1], 0]
+    lo = f0 + g0
+    polys = []
+    for k, (u, v) in enumerate(zip(knots, knots[1:])):
+        # (u + (v - u)(t - lo - k)) / den on [lo + k, lo + k + 1]
+        polys.append((Fraction(u - (v - u) * (lo + k), den), Fraction(v - u, den)))
+    return _PiecewisePoly(tuple(Fraction(lo + k) for k in range(len(knots))), tuple(polys))
+
+
 def convolve_densities(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePoly:
     """Exact convolution density of two independent piecewise-affine laws.
+
+    Two step densities with positive heights on unit intervals go through
+    `_unit_grid_convolve`; every other pair, zero-height pieces included, takes
+    the closed form `_closed_form_convolve`.  The result's integral is checked
+    to be exactly 1.
+    """
+    steps = (_unit_steps(f), _unit_steps(g))
+    out = _unit_grid_convolve(*steps) if None not in steps else _closed_form_convolve(f, g)
+    if out.integral() != 1:
+        raise ArithmeticError(f"convolution integral is {out.integral()}, expected 1")
+    return out
+
+
+def _closed_form_convolve(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePoly:
+    """Convolution density by a closed-form binomial expansion over Q.
 
     For pieces fp on [p0, p1) and gp on [q0, q1), the binomial theorem gives
     fp(s) gp(t - s) = sum_k s^k c_k(t).  Between consecutive breakpoint sums
@@ -312,10 +361,7 @@ def convolve_densities(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePo
             if clo <= lo and hi <= chi:
                 acc = _poly_add(acc, poly)
         polys.append(acc)
-    out = _PiecewisePoly(tuple(breaks), tuple(polys))
-    if out.integral() != 1:
-        raise ArithmeticError(f"convolution integral is {out.integral()}, expected 1")
-    return out
+    return _PiecewisePoly(tuple(breaks), tuple(polys))
 
 
 def abbn_check(f: PiecewiseDensity, g: PiecewiseDensity) -> MetricReport:

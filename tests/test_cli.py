@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +20,7 @@ from fractions import Fraction as F
 
 Z = GroupSpec([0])
 Z2 = GroupSpec([2])
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -354,6 +359,36 @@ def test_check_command(capsys, tmp_path):
     for l in lines:
         assert set(l) == {"name", "lhs", "rhs", "slack", "witness_path"}
         assert (out_dir / f"witness-{l['name']}.json").exists()
+
+
+def _run_with_closed_stdout(*argv):
+    # stdout is a pipe whose read end is closed before the command starts, as
+    # when the reader of `entsum ... | head` has already gone away
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "entsum.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_is_not_a_file_error(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dump_dist(Dist.uniform(Z, [(0,), (3,)]))))
+    r = _run_with_closed_stdout("check", str(path), str(path), str(path))
+    assert r.returncode == 141, r.stderr
+    assert r.stderr == ""
+
+
+def test_unreadable_input_with_closed_stdout_exits_2(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dump_dist(Dist.uniform(Z, [(0,), (3,)]))))
+    r = _run_with_closed_stdout("check", str(path), str(path), str(tmp_path / "missing.json"))
+    assert r.returncode == 2
+    assert "file error" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_global_flags(capsys, tmp_path):

@@ -294,9 +294,9 @@ def test_normalisation_enforced():
         JointDist([Z, Z], {((0,), (0,)): F(1, 2)})
 
 
-def test_iterated_convolve_bounds_support_before_building(monkeypatch):
-    # each step's support is bounded by min(pair count, box of sums) and the
-    # cap is checked against that bound before convolve runs
+def _assert_bounds_support_before_building(monkeypatch, build):
+    # the support is bounded by min(pair count, box of sums) and the cap is
+    # checked against that bound before any count is read
     from entsum import dists
     from entsum.errors import CapExceededError
 
@@ -304,15 +304,28 @@ def test_iterated_convolve_bounds_support_before_building(monkeypatch):
     quad = Dist.uniform(Z8, [(0,), (1,), (2,), (5,)])  # 16 pairs, box 8
     spread = Dist.uniform(GroupSpec([0, 8]), [(0, 0), (0, 3), (5, 1), (5, 6)])  # 16 pairs, box 88
     cases = ((interval, 7), (quad, 8), (spread, 16))
-    for p, bound in cases:
+    expected = [build(p) for p, _ in cases]
+    for (p, bound), want in zip(cases, expected):
         monkeypatch.setattr(dists, "SUPPORT_CAP", bound)
-        assert dists.iterated_convolve(p, 2) == convolve(p, p)
+        assert build(p) == want
 
     def never(*args):
-        raise AssertionError("convolve ran past the cap")
+        raise AssertionError("convolution work ran past the cap")
 
-    monkeypatch.setattr(dists, "convolve", never)
+    monkeypatch.setattr(dists, "_common_denominator", never)
     for p, bound in cases:
         monkeypatch.setattr(dists, "SUPPORT_CAP", bound - 1)
         with pytest.raises(CapExceededError):
-            dists.iterated_convolve(p, 2)
+            build(p)
+
+
+def test_iterated_convolve_bounds_support_before_building(monkeypatch):
+    from entsum import dists
+
+    _assert_bounds_support_before_building(monkeypatch, lambda p: dists.iterated_convolve(p, 2))
+
+
+def test_convolve_bounds_support_before_building(monkeypatch):
+    from entsum import dists
+
+    _assert_bounds_support_before_building(monkeypatch, lambda p: dists.convolve(p, p, "-"))
