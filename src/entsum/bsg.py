@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dists import JointDist, ci_trials, conditional_entropy, joint_entropy, push_masses
+from .dists import JointDist, ci_trials, conditional_entropy, fibre_entropy, joint_entropy, push_masses
 from .errors import CapExceededError, PreconditionError
 from .fileio import dump_joint
 from .metrics import MetricReport
@@ -117,15 +117,8 @@ def verify_bsg(inst: BsgInstance) -> list[MetricReport]:
     h_x2_given = conditional_entropy(path, [X2], [X1, Y])
     h_yp_given = conditional_entropy(path, [YP], [X1, Y])
 
-    diff_joint = path.push(
-        lambda a: (g.sub(a[X1], a[X2]), a[Y]), [g, g]
-    )
-    h_diff_given_y = conditional_entropy(diff_joint, [0], [1])
-
-    sum_joint = path.push(
-        lambda a: (g.add(a[X2], a[YP]), a[X1], a[Y]), [g, g, g]
-    )
-    h_sum_given = conditional_entropy(sum_joint, [0], [1, 2])
+    h_diff_given_y = fibre_entropy(path.mass, lambda a: (a[Y], g.sub(a[X1], a[X2])))
+    h_sum_given = fibre_entropy(path.mass, lambda a: ((a[X1], a[Y]), g.add(a[X2], a[YP])))
 
     return [
         MetricReport("bsg_first_trial_lower", hx - logk, h_x2_given, w),

@@ -64,9 +64,7 @@ def _cmd_transport(args) -> int:
         shift = translate_shift(p, q)
         if shift is not None:
             cert = identity_certificate(p, shift)
-        elif p.group.is_finite() and q == q.__class__.uniform(
-            q.group, q.group.elements()
-        ):
+        elif p.group.is_finite() and len(q) == q.group.order() and len(set(q.mass.values())) == 1:
             cert = uniformise_group(p, 1e9)
         else:
             cert = independent_pair_certificate(p, q)

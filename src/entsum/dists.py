@@ -432,10 +432,17 @@ def conditional_entropy(
         raise ValueError("target and given coordinate sets overlap")
     if not given:
         return joint_entropy(j, target)
-    # masses per (conditioning value, target value), then the exact fibre
-    # entropies averaged; fsum is correctly rounded, so order does not matter
-    pairs = push_masses(j.mass, lambda a: (tuple(a[c] for c in given), tuple(a[c] for c in target)))
-    weights = push_masses(pairs, lambda key: key[0])
+    return fibre_entropy(j.mass, lambda a: (tuple(a[c] for c in given), tuple(a[c] for c in target)))
+
+
+def fibre_entropy(mass: Mapping, key: Callable) -> float:
+    """Ent(T | G) for the law `mass` and key(atom) = (G value, T value).
+
+    The masses are summed per key, then the exact fibre entropies averaged;
+    fsum is correctly rounded, so order does not matter.
+    """
+    pairs = push_masses(mass, key)
+    weights = push_masses(pairs, lambda k: k[0])
     fibres: dict[Atom, list] = {}
     for (gkey, _), v in pairs.items():
         fibres.setdefault(gkey, []).append(f_nats(v / weights[gkey]))

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dists import Dist, entropy
+from .dists import Dist, convolve, entropy
 from .errors import CapExceededError
-from .groups import Element, GroupSpec, is_subgroup
+from .groups import Element, GroupSpec
 from .metrics import doubling_constant, ruzsa_distance
 
 ENERGY_CAP = 2000  # largest set additive_energy sums over, |A|^2 sums
@@ -28,24 +28,18 @@ class CosetReport:
 def detect_coset_uniform(p: Dist) -> CosetReport:
     """Exact detector: accepts iff p is uniform on a coset of a finite subgroup.
 
-    Uses the characterisation through the difference set of the support: the
-    support minus itself must be a subgroup, the support must be one coset of
-    it, and all masses must be equal (tested as exact rationals).
+    A finite set S is a coset of a finite subgroup iff |S + S| = |S| (then the
+    subgroup is S - s0 for any s0 in S), and S + S is the support of p * p, the
+    convolution `doubling` needs anyway.  All masses must also be equal, which
+    is tested as exact rationals.
     """
     g = p.group
-    supp = p.support()
-    diffs = frozenset(g.sub(a, b) for a in supp for b in supp)
-    doubling = doubling_constant(p)
-    if not is_subgroup(g, diffs):
+    pp = convolve(p, p, "+")
+    doubling = math.exp(entropy(pp) - entropy(p))  # doubling_constant(p)
+    if len(pp) != len(p) or len(set(p.mass.values())) != 1:
         return CosetReport(False, None, None, doubling)
-    base = supp[0]
-    coset = {g.add(base, d) for d in diffs}
-    if set(supp) != coset:
-        return CosetReport(False, None, None, doubling)
-    masses = set(p.mass.values())
-    if len(masses) != 1:
-        return CosetReport(False, None, None, doubling)
-    return CosetReport(True, diffs, base, doubling)
+    base = p.support()[0]
+    return CosetReport(True, frozenset(g.sub(s, base) for s in p.mass), base, doubling)
 
 
 @dataclass

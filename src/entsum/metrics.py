@@ -75,33 +75,21 @@ def check_ese_suite(p: Dist, q: Dist, r: Dist, n: int) -> list[MetricReport]:
         raise PreconditionError("n must be in 1..4 (convolution blow-up cap)")
     w = {"p": dump_dist(p), "q": dump_dist(q), "r": dump_dist(r), "n": n}
 
-    hp, hq = entropy(p), entropy(q)
-    d_pq = ruzsa_distance(p, q)
-    reports = [
-        MetricReport(
-            "ruzsa_triangle",
-            ruzsa_distance(p, r),
-            d_pq + ruzsa_distance(q, r),
-            w,
-        ),
-        MetricReport(
-            "ruzsa_negation_3x",
-            ruzsa_distance(p, q.negate()),
-            3.0 * d_pq,
-            w,
-        ),
-    ]
+    # one convolution and one entropy per distinct law, each distance in
+    # ruzsa_distance's own expression; d(p, -q) reads p + q, since p - (-q)
+    # is that law and Ent(-q) = Ent(q)
+    hp, hq, hr = entropy(p), entropy(q), entropy(r)
+    h_diff = entropy(convolve(p, q, "-"))
+    d_pq = h_diff - 0.5 * hp - 0.5 * hq
+    d_pr = entropy(convolve(p, r, "-")) - 0.5 * hp - 0.5 * hr
+    d_qr = entropy(convolve(q, r, "-")) - 0.5 * hq - 0.5 * hr
     pq_sum = convolve(p, q, "+")
-    pq_diff = convolve(p, q, "-")
     h_sum = entropy(pq_sum)
-    reports.append(
-        MetricReport(
-            "sum_vs_difference",
-            h_sum,
-            3.0 * entropy(pq_diff) - hp - hq,
-            w,
-        )
-    )
+    reports = [
+        MetricReport("ruzsa_triangle", d_pr, d_pq + d_qr, w),
+        MetricReport("ruzsa_negation_3x", h_sum - 0.5 * hp - 0.5 * hq, 3.0 * d_pq, w),
+        MetricReport("sum_vs_difference", h_sum, 3.0 * h_diff - hp - hq, w),
+    ]
     iterated = iterated_convolve(pq_sum, n + 1)
     reports.append(
         MetricReport(

@@ -137,16 +137,22 @@ class BoxEmbedding:
 
 
 def box_embedding(cp: CosetProgression, proper_required: bool = True) -> BoxEmbedding:
-    if proper_required and not cp.is_proper():
-        raise NonProperError("progression is not proper; embedding refused")
+    """Tables between H + P and its box, built in one walk of the box.
+
+    The box size is checked against ENUM_CAP before the walk.  With
+    proper_required the first collision raises NonProperError; without it, a
+    colliding element maps back to the last box point that reached it.
+    """
+    size = cp.nominal_size()
+    if size > ENUM_CAP:
+        raise CapExceededError(f"box embedding needs {size} points, cap {ENUM_CAP}")
     forward = {}
     backward = {}
     for h in cp.subgroup:
         for ns in itertools.product(*(range(n) for n in cp.lengths)):
             el = cp._element(h, ns)
-            key = (h, ns)
-            forward[key] = el
-            if el in backward and proper_required:
-                raise NonProperError(f"collision at {el} despite properness check")
-            backward[el] = key
+            if proper_required and el in backward:
+                raise NonProperError(f"progression is not proper (collision at {el}); embedding refused")
+            forward[(h, ns)] = el
+            backward[el] = (h, ns)
     return BoxEmbedding(cp, forward, backward)

@@ -918,11 +918,7 @@ def uniformise_coset_progression(
     lengths = cp.lengths
     ad = _box_group(g, cp.subgroup, tuple(2 * n for n in lengths))
     box_mass = ad.encode(emb.pull(p))  # raises if support leaves H+P
-    box_uniform = (len(hp), {
-        ad.index[(h, ns)]: 1
-        for h in cp.subgroup
-        for ns in itertools.product(*(range(n) for n in lengths))
-    })
+    box_uniform = (len(hp), {ad.index[key]: 1 for key in emb.forward})
     c1 = _raw_uniformise(ad, box_mass)
     c2 = _raw_uniformise(ad, box_uniform)
     raw = _raw_compose(ad, c1, _raw_reverse(ad, c2))

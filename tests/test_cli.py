@@ -245,6 +245,21 @@ def test_transport_construct_wraparound_translate(capsys, tmp_path):
     assert {tuple(a["z"]) for a in payload["coupling"]} == {(1,)}
 
 
+def test_transport_construct_beyond_enumeration_cap(capsys, tmp_path):
+    # uniformity of the target is read off q, not off an enumeration of Z/200000
+    g = GroupSpec([200_000])
+    p = Dist(g, {(0,): F(1, 2), (1,): F(1, 2)})
+    q = Dist(g, {(0,): F(1, 3), (5,): F(2, 3)})
+    src, dst = tmp_path / "src.json", tmp_path / "dst.json"
+    src.write_text(json.dumps(dump_dist(p)))
+    dst.write_text(json.dumps(dump_dist(q)))
+    code, out = run(capsys, "transport", str(src), str(dst), "--construct")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["target"] == dump_dist(q)["atoms"]
+    assert payload["cost"] >= 0.0
+
+
 def test_bsg_command(capsys, tmp_path):
     j = JointDist(
         [Z2, Z2],

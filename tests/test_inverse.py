@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -38,12 +39,24 @@ def test_detect_examples():
     assert reject.doubling > 1.0 + 1e-9
 
     z_reject = detect_coset_uniform(Dist.uniform(Z, [(0,), (1,)]))
-    assert not z_reject.is_coset_uniform  # {-1,0,1} is not a subgroup of Z
+    assert not z_reject.is_coset_uniform  # S + S = {0, 1, 2} is larger than S
 
 
 def test_detect_point_mass():
     rep = detect_coset_uniform(Dist.point(Z, (7,)))
     assert rep.is_coset_uniform and rep.subgroup == frozenset({(0,)})
+
+
+def test_detect_large_uniform_group_fast():
+    # 4096**2 atom pairs: a detector quadratic in the support would take minutes
+    g = GroupSpec([4096])
+    p = Dist.uniform(g, [(i,) for i in range(4096)])
+    t0 = time.perf_counter()
+    rep = detect_coset_uniform(p)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.is_coset_uniform and rep.base == (0,)
+    assert rep.subgroup == frozenset(p.support())
+    assert rep.doubling == doubling_constant(p)
 
 
 def _all_rational_dists(n, max_den):

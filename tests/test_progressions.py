@@ -92,6 +92,37 @@ def test_box_embedding_rejects_nonproper():
         box_embedding(cp, proper_required=True)
 
 
+def test_box_embedding_walks_the_box_once(monkeypatch):
+    cp = CosetProgression(ZZ, [(0, 0)], (0, 0), [(1, 0), (0, 1)], [4, 3])
+    calls = []
+    element = CosetProgression._element
+    monkeypatch.setattr(CosetProgression, "_element",
+                        lambda self, h, ns: calls.append(ns) or element(self, h, ns))
+    emb = box_embedding(cp, proper_required=True)
+    assert len(calls) == cp.nominal_size() == len(emb.forward) == len(emb.backward)
+
+
+def test_box_embedding_nonproper_without_check():
+    cp = CosetProgression(Z4, [(0,)], (0,), [(2,)], [3])
+    emb = box_embedding(cp, proper_required=False)
+    assert emb.forward == {((0,), (0,)): (0,), ((0,), (1,)): (2,), ((0,), (2,)): (0,)}
+    assert emb.backward == {(0,): ((0,), (2,)), (2,): ((0,), (1,))}
+
+
+@pytest.mark.parametrize("proper_required", [True, False])
+def test_box_embedding_cap_before_walk(monkeypatch, proper_required):
+    from entsum import progressions
+
+    def never(*_):
+        raise AssertionError("box walked past the cap")
+
+    cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [10])
+    monkeypatch.setattr(progressions, "ENUM_CAP", 5)
+    monkeypatch.setattr(CosetProgression, "_element", never)
+    with pytest.raises(CapExceededError):
+        box_embedding(cp, proper_required=proper_required)
+
+
 def test_pull_mass():
     cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [4])
     emb = box_embedding(cp)
