@@ -9,9 +9,9 @@ defect log K.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dists import JointDist, ci_trials, conditional_entropy, fibre_entropy, joint_entropy, push_masses
 from .errors import CapExceededError, PreconditionError
@@ -59,26 +59,30 @@ def build_path_joint(inst: BsgInstance) -> JointDist:
     """
     j = inst.joint
     g = j.groups[0]
-    px = push_masses(j.mass, lambda a: a[0])
+    # with m_x the X counts and L their lcm, p(x1, y') / p_X(x1) is n (L / m_x1) / L
+    px = push_masses(j.counts, lambda a: a[0])
+    lcm = math.lcm(*px.values())
     by_x: dict = {}
-    for (x, y), v in j.mass.items():
-        by_x.setdefault(x, []).append((y, v))
+    for (x, y), n in j.counts.items():
+        by_x.setdefault(x, []).append((y, n * (lcm // px[x])))
+    trials = ci_trials(j, 1)
     atoms: dict = {}
-    for (x1, x2, y), base in ci_trials(j, 1).mass.items():
-        for yp, v3 in by_x[x1]:
-            atoms[(x1, x2, y, yp)] = base * v3 / px[x1]
-    return JointDist([g, g, g, g], atoms)
+    for (x1, x2, y), base in trials.counts.items():
+        for yp, n in by_x[x1]:
+            atoms[(x1, x2, y, yp)] = base * n
+    return JointDist._with_counts((g, g, g, g), trials.den * lcm, atoms)
 
 
 def factorization_exact(path: JointDist) -> bool:
     """Exact check that X2 and Y' are conditionally independent given (X1, Y)."""
+    # all counts share the path's denominator, so the check runs on them
     cond: dict = {}
-    for (x1, x2, y, yp), v in path.mass.items():
-        cell = cond.setdefault((x1, y), {"w": Fraction(0), "x2": {}, "yp": {}, "atoms": {}})
+    for (x1, x2, y, yp), v in path.counts.items():
+        cell = cond.setdefault((x1, y), {"w": 0, "x2": {}, "yp": {}, "atoms": {}})
         cell["w"] += v
-        cell["x2"][x2] = cell["x2"].get(x2, Fraction(0)) + v
-        cell["yp"][yp] = cell["yp"].get(yp, Fraction(0)) + v
-        cell["atoms"][(x2, yp)] = cell["atoms"].get((x2, yp), Fraction(0)) + v
+        cell["x2"][x2] = cell["x2"].get(x2, 0) + v
+        cell["yp"][yp] = cell["yp"].get(yp, 0) + v
+        cell["atoms"][(x2, yp)] = cell["atoms"].get((x2, yp), 0) + v
     for cell in cond.values():
         # every path atom has positive mass, so every (x2, y') pair must be present
         if len(cell["atoms"]) != len(cell["x2"]) * len(cell["yp"]):
@@ -100,9 +104,9 @@ def verify_bsg(inst: BsgInstance) -> list[MetricReport]:
     """
     j = inst.joint
     # one path atom per (x1, y) in the support, x2 with p(x2, y) > 0 and y' with p(x1, y') > 0
-    col = Counter(y for _, y in j.mass)
-    row = Counter(x for x, _ in j.mass)
-    size = sum(col[y] * row[x] for x, y in j.mass)
+    col = Counter(y for _, y in j.counts)
+    row = Counter(x for x, _ in j.counts)
+    size = sum(col[y] * row[x] for x, y in j.counts)
     if size > PATH_ATOM_CAP:
         raise CapExceededError(f"path joint has {size} atoms, cap {PATH_ATOM_CAP}")
     path = build_path_joint(inst)
@@ -117,8 +121,8 @@ def verify_bsg(inst: BsgInstance) -> list[MetricReport]:
     h_x2_given = conditional_entropy(path, [X2], [X1, Y])
     h_yp_given = conditional_entropy(path, [YP], [X1, Y])
 
-    h_diff_given_y = fibre_entropy(path.mass, lambda a: (a[Y], g.sub(a[X1], a[X2])))
-    h_sum_given = fibre_entropy(path.mass, lambda a: ((a[X1], a[Y]), g.add(a[X2], a[YP])))
+    h_diff_given_y = fibre_entropy(path, lambda a: (a[Y], g.sub(a[X1], a[X2])))
+    h_sum_given = fibre_entropy(path, lambda a: ((a[X1], a[Y]), g.add(a[X2], a[YP])))
 
     return [
         MetricReport("bsg_first_trial_lower", hx - logk, h_x2_given, w),

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import EntsumError, SchemaError
+from .errors import EntsumError, IncompatibleGroupError, PreconditionError, SchemaError
 from .fileio import load_dist, load_joint, read_jsonl
 
 def _emit(obj) -> None:
@@ -58,13 +58,15 @@ def _cmd_transport(args) -> int:
 
     p = load_dist(args.source)
     q = load_dist(args.target)
+    if p.group != q.group:
+        raise IncompatibleGroupError("endpoints must share a group")
     if args.exact:
         cert = transport_exact(p, q, cap=args.cap)
     else:
         shift = translate_shift(p, q)
         if shift is not None:
             cert = identity_certificate(p, shift)
-        elif p.group.is_finite() and len(q) == q.group.order() and len(set(q.mass.values())) == 1:
+        elif p.group.is_finite() and len(q) == q.group.order() and len(set(q.counts.values())) == 1:
             cert = uniformise_group(p, 1e9)
         else:
             cert = independent_pair_certificate(p, q)
@@ -154,6 +156,8 @@ def _cmd_experiment(args) -> int:
     )
 
     if args.what == "binomial-doubling":
+        if args.n < 2:
+            raise PreconditionError(f"--n must be >= 2, got {args.n}")
         _emit({"n": args.n, "doubling": doubling_experiment(args.n),
                "entropy_gap": binomial_entropy_gap(args.n)})
     elif args.what == "bridge":
@@ -161,6 +165,8 @@ def _cmd_experiment(args) -> int:
         _, ent = bridge_entropy(p)
         _emit({"discrete_entropy": entropy(p), "continuous_entropy": ent})
     elif args.what == "smooth-shift":
+        if not 0 < args.mu < 1:
+            raise PreconditionError(f"--mu must be in (0, 1), got {args.mu}")
         p = load_dist(args.dist)
         rep = smooth_shift_search(p, args.mu)
         _emit(

@@ -1,9 +1,12 @@
 """Exact finitely supported distributions over abelian groups.
 
-Masses are exact rationals and every structural identity (normalisation,
-marginals, conditioning, convolution) is checked or computed in exact
-arithmetic; only entropies are floating point.  Entropy sums use math.fsum,
-so the result is independent of summation order.
+Every law is held in one exact form: int counts over one denominator, in
+lowest terms, keyed by reduced atoms in sorted order.  Exact masses enter
+only through `_normalise` and leave only through the `mass` view, so
+marginals, conditioning, convolution and pushforwards run in Python ints;
+only entropies are floating point.  Each entropy term is taken on its mass in
+lowest terms and the sums use math.fsum, so the result is independent of
+summation order.
 """
 
 from __future__ import annotations
@@ -24,18 +27,28 @@ SUPPORT_CAP = 200_000  # largest support bound of a sum law that convolve builds
 def f_nats(p) -> float:
     """F(p) = p log(1/p) in nats, safe for rationals with huge numerators."""
     if isinstance(p, Fraction):
-        num, den = p.numerator, p.denominator
-        if num == 0:
-            return 0.0
-        # log of big ints is exact enough; num/den is correctly rounded and
-        # may harmlessly underflow to 0.0 for masses below float resolution.
-        return -(num / den) * (math.log(num) - math.log(den))
+        return _f_count(p.numerator, p.denominator)
     if p == 0:
         return 0.0
     x = float(p)
     if x <= 0.0:
         return 0.0
     return -x * math.log(x)
+
+
+def _f_count(n: int, den: int) -> float:
+    """F(n/den) for ints 0 <= n <= den, computed on n/den in lowest terms.
+
+    The reduction keeps every term bitwise equal to the same mass as a
+    Fraction; an unreduced pair can differ in the last bits.
+    """
+    if n == 0:
+        return 0.0
+    g = math.gcd(n, den)
+    n, den = n // g, den // g
+    # log of big ints is exact enough; n/den is correctly rounded and may
+    # harmlessly underflow to 0.0 for masses below float resolution.
+    return -(n / den) * (math.log(n) - math.log(den))
 
 
 def f_prime(x: float) -> float:
@@ -47,39 +60,35 @@ def f_prime(x: float) -> float:
 # distributions
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise TypeError(f"mass must be an exact rational, got {type(v).__name__}")
-
-
-def _normalise(mass: Mapping, reduce: Callable) -> dict:
-    """Exact masses summed per reduce(key) and sorted by it, with zeros dropped.
+def _normalise(mass: Mapping, reduce: Callable) -> tuple[int, dict]:
+    """(den, counts) of exact masses summed per reduce(key), sorted by it,
+    with zeros dropped and gcd(den, *counts) == 1.
 
     Raises ValueError for a negative mass or a total other than exactly 1.
     """
     atoms: dict = {}
-    total = Fraction(0)
     for key, v in mass.items():
-        v = _as_fraction(v)
+        if not isinstance(v, Fraction):
+            if not isinstance(v, (int, str)):
+                raise TypeError(f"mass must be an exact rational, got {type(v).__name__}")
+            v = Fraction(v)
         if v == 0:
             continue
         if v < 0:
             raise ValueError(f"negative mass {v} at {key}")
         key = reduce(key)
-        atoms[key] = atoms.get(key, Fraction(0)) + v
-        total += v
-    if total != 1:
-        raise ValueError(f"masses sum to {total}, expected exactly 1")
-    return {key: atoms[key] for key in sorted(atoms)}
+        atoms[key] = atoms[key] + v if key in atoms else v
+    # over the lcm of the reduced denominators the counts are in lowest terms
+    den = math.lcm(*[v.denominator for v in atoms.values()])
+    counts = {key: atoms[key].numerator * (den // atoms[key].denominator) for key in sorted(atoms)}
+    total = sum(counts.values())
+    if total != den:
+        raise ValueError(f"masses sum to {Fraction(total, den)}, expected exactly 1")
+    return den, counts
 
 
 def push_masses(mass: Mapping, key: Callable) -> dict:
-    """Exact masses of an image law: the masses of `mass` summed per key(atom)."""
+    """Masses (or counts) of an image law: those of `mass` summed per key(atom)."""
     out: dict = {}
     for atom, v in mass.items():
         k = key(atom)
@@ -87,118 +96,137 @@ def push_masses(mass: Mapping, key: Callable) -> dict:
     return out
 
 
-def _condition(mass: Mapping, keep: Callable) -> dict:
-    """The masses of the atoms with keep(atom), renormalised to sum to 1."""
-    kept = {a: v for a, v in mass.items() if keep(a)}
-    total = sum(kept.values(), Fraction(0))
-    if total == 0:
-        raise PreconditionError("conditioning event has zero probability")
-    return {a: v / total for a, v in kept.items()}
+def _lowest_terms(den: int, counts: dict) -> tuple[int, dict]:
+    """(den, counts) with gcd(den, *counts) divided out."""
+    g = math.gcd(den, *counts.values())
+    return (den, counts) if g == 1 else (den // g, {k: n // g for k, n in counts.items()})
 
 
-class Dist:
+class _CountLaw:
+    """An exact law: positive int `counts` over one denominator `den`.
+
+    The counts are keyed by reduced atoms in sorted order, sum to `den` and
+    share no factor with it.  That form is canonical, so two laws are equal
+    iff their groups, denominators and counts are.  `mass` is the same law
+    as Fractions, built on first use; read it, never write it.
+    """
+
+    __slots__ = ("den", "counts", "_mass")
+    _AMBIENT = ""  # the slot of the subclass that holds its group or groups
+
+    @classmethod
+    def _with_counts(cls, ambient, den: int, counts: Mapping):
+        """The law on `ambient` with mass n/den at each key of `counts`.
+
+        The keys must be reduced and distinct.  The counts are checked
+        positive and summing to den in ints, then sorted by key and divided
+        by their gcd with den.
+        """
+        total = 0
+        for key, n in counts.items():
+            if n <= 0:
+                raise ValueError(f"non-positive count {n} at {key}")
+            total += n
+        if total != den:
+            raise ValueError(f"counts sum to {total}, expected {den}")
+        out = cls.__new__(cls)
+        out.den, counts = _lowest_terms(den, counts)
+        out.counts = dict(sorted(counts.items()))
+        out._mass = None
+        setattr(out, cls._AMBIENT, ambient)
+        return out
+
+    @property
+    def mass(self) -> dict:
+        """The masses as Fractions, in atom order."""
+        if self._mass is None:
+            den = self.den
+            self._mass = {e: Fraction(n, den) for e, n in self.counts.items()}
+        return self._mass
+
+    def __iter__(self):
+        return iter(self.mass.items())
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def _key(self) -> tuple:
+        return getattr(self, self._AMBIENT), self.den, tuple(self.counts.items())
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def entropy(self) -> float:
+        return entropy(self)
+
+    def _kept(self, keep: Callable):
+        """This law conditioned on the atoms with keep(atom)."""
+        kept = {a: n for a, n in self.counts.items() if keep(a)}
+        if not kept:
+            raise PreconditionError("conditioning event has zero probability")
+        return self._with_counts(getattr(self, self._AMBIENT), sum(kept.values()), kept)
+
+
+class Dist(_CountLaw):
     """Finitely supported probability distribution with exact rational masses.
 
     Atoms are stored sorted by element so iteration order, and therefore
     every compensated sum, is deterministic.
     """
 
-    __slots__ = ("group", "mass")
+    __slots__ = ("group",)
+    _AMBIENT = "group"
 
     def __init__(self, group: GroupSpec, mass: Mapping[Element, Fraction]):
-        self.mass = _normalise(mass, group.reduce)
+        self.den, self.counts = _normalise(mass, group.reduce)
+        self._mass = None
         self.group = group
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def uniform(group: GroupSpec, elements: Iterable[Element]) -> "Dist":
-        els = sorted({group.reduce(e) for e in elements})
+        els = {group.reduce(e) for e in elements}
         if not els:
             raise ValueError("uniform distribution needs a non-empty set")
-        w = Fraction(1, len(els))
-        return Dist(group, {e: w for e in els})
+        return Dist._with_counts(group, len(els), dict.fromkeys(els, 1))
 
     @staticmethod
     def point(group: GroupSpec, el: Element) -> "Dist":
-        return Dist(group, {el: Fraction(1)})
+        return Dist._with_counts(group, 1, {group.reduce(el): 1})
 
     # -- basics ----------------------------------------------------------------
 
     def support(self) -> tuple[Element, ...]:
-        return tuple(self.mass)
+        return tuple(self.counts)
 
     def __getitem__(self, el: Element) -> Fraction:
         return self.mass.get(self.group.reduce(el), Fraction(0))
 
-    def __iter__(self):
-        return iter(self.mass.items())
-
-    def __len__(self) -> int:
-        return len(self.mass)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Dist)
-            and self.group == other.group
-            and self.mass == other.mass
-        )
-
-    def __hash__(self):
-        return hash((self.group, tuple(self.mass.items())))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{e}: {v}" for e, v in list(self.mass.items())[:6])
-        more = ", ..." if len(self.mass) > 6 else ""
+        more = ", ..." if len(self.counts) > 6 else ""
         return f"Dist({self.group.moduli}, {{{inner}{more}}})"
 
     def translate(self, c: Element) -> "Dist":
         g = self.group
-        return Dist(g, {g.add(e, c): v for e, v in self.mass.items()})
+        return Dist._with_counts(g, self.den, {g.add(e, c): n for e, n in self.counts.items()})
 
     def negate(self) -> "Dist":
         g = self.group
-        return Dist(g, {g.neg(e): v for e, v in self.mass.items()})
-
-    def entropy(self) -> float:
-        return entropy(self)
+        return Dist._with_counts(g, self.den, {g.neg(e): n for e, n in self.counts.items()})
 
     def condition(self, predicate: Callable[[Element], bool]) -> "Dist":
-        return Dist(self.group, _condition(self.mass, predicate))
+        return self._kept(predicate)
 
 
-def entropy(p: Dist) -> float:
-    """Shannon entropy in nats: sum of F over the masses."""
-    return math.fsum(f_nats(v) for v in p.mass.values())
-
-
-def _common_denominator(mass: Mapping) -> tuple[int, dict]:
-    """Integer counts over the least common denominator of Fraction masses."""
-    den = math.lcm(*[v.denominator for v in mass.values()])
-    return den, {e: v.numerator * (den // v.denominator) for e, v in mass.items()}
-
-
-def _from_counts(group: GroupSpec, den: int, atoms: Iterable[tuple[Element, int]]) -> Dist:
-    """The law with mass n/den at each key of `atoms`, whose (key, n) pairs
-    come reduced, distinct and sorted by key.
-
-    This skips `_normalise`: the counts are checked positive and summing to
-    den in ints.  Fraction(n, den) keeps each mass in lowest terms, which
-    f_nats needs to stay bitwise stable.
-    """
-    mass = {}
-    total = 0
-    for key, n in atoms:
-        if n <= 0:
-            raise ValueError(f"non-positive count {n} at {key}")
-        total += n
-        mass[key] = Fraction(n, den)
-    if total != den:
-        raise ValueError(f"counts sum to {total}, expected {den}")
-    out = Dist.__new__(Dist)
-    out.group = group
-    out.mass = mass
-    return out
+def entropy(p: _CountLaw) -> float:
+    """Shannon entropy in nats of a Dist or JointDist: sum of F over the masses."""
+    den = p.den
+    return math.fsum(_f_count(n, den) for n in p.counts.values())
 
 
 def _kronecker(a: dict[int, int], b: dict[int, int], cap: int, m: int = 0) -> tuple[int, list[int]]:
@@ -234,7 +262,7 @@ def _sum_box(p: Dist, q: Dist) -> int:
     box = 1
     for i, m in enumerate(p.group.moduli):
         if m == 0:
-            m = sum(max(x[i] for x in r.mass) - min(x[i] for x in r.mass) for r in (p, q)) + 1
+            m = sum(max(x[i] for x in r.counts) - min(x[i] for x in r.counts) for r in (p, q)) + 1
         box *= m
     return box
 
@@ -260,23 +288,21 @@ def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
     if min(pairs, box) > SUPPORT_CAP:
         raise CapExceededError(f"convolution support may reach {min(pairs, box)}, cap {SUPPORT_CAP}")
     g = p.group
-    dp, np_ = _common_denominator(p.mass)
-    dq, nq = _common_denominator(q.mass)
+    nq = q.counts
     if sign == "-":
         nq = {g.neg(e): n for e, n in nq.items()}
-    den = dp * dq
+    den = p.den * q.den
     if g.dim == 1 and box <= _DENSE_SLOTS_PER_PAIR * pairs:
-        lo, counts = _kronecker({x: n for (x,), n in np_.items()},
+        lo, counts = _kronecker({x: n for (x,), n in p.counts.items()},
                                 {y: n for (y,), n in nq.items()}, den, g.moduli[0])
-        atoms = [((lo + i,), n) for i, n in enumerate(counts) if n]
+        acc = {(lo + i,): n for i, n in enumerate(counts) if n}
     else:
         acc: dict[Element, int] = {}
-        for ex, nx in np_.items():
+        for ex, nx in p.counts.items():
             for ey, ny in nq.items():
                 s = g.add(ex, ey)
                 acc[s] = acc.get(s, 0) + nx * ny
-        atoms = sorted(acc.items())
-    return _from_counts(g, den, atoms)
+    return Dist._with_counts(g, den, acc)
 
 
 def iterated_convolve(p: Dist, k: int) -> Dist:
@@ -294,10 +320,9 @@ def tv_distance(p: Dist, q: Dist) -> float:
     """Unnormalised total variation: sum of |p(x) - q(x)| (range [0, 2])."""
     if p.group != q.group:
         raise IncompatibleGroupError("total variation needs a common group")
-    keys = set(p.mass) | set(q.mass)
-    exact = sum(abs(p.mass.get(k, Fraction(0)) - q.mass.get(k, Fraction(0)))
-                for k in keys)
-    return float(exact)
+    np_, nq = p.counts, q.counts
+    exact = sum(abs(np_.get(k, 0) * q.den - nq.get(k, 0) * p.den) for k in np_.keys() | nq.keys())
+    return exact / (p.den * q.den)  # correctly rounded, as float(Fraction) is
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +331,11 @@ def tv_distance(p: Dist, q: Dist) -> float:
 Atom = tuple[Element, ...]
 
 
-class JointDist:
+class JointDist(_CountLaw):
     """Finitely supported joint law over a tuple of group-valued coordinates."""
 
-    __slots__ = ("groups", "mass")
+    __slots__ = ("groups",)
+    _AMBIENT = "groups"
 
     def __init__(self, groups: Sequence[GroupSpec], mass: Mapping[Atom, Fraction]):
         groups = tuple(groups)
@@ -323,28 +349,13 @@ class JointDist:
                 )
             return tuple(g.reduce(x) for g, x in zip(groups, atom))
 
-        self.mass = _normalise(mass, reduce)
+        self.den, self.counts = _normalise(mass, reduce)
+        self._mass = None
         self.groups = groups
 
     @property
     def k(self) -> int:
         return len(self.groups)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, JointDist)
-            and self.groups == other.groups
-            and self.mass == other.mass
-        )
-
-    def __hash__(self):
-        return hash((self.groups, tuple(self.mass.items())))
-
-    def __iter__(self):
-        return iter(self.mass.items())
-
-    def __len__(self) -> int:
-        return len(self.mass)
 
     def _check_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         coords = tuple(coords)
@@ -359,17 +370,15 @@ class JointDist:
 
     def marginal(self, coords: Sequence[int]) -> "JointDist":
         coords = self._check_coords(coords)
-        return JointDist(
-            [self.groups[c] for c in coords],
-            push_masses(self.mass, lambda a: tuple(a[c] for c in coords)),
+        return JointDist._with_counts(
+            tuple(self.groups[c] for c in coords),
+            self.den,
+            push_masses(self.counts, lambda a: tuple(a[c] for c in coords)),
         )
 
     def dist(self, coord: int) -> Dist:
         (coord,) = self._check_coords([coord])
-        return Dist(self.groups[coord], push_masses(self.mass, lambda a: a[coord]))
-
-    def entropy(self) -> float:
-        return math.fsum(f_nats(v) for v in self.mass.values())
+        return Dist._with_counts(self.groups[coord], self.den, push_masses(self.counts, lambda a: a[coord]))
 
     def push(
         self,
@@ -396,25 +405,21 @@ class JointDist:
                 s = g.add(s, t)
             return s
 
-        return Dist(g, push_masses(self.mass, signed_sum))
+        return Dist._with_counts(g, self.den, push_masses(self.counts, signed_sum))
 
     def condition(self, coord: int, predicate: Callable[[Element], bool]) -> "JointDist":
         (coord,) = self._check_coords([coord])
-        return JointDist(self.groups, _condition(self.mass, lambda a: predicate(a[coord])))
+        return self._kept(lambda a: predicate(a[coord]))
 
 
 def independent_joint(*dists: Dist) -> JointDist:
     """Product joint of independent marginals."""
     if not dists:
         raise ValueError("need at least one marginal")
-    atoms: dict[Atom, Fraction] = {(): Fraction(1)}  # type: ignore[dict-item]
+    atoms: dict[Atom, int] = {(): 1}
     for d in dists:
-        nxt: dict[Atom, Fraction] = {}
-        for prefix, v in atoms.items():
-            for e, w in d.mass.items():
-                nxt[prefix + (e,)] = v * w
-        atoms = nxt
-    return JointDist([d.group for d in dists], atoms)
+        atoms = {prefix + (e,): v * n for prefix, v in atoms.items() for e, n in d.counts.items()}
+    return JointDist._with_counts(tuple(d.group for d in dists), math.prod(d.den for d in dists), atoms)
 
 
 def joint_entropy(j: JointDist, coords: Sequence[int]) -> float:
@@ -432,21 +437,22 @@ def conditional_entropy(
         raise ValueError("target and given coordinate sets overlap")
     if not given:
         return joint_entropy(j, target)
-    return fibre_entropy(j.mass, lambda a: (tuple(a[c] for c in given), tuple(a[c] for c in target)))
+    return fibre_entropy(j, lambda a: (tuple(a[c] for c in given), tuple(a[c] for c in target)))
 
 
-def fibre_entropy(mass: Mapping, key: Callable) -> float:
-    """Ent(T | G) for the law `mass` and key(atom) = (G value, T value).
+def fibre_entropy(j: JointDist, key: Callable) -> float:
+    """Ent(T | G) for the joint j and key(atom) = (G value, T value).
 
-    The masses are summed per key, then the exact fibre entropies averaged;
+    The counts are summed per key, then the exact fibre entropies averaged;
     fsum is correctly rounded, so order does not matter.
     """
-    pairs = push_masses(mass, key)
+    pairs = push_masses(j.counts, key)
     weights = push_masses(pairs, lambda k: k[0])
     fibres: dict[Atom, list] = {}
-    for (gkey, _), v in pairs.items():
-        fibres.setdefault(gkey, []).append(f_nats(v / weights[gkey]))
-    return math.fsum(float(w) * math.fsum(fibres[gkey]) for gkey, w in weights.items())
+    for (gkey, _), n in pairs.items():
+        fibres.setdefault(gkey, []).append(_f_count(n, weights[gkey]))
+    den = j.den
+    return math.fsum(w / den * math.fsum(fibres[gkey]) for gkey, w in weights.items())
 
 
 def ci_trials(j: JointDist, pivot: int) -> JointDist:
@@ -462,21 +468,23 @@ def ci_trials(j: JointDist, pivot: int) -> JointDist:
         raise ValueError("joint needs at least one non-pivot coordinate")
     # each atom is one (pivot value, rest block) pair, so nothing needs summing
     blocks: dict[Element, list] = {}
-    for atom, v in j.mass.items():
-        blocks.setdefault(atom[pivot], []).append((tuple(atom[c] for c in rest), v))
-    pivot_mass = push_masses(j.mass, lambda a: a[pivot])
-    out: dict[Atom, Fraction] = {}
+    for atom, n in j.counts.items():
+        blocks.setdefault(atom[pivot], []).append((tuple(atom[c] for c in rest), n))
+    # with m_y the pivot counts and L their lcm, the mass is n1 n2 (L / m_y) / (den L)
+    pivot_counts = {y: sum(n for _, n in blk) for y, blk in blocks.items()}
+    lcm = math.lcm(*pivot_counts.values())
+    out: dict[Atom, int] = {}
     for y, blk in blocks.items():
-        py = pivot_mass[y]
-        for x1, v1 in blk:
-            for x2, v2 in blk:
-                out[x1 + x2 + (y,)] = v1 * v2 / py
-    groups = [j.groups[c] for c in rest] * 2 + [j.groups[pivot]]
-    return JointDist(groups, out)
+        f = lcm // pivot_counts[y]
+        for x1, n1 in blk:
+            for x2, n2 in blk:
+                out[x1 + x2 + (y,)] = n1 * n2 * f
+    groups = tuple([j.groups[c] for c in rest] * 2 + [j.groups[pivot]])
+    return JointDist._with_counts(groups, j.den * lcm, out)
 
 
 def is_independent(j: JointDist, coords_a: Sequence[int], coords_b: Sequence[int]) -> bool:
-    """Exact rational test that two coordinate blocks are independent."""
+    """Exact integer test that two coordinate blocks are independent."""
     a = j.marginal(coords_a)
     b = j.marginal(coords_b)
     ab = j.marginal(tuple(coords_a) + tuple(coords_b))
@@ -484,4 +492,6 @@ def is_independent(j: JointDist, coords_a: Sequence[int], coords_b: Sequence[int
     # every product atom has positive mass, so all of them must be in the support
     if len(ab) != len(a) * len(b):
         return False
-    return all(v == a.mass[atom[:ka]] * b.mass[atom[ka:]] for atom, v in ab.mass.items())
+    scale = a.den * b.den
+    return all(n * scale == a.counts[atom[:ka]] * b.counts[atom[ka:]] * ab.den
+               for atom, n in ab.counts.items())

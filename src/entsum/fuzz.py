@@ -46,20 +46,6 @@ from .torsionfree import PiecewiseDensity, abbn_check
 
 TOL = 1e-9
 
-DEFAULT_CHECKS = (
-    "eident",
-    "ento",
-    "triv",
-    "ese",
-    "submodularity",
-    "xysim",
-    "jensen",
-    "bsg",
-    "mmt",
-    "lipschitz",
-    "abbn",
-)
-
 
 @dataclass
 class FuzzConfig:
@@ -316,6 +302,8 @@ CHECKS = {
     "abbn": _check_abbn,
 }
 
+DEFAULT_CHECKS = tuple(CHECKS)  # taken at import, so later registrations are opt-in
+
 
 def submodularity_check(j: JointDist, determinations=None) -> MetricReport:
     """Ent(X12) + Ent(X0) <= Ent(X1) + Ent(X2) for a joint (X0, X1, X2, X12).
@@ -330,7 +318,7 @@ def submodularity_check(j: JointDist, determinations=None) -> MetricReport:
     maps_10: dict = {}
     maps_20: dict = {}
     maps_12: dict = {}
-    for atom in j.mass:
+    for atom in j.counts:
         x0, x1, x2, x12 = atom
         if maps_10.setdefault(x1, x0) != x0:
             raise PremiseError("X1 does not determine X0")

@@ -31,15 +31,15 @@ def detect_coset_uniform(p: Dist) -> CosetReport:
     A finite set S is a coset of a finite subgroup iff |S + S| = |S| (then the
     subgroup is S - s0 for any s0 in S), and S + S is the support of p * p, the
     convolution `doubling` needs anyway.  All masses must also be equal, which
-    is tested as exact rationals.
+    is tested on the exact counts.
     """
     g = p.group
     pp = convolve(p, p, "+")
     doubling = math.exp(entropy(pp) - entropy(p))  # doubling_constant(p)
-    if len(pp) != len(p) or len(set(p.mass.values())) != 1:
+    if len(pp) != len(p) or len(set(p.counts.values())) != 1:
         return CosetReport(False, None, None, doubling)
     base = p.support()[0]
-    return CosetReport(True, frozenset(g.sub(s, base) for s in p.mass), base, doubling)
+    return CosetReport(True, frozenset(g.sub(s, base) for s in p.counts), base, doubling)
 
 
 @dataclass

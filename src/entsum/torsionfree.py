@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dists import Dist, _common_denominator, _kronecker, convolve, entropy, f_nats, tv_distance
+from .dists import Dist, _kronecker, _normalise, convolve, entropy, f_nats, tv_distance
 from .errors import CapExceededError, PreconditionError, SearchExhaustedError
 from .groups import GroupSpec
 from .metrics import MetricReport
@@ -279,7 +279,8 @@ def _unit_steps(f: PiecewiseDensity) -> _UnitSteps | None:
         return None
     if any(b != 0 or a <= 0 for a, b in f.pieces):
         return None
-    den, counts = _common_denominator({i: a for i, (a, _) in enumerate(f.pieces)})
+    # unit widths make the heights the masses of a law on the piece indices
+    den, counts = _normalise({i: a for i, (a, _) in enumerate(f.pieces)}, int)
     return t0.numerator, den, counts
 
 

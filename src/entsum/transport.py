@@ -5,15 +5,13 @@ X + Z distributed exactly as q.  The oracle minimises the (concave) entropy
 of the Z-marginal over the vertices of the coupling polytope, the couplings
 with acyclic support.  With both margins scaled to integers over a common
 denominator every vertex is integral, so the vertex search runs in Python
-ints: it grows forests one atom of the larger support at a time, drops a
-branch as soon as a single-partner atom overdraws its partner, and builds
-Fractions only for the winning vertex.  The constructive side builds
-certificates by flattening with two-point shifts, density-level splitting,
-and sigma-splits.  It runs in Python int counts over one common denominator,
-with the elements of a finite group encoded as indices into one addition
-table, and builds Fractions only where a law enters and where the finished
-certificate leaves.  Certificate validity is always exact; only costs are
-floating point.
+ints: it grows forests one atom of the larger support at a time and drops a
+branch as soon as a single-partner atom overdraws its partner.  The
+constructive side builds certificates by flattening with two-point shifts,
+density-level splitting, and sigma-splits.  It runs in the int counts that
+`Dist` and `JointDist` hold, with the elements of a finite group encoded as
+indices into one addition table.  Certificate validity is always exact and
+checked in ints; only costs are floating point.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dists import Dist, JointDist, _common_denominator, entropy, f_nats, push_masses
+from .dists import Dist, JointDist, _f_count, _lowest_terms, _normalise, entropy, push_masses
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -74,12 +72,13 @@ class TransportCertificate:
 
     def validate(self, source: Dist | None = None) -> None:
         """Exact marginal and pushforward checks; raises on any mismatch."""
-        mass, add = self.coupling.mass, self.target.group.add
-        if push_masses(mass, lambda a: add(*a)) != self.target.mass:
+        c, t = self.coupling, self.target
+        add = t.group.add
+        if not _same_law((c.den, push_masses(c.counts, lambda a: add(*a))), (t.den, t.counts)):
             raise CertificateError("pushforward of coupling differs from target")
         if source is not None and (
-            source.group != self.target.group
-            or push_masses(mass, lambda a: a[0]) != source.mass
+            source.group != t.group
+            or not _same_law((c.den, push_masses(c.counts, lambda a: a[0])), (source.den, source.counts))
         ):
             raise CertificateError("X-marginal of coupling differs from source")
 
@@ -102,40 +101,34 @@ def _cert(g: GroupSpec, raw: "_RawCert", elems: Sequence | None = None) -> Trans
         coupling = {(elems[x], elems[z]): n for (x, z), n in coupling.items()}
         target = {elems[y]: n for y, n in target.items()}
     return TransportCertificate(
-        JointDist([g, g], {key: Fraction(n, den) for key, n in coupling.items()}),
-        Dist(g, {e: Fraction(n, den) for e, n in target.items()}),
+        JointDist._with_counts((g, g), den, coupling), Dist._with_counts(g, den, target)
     )
 
 
 def _raw(c: TransportCertificate) -> "_RawCert":
-    dc, coupling = _common_denominator(c.coupling.mass)
-    dt, target = _common_denominator(c.target.mass)
-    den = math.lcm(dc, dt)
-    return _RawCert(den, _scaled(coupling, den // dc), _scaled(target, den // dt))
+    cp, t = c.coupling, c.target
+    den = math.lcm(cp.den, t.den)
+    return _RawCert(den, _scaled(cp.counts, den // cp.den), _scaled(t.counts, den // t.den))
 
 
 def identity_certificate(p: Dist, shift: Element | None = None) -> TransportCertificate:
     """Deterministic shift certificate; cost 0."""
     g = p.group
-    law = _common_denominator(p.mass)
-    return _cert(g, _raw_identity(g, law, None if shift is None else g.reduce(shift)))
+    return _cert(g, _raw_identity(g, (p.den, p.counts), None if shift is None else g.reduce(shift)))
 
 
 def independent_noise_certificate(p: Dist, z: Dist) -> TransportCertificate:
     """Certificate p -> p * z with Z independent of X."""
     if p.group != z.group:
         raise IncompatibleGroupError("noise must live in the same group")
-    return _cert(p.group, _raw_noise(p.group, _common_denominator(p.mass), _common_denominator(z.mass)))
+    return _cert(p.group, _raw_noise(p.group, (p.den, p.counts), (z.den, z.counts)))
 
 
 def independent_pair_certificate(p: Dist, q: Dist) -> TransportCertificate:
     """Always-feasible certificate p -> q from the product coupling of (X, Y)."""
     if p.group != q.group:
         raise IncompatibleGroupError("endpoints must share a group")
-    return _cert(
-        p.group,
-        _raw_independent_pair(p.group, _common_denominator(p.mass), _common_denominator(q.mass)),
-    )
+    return _cert(p.group, _raw_independent_pair(p.group, (p.den, p.counts), (q.den, q.counts)))
 
 
 def reverse_certificate(c: TransportCertificate) -> TransportCertificate:
@@ -202,8 +195,8 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     vertex; vertices are exactly the feasible points whose bipartite support
     graph is acyclic.  Both margins are scaled by D, the lcm of all mass
     denominators; the polytope then has integral margins and hence integral
-    vertices, so the search runs in Python ints and builds Fractions only for
-    the winner.  It recurses over the atoms of the larger support ("lines"):
+    vertices, so the search runs in Python ints.  It recurses over the atoms
+    of the larger support ("lines"):
 
     * each line picks a nonempty set of partners on the smaller side, at most
       one per component of the forest built so far, which keeps it acyclic;
@@ -235,9 +228,9 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
             f"exact oracle refused: {nvars} coupling variables exceed cap {cap}; "
             "use the constructive bounds instead"
         )
-    den = math.lcm(*(v.denominator for d in (p, q) for v in d.mass.values()))
-    pm = [int(p.mass[x] * den) for x in xs]
-    qm = [int(q.mass[y] * den) for y in ys]
+    den = math.lcm(p.den, q.den)
+    pm = [p.counts[x] * (den // p.den) for x in xs]
+    qm = [q.counts[y] * (den // q.den) for y in ys]
     zs = [[g.sub(y, x) for y in ys] for x in xs]
     zindex = {z: n for n, z in enumerate(sorted(zset))}
 
@@ -369,7 +362,7 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     if not near:
         raise CertificateError("coupling polytope unexpectedly empty")
     ents = {
-        key: math.fsum(f_nats(Fraction(n, den)) for n in key)
+        key: math.fsum(_f_count(n, den) for n in key)
         for score, key, _ in near
         if score >= best - tol
     }
@@ -381,8 +374,8 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     atoms = {}
     for k, s, m in edges:
         i, j = cells[k][s]
-        atoms[(xs[i], zs[i][j])] = Fraction(m, den)
-    cert = TransportCertificate(JointDist([g, g], atoms), q)
+        atoms[(xs[i], zs[i][j])] = m
+    cert = TransportCertificate(JointDist._with_counts((g, g), den, atoms), q)
     cert.validate(p)
     return cert
 
@@ -449,9 +442,9 @@ def is_translate(p: Dist, q: Dist) -> bool:
 # which encodes each element of a finite group as its index in a sorted list
 # and looks the group law up in one table.  Masses are Python ints over one
 # common denominator: a law is a pair (den, counts) whose positive counts sum
-# to den, and a `_RawCert` keeps one denominator for its coupling and its
-# target.  Fractions are built only where a law enters (`_common_denominator`)
-# and where a certificate leaves (`_cert` and the box push-forward).
+# to den, as a `Dist` holds them, and a `_RawCert` keeps one denominator for
+# its coupling and its target.  A law enters as (p.den, p.counts) and a
+# certificate leaves through `_cert`, which builds its laws from the counts.
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -508,8 +501,8 @@ class _IndexedGroup:
         return self._rows[a][self._neg[b]]
 
     def encode(self, mass: dict) -> _Law:
-        """Counts over the least common denominator, keyed by element index."""
-        return _common_denominator({self.index[e]: v for e, v in mass.items()})
+        """(den, counts) of exact masses, keyed by element index."""
+        return _normalise(mass, self.index.__getitem__)
 
 
 @functools.lru_cache(maxsize=8)
@@ -529,11 +522,6 @@ def _box_group(ambient: GroupSpec, subgroup: tuple, mods: tuple) -> _IndexedGrou
 
 def _scaled(counts: dict, k: int) -> dict:
     return counts if k == 1 else {e: n * k for e, n in counts.items()}
-
-
-def _reduce(den: int, counts: dict) -> _Law:
-    g = math.gcd(den, *counts.values())
-    return (den, counts) if g == 1 else (den // g, {e: n // g for e, n in counts.items()})
 
 
 def _same_law(a: _Law, b: _Law) -> bool:
@@ -708,7 +696,7 @@ def _shift_mix(ad, q: _Law, h) -> _Law:
         out[x] = out.get(x, 0) + v
         y = add(x, h)
         out[y] = out.get(y, 0) + v
-    return _reduce(2 * den, out)
+    return _lowest_terms(2 * den, out)
 
 
 def _raw_flatten(
@@ -827,11 +815,11 @@ def _raw_to_uniform(ad, q: _Law, depth: int = 0) -> _RawCert:
         return flat_cert
     den, mass = cur
     s = _sigma_excess(ad, cur)
-    q_plus = _reduce(s, {e: n * v - den for e, v in mass.items() if n * v > den})
-    q_minus = _reduce(s, {
+    q_plus = _lowest_terms(s, {e: n * v - den for e, v in mass.items() if n * v > den})
+    q_minus = _lowest_terms(s, {
         e: den - n * mass.get(e, 0) for e in range(n) if n * mass.get(e, 0) < den
     })
-    mu = _reduce(n * den - s, {e: min(n * v, den) for e, v in mass.items()})
+    mu = _lowest_terms(n * den - s, {e: min(n * v, den) for e, v in mass.items()})
     if s << SIGMA_MIN_BITS <= n * den:
         piece = _raw_independent_pair(ad, q_plus, q_minus)
     else:
@@ -857,7 +845,7 @@ def _raw_uniformise(ad, q: _Law) -> _RawCert:
     pieces: list[tuple[int, _RawCert]] = []
     for k in sorted(levels):
         w = weights[k]
-        cond = _reduce(w, levels[k])
+        cond = _lowest_terms(w, levels[k])
         if k == 0:
             pieces.append((w, _raw_identity(ad, cond)))
         else:
@@ -867,7 +855,7 @@ def _raw_uniformise(ad, q: _Law) -> _RawCert:
             )
             pieces.append((w, cert))
     glued = _raw_mix(den, pieces)
-    tail = _raw_to_uniform(ad, _reduce(glued.den, glued.target), depth=0)
+    tail = _raw_to_uniform(ad, _lowest_terms(glued.den, glued.target), depth=0)
     out = _raw_compose(ad, glued, tail)
     if not _is_uniform(ad, (out.den, out.target)):
         raise CertificateError("uniformisation failed to reach the uniform law")
@@ -940,8 +928,6 @@ def uniformise_coset_progression(
         shift = emb.push_shift(dh, tuple(dns))
         key = (emb.forward[ad.elems[x]], shift)
         atoms[key] = atoms.get(key, 0) + n
-    den = raw.den
-    coupling = JointDist([g, g], {key: Fraction(n, den) for key, n in atoms.items()})
-    cert = TransportCertificate(coupling, target)
+    cert = TransportCertificate(JointDist._with_counts((g, g), raw.den, atoms), target)
     cert.validate(p)
     return cert

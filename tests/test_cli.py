@@ -413,3 +413,30 @@ def test_global_flags(capsys, tmp_path):
                   ["--config", str(tmp_path / "cfg.json")]):
         assert main([*flags, "fuzz", "--count", "1"]) == 2
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("q", [Dist.uniform(Z2, [(0,), (1,)]), Dist.point(Z, (0,))], ids=["Z/2", "Z"])
+def test_transport_endpoints_in_other_groups_exit_2(capsys, tmp_path, q):
+    # --construct used to certify a law on Z/4 against the uniform law on Z/4
+    # when asked for Z/2, and to die with a traceback when asked for Z
+    p = Dist(GroupSpec([4]), {(0,): F(1, 2), (1,): F(1, 4), (3,): F(1, 4)})
+    src, dst = tmp_path / "src.json", tmp_path / "dst.json"
+    src.write_text(json.dumps(dump_dist(p)))
+    dst.write_text(json.dumps(dump_dist(q)))
+    for mode in ("--construct", "--exact"):
+        assert main(["transport", str(src), str(dst), mode]) == 2, mode
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "share a group" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["binomial-doubling", "--n", "0"],
+    ["binomial-doubling", "--n", "1"],
+    ["smooth-shift", "DIST", "--mu", "2"],
+], ids=["n=0", "n=1", "mu=2"])
+def test_experiment_argument_errors_exit_2(capsys, dist_file, argv):
+    argv = [str(dist_file) if a == "DIST" else a for a in argv]
+    assert main(["experiment", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,0 +1,386 @@
+"""Differential test of the count-based laws against their former Fraction bodies.
+
+`Dist` and `JointDist` used to hold `Fraction` masses, and every marginal,
+sum, condition, product, trial joint, fibre entropy, path joint and
+certificate check re-summed those masses and rebuilt the law through a
+normaliser that summed and sorted `Fraction`s.  Those bodies are kept here,
+over plain mass dicts, as the reference.  Both paths are exact, so every
+mass dict must be equal, atom order included, and every entropy bitwise
+equal.  A property test checks that each law, on whatever path it was
+built, is in its canonical count form.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entsum import transport
+from entsum.bsg import BsgInstance, build_path_joint, factorization_exact
+from entsum.dists import (
+    Dist,
+    JointDist,
+    ci_trials,
+    convolve,
+    fibre_entropy,
+    independent_joint,
+    is_independent,
+    tv_distance,
+)
+from entsum.errors import CertificateError
+from entsum.groups import GroupSpec
+
+GROUPS = {
+    "Z": GroupSpec([0]),
+    "Z/8": GroupSpec([8]),
+    "Z/2xZ/4": GroupSpec([2, 4]),
+    "Z^2": GroupSpec([0, 0]),
+}
+# composite denominators make many masses share factors with the denominator,
+# where an entropy term taken on the unreduced pair can move by an ulp
+DEN_CAPS = (6, 64, 720_720, 2**64)
+
+
+# ---------------------------------------------------------------------------
+# the former Fraction bodies
+
+
+def _normalise(mass, reduce):
+    atoms = {}
+    total = Fraction(0)
+    for key, v in mass.items():
+        if v == 0:
+            continue
+        key = reduce(key)
+        atoms[key] = atoms.get(key, Fraction(0)) + v
+        total += v
+    assert total == 1
+    return {key: atoms[key] for key in sorted(atoms)}
+
+
+def _push(mass, key):
+    out = {}
+    for atom, v in mass.items():
+        k = key(atom)
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+def _joint_reduce(groups):
+    return lambda atom: tuple(g.reduce(x) for g, x in zip(groups, atom))
+
+
+def _f_nats(v):
+    num, den = v.numerator, v.denominator
+    return -(num / den) * (math.log(num) - math.log(den))
+
+
+def _entropy(mass):
+    return math.fsum(_f_nats(v) for v in mass.values())
+
+
+def _condition(mass, keep):
+    kept = {a: v for a, v in mass.items() if keep(a)}
+    total = sum(kept.values(), Fraction(0))
+    return {a: v / total for a, v in kept.items()}
+
+
+def _marginal(j, coords):
+    groups = [j.groups[c] for c in coords]
+    return _normalise(_push(j.mass, lambda a: tuple(a[c] for c in coords)), _joint_reduce(groups))
+
+
+def _dist(j, coord):
+    return _normalise(_push(j.mass, lambda a: a[coord]), j.groups[coord].reduce)
+
+
+def _sum_dist(j, coords, signs):
+    g = j.groups[coords[0]]
+
+    def signed_sum(atom):
+        s = g.zero()
+        for c, sg in zip(coords, signs):
+            s = g.add(s, atom[c] if sg > 0 else g.neg(atom[c]))
+        return s
+
+    return _normalise(_push(j.mass, signed_sum), g.reduce)
+
+
+def _independent_joint(*dists):
+    atoms = {(): Fraction(1)}
+    for d in dists:
+        nxt = {}
+        for prefix, v in atoms.items():
+            for e, w in d.mass.items():
+                nxt[prefix + (e,)] = v * w
+        atoms = nxt
+    return _normalise(atoms, _joint_reduce([d.group for d in dists]))
+
+
+def _ci_trials(j, pivot):
+    rest = [c for c in range(j.k) if c != pivot]
+    blocks = {}
+    for atom, v in j.mass.items():
+        blocks.setdefault(atom[pivot], []).append((tuple(atom[c] for c in rest), v))
+    pivot_mass = _push(j.mass, lambda a: a[pivot])
+    out = {}
+    for y, blk in blocks.items():
+        py = pivot_mass[y]
+        for x1, v1 in blk:
+            for x2, v2 in blk:
+                out[x1 + x2 + (y,)] = v1 * v2 / py
+    groups = [j.groups[c] for c in rest] * 2 + [j.groups[pivot]]
+    return _normalise(out, _joint_reduce(groups))
+
+
+def _fibre_entropy(mass, key):
+    pairs = _push(mass, key)
+    weights = _push(pairs, lambda k: k[0])
+    fibres = {}
+    for (gkey, _), v in pairs.items():
+        fibres.setdefault(gkey, []).append(_f_nats(v / weights[gkey]))
+    return math.fsum(float(w) * math.fsum(fibres[gkey]) for gkey, w in weights.items())
+
+
+def _is_independent(j, coords_a, coords_b):
+    a, b = _marginal(j, coords_a), _marginal(j, coords_b)
+    ab = _marginal(j, tuple(coords_a) + tuple(coords_b))
+    ka = len(coords_a)
+    if len(ab) != len(a) * len(b):
+        return False
+    return all(v == a[atom[:ka]] * b[atom[ka:]] for atom, v in ab.items())
+
+
+def _tv_distance(p, q):
+    keys = set(p.mass) | set(q.mass)
+    return float(sum(abs(p.mass.get(k, Fraction(0)) - q.mass.get(k, Fraction(0))) for k in keys))
+
+
+def _build_path_joint(j):
+    g = j.groups[0]
+    px = _push(j.mass, lambda a: a[0])
+    by_x = {}
+    for (x, y), v in j.mass.items():
+        by_x.setdefault(x, []).append((y, v))
+    atoms = {}
+    for (x1, x2, y), base in _ci_trials(j, 1).items():
+        for yp, v3 in by_x[x1]:
+            atoms[(x1, x2, y, yp)] = base * v3 / px[x1]
+    return _normalise(atoms, _joint_reduce([g] * 4))
+
+
+def _factorization_exact(mass):
+    cond = {}
+    for (x1, x2, y, yp), v in mass.items():
+        cell = cond.setdefault((x1, y), {"w": Fraction(0), "x2": {}, "yp": {}, "atoms": {}})
+        cell["w"] += v
+        cell["x2"][x2] = cell["x2"].get(x2, Fraction(0)) + v
+        cell["yp"][yp] = cell["yp"].get(yp, Fraction(0)) + v
+        cell["atoms"][(x2, yp)] = cell["atoms"].get((x2, yp), Fraction(0)) + v
+    for cell in cond.values():
+        if len(cell["atoms"]) != len(cell["x2"]) * len(cell["yp"]):
+            return False
+        w = cell["w"]
+        for (x2, yp), v in cell["atoms"].items():
+            if v * w != cell["x2"][x2] * cell["yp"][yp]:
+                return False
+    return True
+
+
+def _validates(cert, source):
+    """The former `TransportCertificate.validate`, as a bool."""
+    mass, add = cert.coupling.mass, cert.target.group.add
+    if _push(mass, lambda a: add(*a)) != cert.target.mass:
+        return False
+    return source.group == cert.target.group and _push(mass, lambda a: a[0]) == source.mass
+
+
+# ---------------------------------------------------------------------------
+# seeded laws and joints
+
+
+def _element(rng, g, reach=4):
+    return tuple(rng.randrange(m) if m else rng.randrange(-reach, reach + 1) for m in g.moduli)
+
+
+def _parts(rng, den, size):
+    cuts = set()
+    while len(cuts) < size - 1:
+        cuts.add(rng.randrange(1, den))
+    edges = [0, *sorted(cuts), den]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+def _law(rng, g):
+    els = sorted({_element(rng, g) for _ in range(rng.randrange(1, 8))})
+    den = rng.randrange(len(els), max(rng.choice(DEN_CAPS), len(els)) + 1)
+    return Dist(g, {e: Fraction(n, den) for e, n in zip(els, _parts(rng, den, len(els)))})
+
+
+def _joint(rng, g, k=2):
+    atoms = sorted({tuple(_element(rng, g, 2) for _ in range(k)) for _ in range(rng.randrange(1, 10))})
+    den = rng.randrange(len(atoms), max(rng.choice(DEN_CAPS), len(atoms)) + 1)
+    return JointDist([g] * k, {a: Fraction(n, den) for a, n in zip(atoms, _parts(rng, den, len(atoms)))})
+
+
+def _corpus(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, GROUPS[rng.choice(sorted(GROUPS))]
+
+
+def _assert_same(law, ref_mass):
+    assert law.mass == ref_mass
+    assert list(law.mass) == list(ref_mass)
+    assert law.entropy().hex() == _entropy(ref_mass).hex()
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def test_corpus_reaches_every_group_and_unreduced_terms():
+    groups, unreduced = set(), 0
+    for rng, g in _corpus(1, 200):
+        groups.add(g)
+        p = _law(rng, g)
+        unreduced += sum(math.gcd(n, p.den) > 1 for n in p.counts.values())
+    assert groups == set(GROUPS.values())
+    assert unreduced > 100
+
+
+def test_dist_operations_match_reference():
+    for rng, g in _corpus(2, 300):
+        p, q = _law(rng, g), _law(rng, g)
+        c = _element(rng, g, 9)
+        _assert_same(p.translate(c), _normalise({g.add(e, c): v for e, v in p.mass.items()}, g.reduce))
+        _assert_same(p.negate(), _normalise({g.neg(e): v for e, v in p.mass.items()}, g.reduce))
+        cut = rng.choice(p.support())
+        keep = lambda e: e <= cut  # noqa: E731
+        _assert_same(p.condition(keep), _normalise(_condition(p.mass, keep), g.reduce))
+        assert tv_distance(p, q).hex() == _tv_distance(p, q).hex()
+        r = _law(rng, g)
+        _assert_same(independent_joint(p, q, r), _independent_joint(p, q, r))
+
+
+def test_joint_operations_match_reference():
+    for rng, g in _corpus(3, 300):
+        j = _joint(rng, g, k=3)
+        for coords in ((0,), (2, 0), (1, 2), (0, 1, 2)):
+            _assert_same(j.marginal(coords), _marginal(j, coords))
+        for c in range(3):
+            _assert_same(j.dist(c), _dist(j, c))
+        signs = [rng.choice((1, -1)) for _ in range(3)]
+        _assert_same(j.sum_dist([0, 1, 2], signs), _sum_dist(j, [0, 1, 2], signs))
+        cut = rng.choice(list(j.mass))[1]
+        _assert_same(j.condition(1, lambda x: x >= cut),
+                     _normalise(_condition(j.mass, lambda a: a[1] >= cut), _joint_reduce(j.groups)))
+        for pivot in range(3):
+            _assert_same(ci_trials(j, pivot), _ci_trials(j, pivot))
+        key = lambda a: (a[0], g.add(a[1], a[2]))  # noqa: E731
+        assert fibre_entropy(j, key).hex() == _fibre_entropy(j.mass, key).hex()
+        for a, b in (((0,), (1,)), ((0, 1), (2,)), ((2,), (0,))):
+            assert is_independent(j, a, b) == _is_independent(j, a, b)
+
+
+def test_product_joints_are_independent_in_both():
+    for rng, g in _corpus(4, 100):
+        j = independent_joint(_law(rng, g), _law(rng, g))
+        assert is_independent(j, [0], [1]) and _is_independent(j, (0,), (1,))
+
+
+def test_path_joint_and_factorization_match_reference():
+    outcomes = set()
+    for rng, g in _corpus(5, 200):
+        j = _joint(rng, g)
+        if j.groups[0] != j.groups[1]:
+            continue
+        path = build_path_joint(BsgInstance(j, 0.0))
+        _assert_same(path, _build_path_joint(j))
+        assert factorization_exact(path) and _factorization_exact(path.mass)
+        other = _joint(rng, g, k=4)
+        outcomes.add(factorization_exact(other))
+        assert factorization_exact(other) == _factorization_exact(other.mass)
+    assert outcomes == {True, False}
+
+
+def test_certificate_checks_match_reference():
+    outcomes = set()
+    for rng, g in _corpus(6, 200):
+        p, q = _law(rng, g), _law(rng, g)
+        certs = [
+            transport.identity_certificate(p, _element(rng, g)),
+            transport.independent_noise_certificate(p, q),
+            transport.independent_pair_certificate(p, q),
+        ]
+        certs.append(transport.reverse_certificate(certs[2]))
+        for cert in certs:
+            atoms = dict(cert.coupling.mass)
+            (x, z), v = next(iter(atoms.items()))
+            del atoms[(x, z)]
+            moved = (x, g.add(z, g.reduce((1,) * g.dim)))
+            atoms[moved] = atoms.get(moved, Fraction(0)) + v
+            tampered = transport.TransportCertificate(JointDist([g, g], atoms), cert.target)
+            for c in (cert, tampered):
+                for source in (p, q, cert.source()):
+                    want = _validates(c, source)
+                    try:
+                        c.validate(source)
+                        got = True
+                    except CertificateError:
+                        got = False
+                    assert got == want
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the canonical form
+
+
+def _assert_canonical(law):
+    keys = list(law.counts)
+    assert keys == sorted(keys)
+    assert all(type(n) is int and n > 0 for n in law.counts.values())
+    assert sum(law.counts.values()) == law.den
+    assert math.gcd(law.den, *law.counts.values()) == 1
+    if isinstance(law, Dist):
+        assert all(law.group.reduce(e) == e for e in keys)
+    else:
+        assert all(tuple(g.reduce(x) for g, x in zip(law.groups, a)) == a for a in keys)
+    assert law.mass == {e: Fraction(n, law.den) for e, n in law.counts.items()}
+    assert list(law.mass) == keys
+    # the public constructor reads the same law back, so == and hash agree with it
+    same = type(law)(law.group if isinstance(law, Dist) else law.groups, law.mass)
+    assert same == law and hash(same) == hash(law)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(sorted(GROUPS)))
+def test_every_path_builds_canonical_laws(seed, name):
+    rng, g = random.Random(seed), GROUPS[name]
+    p, q = _law(rng, g), _law(rng, g)
+    j = _joint(rng, g, k=3)
+    laws = [
+        p, Dist.uniform(g, [_element(rng, g) for _ in range(5)]), Dist.point(g, _element(rng, g, 20)),
+        convolve(p, q, "+"), convolve(p, q, "-"), p.translate(_element(rng, g, 20)), p.negate(),
+        p.condition(lambda e: e != p.support()[0]) if len(p) > 1 else p,
+        j, j.marginal([2, 0]), j.dist(1), j.sum_dist([0, 2], [1, -1]),
+        j.condition(0, lambda x: x == next(iter(j.counts))[0]),
+        j.push(lambda a: (a[0], g.add(a[1], a[2])), [g, g]),
+        independent_joint(p, q), ci_trials(j, 1),
+        build_path_joint(BsgInstance(j.marginal([0, 1]), 0.0)),
+    ]
+    certs = [transport.independent_pair_certificate(p, q), transport.independent_noise_certificate(p, q)]
+    shift = transport.identity_certificate(q, _element(rng, g))
+    certs.append(transport.compose_certificates(certs[0], shift))
+    if g.is_finite():
+        u = Dist.uniform(g, g.elements())
+        two = Dist.uniform(g, [_element(rng, g), _element(rng, g)])
+        certs += [transport.uniformise_group(p, 1e9), transport.transport_exact(two, u)]
+    for cert in certs:
+        laws += [cert.coupling, cert.target, cert.noise()]
+    for law in laws:
+        _assert_canonical(law)
