@@ -77,6 +77,8 @@ def doubling_experiment(n: int) -> float:
 def entxx_explore(n: int, k: int) -> float:
     """Exploratory gap Ent(S_{k+1}) - Ent(S_k) - log sqrt((k+1)/k) for sums of
     k copies of the n-step walk; reported, never asserted."""
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
     if k < 1 or k > 8:
         raise PreconditionError("k must be in 1..8")
     if n * k > 8192:

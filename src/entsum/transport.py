@@ -41,6 +41,9 @@ _MAX_FLATTEN_ROUNDS = 400
 # largest group order whose addition table is built: 2048^2 int64 entries are
 # 32 MiB, and the float shift scan adds two temporaries of the same size
 MAX_TABLE_ORDER = 2048
+# a compose is formed packed once the pair loop's estimated atom pairs exceed
+# this many per unit of packed work (one slot packed or read back)
+_PAIRS_PER_PACKED_SLOT = 1
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +446,13 @@ def is_translate(p: Dist, q: Dist) -> bool:
 # and looks the group law up in one table.  Masses are Python ints over one
 # common denominator: a law is a pair (den, counts) whose positive counts sum
 # to den, as a `Dist` holds them, and a `_RawCert` keeps one denominator for
-# its coupling and its target.  A law enters as (p.den, p.counts) and a
-# certificate leaves through `_cert`, which builds its laws from the counts.
+# its coupling and its target.  A law enters as (p.den, p.counts), keyed by
+# element index for an `_IndexedGroup`, and a certificate leaves through
+# `_cert`, which builds its laws from the counts.  Composition is a matrix
+# product of counts: a dense one packs each row of the second factor into
+# one int, keyed by target position rather than element index, so it serves
+# a GroupSpec too; a sparse one sums its atom pairs one by one
+# (`_raw_compose`).
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -518,6 +526,12 @@ def _box_group(ambient: GroupSpec, subgroup: tuple, mods: tuple) -> _IndexedGrou
     h_table = [[index[ambient.add(a, b)] for b in subgroup] for a in subgroup]
     elems = [(h, ns) for h in subgroup for ns in itertools.product(*(range(m) for m in mods))]
     return _IndexedGroup(elems, h_table, mods, (ambient.zero(), (0,) * len(mods)))
+
+
+def _index_law(ad: _IndexedGroup, p: Dist) -> _Law:
+    """p's counts keyed by element index; they stay in sorted order."""
+    index = ad.index
+    return p.den, {index[e]: n for e, n in p.counts.items()}
 
 
 def _scaled(counts: dict, k: int) -> dict:
@@ -606,6 +620,15 @@ def _raw_reverse(ad, c: _RawCert) -> _RawCert:
 
 
 def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
+    """X -> W -> Y with Z2 drawn given W = X + Z1 from c2's coupling.
+
+    The composed count at (x, y - x) is sum_w A[x, w] B[w, y], with A[x, w]
+    c1's count at (x, w - x) and B[w, y] the count of Z2 = y - w given W = w
+    over a common denominator m.  A dense product is formed packed (see
+    `_packed_rows`); a sparse one, whose estimated pairs |c1| |c2| / |supp W|
+    are at most _PAIRS_PER_PACKED_SLOT times the packed work
+    |c2| + |supp W| |supp Y|, sums the pairs one by one.
+    """
     src = _raw_source(c2)
     if not _same_law((c2.den, src), (c1.den, c1.target)):
         raise CertificateError("second certificate does not start at the first's target")
@@ -613,19 +636,62 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
     for (w, z2), n in c2.coupling.items():
         by_w.setdefault(w, []).append((z2, n))
     # Z2 given W = w has masses n / src[w]; put them all over m, the lcm of
-    # their denominators in lowest terms, so each atom is n1 * n2 / (den1 * m)
+    # their denominators in lowest terms, so each atom is n1 * n2 / (den1 * m).
+    # src[w] need not divide m, so B[w, y] is n * m // src[w], never n * (m // src[w])
     m = math.lcm(*(src[w] // math.gcd(src[w], *(n for _, n in row)) for w, row in by_w.items()))
     cond = {w: [(z2, n * m // src[w]) for z2, n in row] for w, row in by_w.items()}
-    atoms: dict = {}
-    add = ad.add
-    for (x, z1), n1 in c1.coupling.items():
-        for z2, n2 in cond[add(x, z1)]:
-            key = (x, add(z1, z2))
-            atoms[key] = atoms.get(key, 0) + n1 * n2
+    n1s, n2s, nw = len(c1.coupling), len(c2.coupling), len(by_w)
+    if n1s * n2s <= _PAIRS_PER_PACKED_SLOT * nw * (n2s + nw * len(c2.target)):
+        atoms: dict = {}
+        add = ad.add
+        for (x, z1), n1 in c1.coupling.items():
+            for z2, n2 in cond[add(x, z1)]:
+                key = (x, add(z1, z2))
+                atoms[key] = atoms.get(key, 0) + n1 * n2
+    else:
+        atoms = _packed_rows(ad, c1.coupling, cond, c1.den * m)
     den = math.lcm(c1.den * m, c2.den)
     return _RawCert(
         den, _scaled(atoms, den // (c1.den * m)), _scaled(c2.target, den // c2.den)
     )
+
+
+def _packed_rows(ad, coupling: dict, cond: dict, bound: int) -> dict:
+    """The counts sum_w A[x, w] B[w, y] of a composed coupling, row by row.
+
+    Each row B[w, .] is packed into one int with a byte-aligned slot per y,
+    the slots in order of first appearance among the targets w + z2, so any
+    group serves (Kronecker substitution, as in `dists._kronecker`).  Each
+    x's row is then the int sum_z1 A[x, x + z1] * packed[x + z1], read back
+    slot by slot.  `bound` is den1 * m and no composed count exceeds it: c1's
+    counts at x sum to at most den1 and each row of B sums to m.  So a slot
+    of bound's bit length never carries into the next.
+    """
+    add, sub = ad.add, ad.sub
+    width = (bound.bit_length() + 7) // 8
+    slot: dict = {}  # y -> its slot index
+    placed = {
+        w: [(slot.setdefault(add(w, z2), len(slot)) * width, n) for z2, n in row]
+        for w, row in cond.items()
+    }
+    size = width * len(slot)
+    packed = {}
+    for w, row in placed.items():
+        buf = bytearray(size)
+        for o, n in row:
+            buf[o:o + width] = n.to_bytes(width, "little")
+        packed[w] = int.from_bytes(buf, "little")
+    rows: dict = {}
+    for (x, z1), n1 in coupling.items():
+        rows[x] = rows.get(x, 0) + n1 * packed[add(x, z1)]
+    atoms = {}
+    for x, row in rows.items():
+        b = row.to_bytes(size, "little")
+        for y, o in zip(slot, range(0, size, width)):
+            n = int.from_bytes(b[o:o + width], "little")
+            if n:
+                atoms[(x, sub(y, x))] = n
+    return atoms
 
 
 def _raw_mix(wden: int, pieces: Sequence[tuple[int, _RawCert]]) -> _RawCert:
@@ -777,7 +843,7 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
     if k < 0:
         raise ValueError("k must be >= 0")
     ad = _spec_group(p.group)
-    _, raw, shifts, sqs = _raw_flatten_cert(ad, ad.encode(p.mass), k, lambda q, sq: False)
+    _, raw, shifts, sqs = _raw_flatten_cert(ad, _index_law(ad, p), k, lambda q, sq: False)
     trace = FlattenTrace([ad.elems[h] for h in shifts], [Fraction(*sq) for sq in sqs])
     trace.verify()
     cert = _cert(p.group, raw, ad.elems)
@@ -879,7 +945,7 @@ def uniformise_group(p: Dist, k_bound: float) -> TransportCertificate:
             f"entropy deficit {deficit:.6f} exceeds log K = {math.log(k_bound):.6f}"
         )
     ad = _spec_group(p.group)
-    cert = _cert(p.group, _raw_uniformise(ad, ad.encode(p.mass)), ad.elems)
+    cert = _cert(p.group, _raw_uniformise(ad, _index_law(ad, p)), ad.elems)
     cert.validate(p)
     return cert
 

@@ -5,14 +5,21 @@ independent-pair, reverse, compose and split certificates as they were
 before those operations were rebuilt on the mass-dict core in
 `entsum.transport`, kept here unchanged as the reference: each builds its
 coupling atom by atom over `TransportCertificate` and `Dist`.
+
+`_raw_compose_reference` is the integer kernel's compose as it was before
+dense products were packed into ints: it sums every atom pair.  The kernel
+tests run `transport._raw_compose` on both sides of its gate, forced by
+`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates.
 """
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
+from entsum import transport
 from entsum.dists import Dist, JointDist, convolve
 from entsum.errors import CertificateError, IncompatibleGroupError
 from entsum.fuzz import random_dist
@@ -193,3 +200,136 @@ def test_operations_reject_mismatched_inputs():
             split([(Fraction(1, 2), c_z)], 0.0)
         with pytest.raises(CertificateError):
             split([(Fraction(1, 2), c_z), (Fraction(1, 2), identity_certificate(point_z, (3,)))], 0.0)
+
+
+def _raw_compose_reference(ad, c1, c2):
+    src = transport._raw_source(c2)
+    if not transport._same_law((c2.den, src), (c1.den, c1.target)):
+        raise CertificateError("second certificate does not start at the first's target")
+    by_w: dict = {}
+    for (w, z2), n in c2.coupling.items():
+        by_w.setdefault(w, []).append((z2, n))
+    # Z2 given W = w has masses n / src[w]; put them all over m, the lcm of
+    # their denominators in lowest terms, so each atom is n1 * n2 / (den1 * m)
+    m = math.lcm(*(src[w] // math.gcd(src[w], *(n for _, n in row)) for w, row in by_w.items()))
+    cond = {w: [(z2, n * m // src[w]) for z2, n in row] for w, row in by_w.items()}
+    atoms: dict = {}
+    add = ad.add
+    for (x, z1), n1 in c1.coupling.items():
+        for z2, n2 in cond[add(x, z1)]:
+            key = (x, add(z1, z2))
+            atoms[key] = atoms.get(key, 0) + n1 * n2
+    den = math.lcm(c1.den * m, c2.den)
+    return transport._RawCert(
+        den, transport._scaled(atoms, den // (c1.den * m)), transport._scaled(c2.target, den // c2.den)
+    )
+
+
+@pytest.fixture(params=["pairs", "packed"])
+def gate(request, monkeypatch):
+    """Force one side of the compose gate; yields a list that counts packed products."""
+    monkeypatch.setattr(transport, "_PAIRS_PER_PACKED_SLOT", 10**18 if request.param == "pairs" else 0)
+    calls = []
+    packed_rows = transport._packed_rows
+
+    def counted(*args):
+        calls.append(1)
+        return packed_rows(*args)
+
+    monkeypatch.setattr(transport, "_packed_rows", counted)
+    yield calls
+    assert bool(calls) == (request.param == "packed")
+
+
+def _random_law(rng, size, den_cap):
+    """(den, counts) on a random subset of range(size), in lowest terms."""
+    els = rng.sample(range(size), rng.randrange(1, min(size, 12) + 1))
+    counts = {e: rng.randrange(1, den_cap) for e in sorted(els)}
+    return transport._lowest_terms(sum(counts.values()), counts)
+
+
+def _kernel_pairs(ad, rng):
+    """Certificate pairs (c1, c2) with c2 starting at c1's target, of several kinds."""
+    p = _random_law(rng, ad.size, 50)
+    c1 = rng.choice([
+        lambda: transport._raw_independent_pair(ad, p, _random_law(rng, ad.size, 50)),
+        lambda: transport._raw_noise(ad, p, _random_law(rng, ad.size, 9)),
+        lambda: transport._raw_flatten_cert(ad, p, 3, lambda q, sq: False)[1],
+    ])()
+    w = (c1.den, c1.target)
+    c2 = rng.choice([
+        lambda: transport._raw_independent_pair(ad, w, _random_law(rng, ad.size, 50)),
+        lambda: transport._raw_noise(ad, w, _random_law(rng, ad.size, 9)),
+        lambda: transport._raw_flatten_cert(ad, w, 2, lambda q, sq: False)[1],
+        lambda: transport._raw_reverse(ad, c1),
+    ])()
+    return c1, c2
+
+
+KERNEL_GROUPS = {
+    "Z/64": lambda: transport._spec_group(GroupSpec([64])),
+    "Z/2xZ/4": lambda: transport._spec_group(GroupSpec([2, 4])),
+    # H = {0, 2} x {0, 3} inside Z/4 x Z/6, boxed as H x Z/4 x Z/2
+    "box": lambda: transport._box_group(GroupSpec([4, 6]), ((0, 0), (0, 3), (2, 0), (2, 3)), (4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_raw_compose_matches_pair_loop(gate, name):
+    ad = KERNEL_GROUPS[name]()
+    rng = random.Random(f"compose:{name}")
+    for _ in range(60):
+        c1, c2 = _kernel_pairs(ad, rng)
+        out = transport._raw_compose(ad, c1, c2)
+        assert out == _raw_compose_reference(ad, c1, c2)
+        transport._raw_validate(ad, out, (c1.den, transport._raw_source(c1)))
+    # a sigma-split compose of the uniformisation pipeline, the kernel's dense case
+    if name == "Z/64":
+        q = _random_law(rng, ad.size, 1000)
+        up = transport._raw_uniformise(ad, q)
+        back = transport._raw_reverse(ad, transport._raw_uniformise(ad, _random_law(rng, ad.size, 1000)))
+        assert transport._raw_compose(ad, up, back) == _raw_compose_reference(ad, up, back)
+
+
+def test_compose_on_z_matches_reference(gate):
+    z = GroupSpec([0])
+    rng = random.Random(707)
+    for _ in range(60):
+        p, q = (random_dist(rng, z, 6, 40) for _ in range(2))
+        r = random_dist(rng, z, 4, 40)
+        pq = independent_pair_certificate(p, q)
+        for c2 in (independent_noise_certificate(q, r), reverse_certificate(pq),
+                   independent_pair_certificate(q, r)):
+            assert _same(compose_certificates(pq, c2), _compose_certificates_reference(pq, c2))
+
+
+def test_compose_row_whose_source_count_does_not_divide_m(gate):
+    # over den 10, w = 0 has source count 6 split 2 + 4 and w = 1 has 4, so
+    # Z2's conditional counts are over m = 3, which 6 does not divide; the
+    # conditional counts are then 2 * 3 // 6 = 1 and 4 * 3 // 6 = 2, not 0
+    z = GroupSpec([0])
+    w = Dist(z, {(0,): Fraction(6, 10), (1,): Fraction(4, 10)})
+    c1 = identity_certificate(w)
+    c2 = TransportCertificate(
+        JointDist([z, z], {((0,), (3,)): Fraction(2, 10), ((0,), (5,)): Fraction(4, 10),
+                           ((1,), (4,)): Fraction(4, 10)}),
+        Dist(z, {(3,): Fraction(2, 10), (5,): Fraction(8, 10)}),
+    )
+    out = compose_certificates(c1, c2)
+    assert _same(out, _compose_certificates_reference(c1, c2))
+    assert out.coupling.mass == c2.coupling.mass
+    raw1, raw2 = transport._raw(c1), transport._raw(c2)
+    assert transport._raw_compose(z, raw1, raw2) == _raw_compose_reference(z, raw1, raw2)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 64])
+def test_compose_slot_reaching_its_bound(gate, bits):
+    # X is a point and every W goes to one Y, so the one composed count is
+    # den1 * m = 2**bits exactly, one bit more than 2**bits - 1 needs
+    z, z64 = GroupSpec([0]), transport._spec_group(GroupSpec([64]))
+    for ad, e in ((z, lambda k: (k,)), (z64, lambda k: k)):
+        c1 = transport._raw_independent_pair(ad, (1, {e(0): 1}), (2**bits, {e(1): 1, e(2): 2**bits - 1}))
+        c2 = transport._raw_independent_pair(ad, (c1.den, c1.target), (1, {e(5): 1}))
+        out = transport._raw_compose(ad, c1, c2)
+        assert out == _raw_compose_reference(ad, c1, c2)
+        assert (out.den, out.coupling) == (1, {(e(0), e(5)): 1})

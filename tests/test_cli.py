@@ -434,7 +434,9 @@ def test_transport_endpoints_in_other_groups_exit_2(capsys, tmp_path, q):
     ["binomial-doubling", "--n", "0"],
     ["binomial-doubling", "--n", "1"],
     ["smooth-shift", "DIST", "--mu", "2"],
-], ids=["n=0", "n=1", "mu=2"])
+    ["entxx", "--n", "0", "--k", "2"],
+    ["entxx", "--n", "-3", "--k", "2"],
+], ids=["n=0", "n=1", "mu=2", "entxx-n=0", "entxx-n=-3"])
 def test_experiment_argument_errors_exit_2(capsys, dist_file, argv):
     argv = [str(dist_file) if a == "DIST" else a for a in argv]
     assert main(["experiment", *argv]) == 2

@@ -89,6 +89,9 @@ def test_entxx_small_cases():
 
 
 def test_entxx_caps():
+    for n in (0, -3):
+        with pytest.raises(PreconditionError):
+            entxx_explore(n, 2)
     with pytest.raises(PreconditionError):
         entxx_explore(10, 9)
     with pytest.raises(PreconditionError):
