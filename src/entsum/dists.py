@@ -241,20 +241,29 @@ def _kronecker(a: dict[int, int], b: dict[int, int], cap: int, m: int = 0) -> tu
     """
     w = (cap.bit_length() + 7) // 8
     bases = (0, 0) if m else (min(a), min(b))
-    packed = 1
-    for vec, base in zip((a, b), bases):
-        buf = bytearray(w * (max(vec) - base + 1))
-        for x, n in vec.items():
-            i = (x - base) * w
-            buf[i:i + w] = n.to_bytes(w, "little")
-        packed *= int.from_bytes(buf, "little")
+    return sum(bases), _slots(_pack(a, bases[0], w) * _pack(b, bases[1], w), w, m)
+
+
+def _pack(vec: dict[int, int], base: int, w: int) -> int:
+    """The counts of `vec` as one int, the count at x in slot x - base of w bytes."""
+    buf = bytearray(w * (max(vec) - base + 1))
+    for x, n in vec.items():
+        i = (x - base) * w
+        buf[i:i + w] = n.to_bytes(w, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _slots(packed: int, w: int, m: int) -> list[int]:
+    """The w-byte slots of `packed`, with every slot i + j·m added onto slot i
+    first on Z/m; folded sums still fit, since the caller's cap bounds them."""
     if m:
-        # slot i + m lands on slot i; folded sums still fit, since all are <= cap
+        # a power's k·(m - 1) + 1 slots can wrap more than once
         shift = 8 * w * m
-        packed = (packed & ((1 << shift) - 1)) + (packed >> shift)
+        while packed >> shift:
+            packed = (packed & ((1 << shift) - 1)) + (packed >> shift)
     size = -(-packed.bit_length() // (8 * w)) * w
     buf = packed.to_bytes(size, "little")
-    return sum(bases), [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
+    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
 
 
 def _sum_box(p: Dist, q: Dist) -> int:
@@ -306,10 +315,24 @@ def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
 
 
 def iterated_convolve(p: Dist, k: int) -> Dist:
-    """k-fold convolution power of p (k >= 1); `convolve` raises
-    CapExceededError before a step whose support bound exceeds SUPPORT_CAP."""
+    """k-fold convolution power of p (k >= 1).
+
+    A rank-1 law whose final box of sums (k·span + 1 on Z, m on Z/m) is within
+    SUPPORT_CAP, so that no `convolve` step could raise, and dense by its rule,
+    is packed once and raised to the k-th power; any other runs k - 1 `convolve`s.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    g = p.group
+    if k > 1 and g.dim == 1:
+        (m,) = g.moduli
+        xs = [x for (x,) in p.counts]  # sorted
+        box = m or k * (xs[-1] - xs[0]) + 1
+        if box <= SUPPORT_CAP and box <= _DENSE_SLOTS_PER_PAIR * len(p) ** k:
+            den, base = p.den ** k, 0 if m else xs[0]
+            w = (den.bit_length() + 7) // 8
+            counts = _slots(_pack(dict(zip(xs, p.counts.values())), base, w) ** k, w, m)
+            return Dist._with_counts(g, den, {(k * base + i,): n for i, n in enumerate(counts) if n})
     out = p
     for _ in range(k - 1):
         out = convolve(out, p, "+")
@@ -339,17 +362,7 @@ class JointDist(_CountLaw):
 
     def __init__(self, groups: Sequence[GroupSpec], mass: Mapping[Atom, Fraction]):
         groups = tuple(groups)
-        if not groups:
-            raise ValueError("a joint needs at least one coordinate")
-
-        def reduce(atom):
-            if len(atom) != len(groups):
-                raise ValueError(
-                    f"atom {atom} has {len(atom)} coordinates, expected {len(groups)}"
-                )
-            return tuple(g.reduce(x) for g, x in zip(groups, atom))
-
-        self.den, self.counts = _normalise(mass, reduce)
+        self.den, self.counts = _normalise(mass, _atom_reducer(groups))
         self._mass = None
         self.groups = groups
 
@@ -386,7 +399,9 @@ class JointDist(_CountLaw):
         groups: Sequence[GroupSpec],
     ) -> "JointDist":
         """Pushforward under an atom-wise map into new coordinates."""
-        return JointDist(groups, push_masses(self.mass, fn))
+        groups = tuple(groups)
+        reduce = _atom_reducer(groups)
+        return JointDist._with_counts(groups, self.den, push_masses(self.counts, lambda a: reduce(fn(a))))
 
     def sum_dist(self, coords: Sequence[int], signs: Sequence[int] | None = None) -> Dist:
         """Law of the signed sum of the selected coordinates (dependence kept)."""
@@ -410,6 +425,19 @@ class JointDist(_CountLaw):
     def condition(self, coord: int, predicate: Callable[[Element], bool]) -> "JointDist":
         (coord,) = self._check_coords([coord])
         return self._kept(lambda a: predicate(a[coord]))
+
+
+def _atom_reducer(groups: tuple[GroupSpec, ...]) -> Callable[[Atom], Atom]:
+    """Coordinate-wise reduction of an atom; ValueError for a wrong coordinate count."""
+    if not groups:
+        raise ValueError("a joint needs at least one coordinate")
+
+    def reduce(atom):
+        if len(atom) != len(groups):
+            raise ValueError(f"atom {atom} has {len(atom)} coordinates, expected {len(groups)}")
+        return tuple(g.reduce(x) for g, x in zip(groups, atom))
+
+    return reduce
 
 
 def independent_joint(*dists: Dist) -> JointDist:

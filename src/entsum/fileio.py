@@ -7,6 +7,7 @@ not sum to exactly 1, so files round-trip without renormalisation surprises.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,13 +109,16 @@ def load_dist(path_or_obj) -> Dist:
     return Dist(group, mass)
 
 
+def _num_den(n: int, den: int) -> dict:
+    """The mass n/den as an atom's num/den fields, in lowest terms."""
+    g = math.gcd(n, den)
+    return {"num": n // g, "den": den // g}
+
+
 def dump_dist(p: Dist) -> dict:
     return {
         "group": list(p.group.moduli),
-        "atoms": [
-            {"x": list(e), "num": v.numerator, "den": v.denominator}
-            for e, v in p.mass.items()
-        ],
+        "atoms": [{"x": list(e), **_num_den(n, p.den)} for e, n in p.counts.items()],
     }
 
 
@@ -143,10 +147,7 @@ def load_joint(path_or_obj) -> JointDist:
 def dump_joint(j: JointDist) -> dict:
     return {
         "groups": [list(g.moduli) for g in j.groups],
-        "atoms": [
-            {"xs": [list(x) for x in atom], "num": v.numerator, "den": v.denominator}
-            for atom, v in j.mass.items()
-        ],
+        "atoms": [{"xs": [list(x) for x in atom], **_num_den(n, j.den)} for atom, n in j.counts.items()],
     }
 
 

@@ -13,6 +13,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -133,7 +134,8 @@ def random_dist(rng: random.Random, g: GroupSpec, support_cap: int, den_cap: int
     size = len(els)
     den = rng.randrange(size, max(den_cap, size) + 1)
     parts = _composition(rng, den, size)
-    return Dist(g, {e: Fraction(n, den) for e, n in zip(els, parts)})
+    # the elements are reduced and distinct and the parts sum to den
+    return Dist._with_counts(g, den, dict(zip(els, parts)))
 
 
 def random_joint(
@@ -152,7 +154,7 @@ def random_joint(
     atoms = sorted(atoms)
     den = rng.randrange(len(atoms), max(den_cap, len(atoms)) + 1)
     parts = _composition(rng, den, len(atoms))
-    return JointDist([g] * coords, {a: Fraction(n, den) for a, n in zip(atoms, parts)})
+    return JointDist._with_counts((g,) * coords, den, dict(zip(atoms, parts)))
 
 
 def _pick_group(rng: random.Random, cfg: FuzzConfig) -> GroupSpec:
@@ -392,10 +394,13 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
         for lo in range(0, n, step):
             tasks.append((asdict(cfg), check, lo, min(n, lo + step)))
 
-    if workers == 1 or len(tasks) <= 1:
+    # a forked pool starts all of its processes at the first task, so it gets
+    # no more than there are tasks or CPUs; chunking above still follows workers
+    procs = min(workers, len(tasks), os.cpu_count() or 1)
+    if procs <= 1:
         chunks = [_chunk_worker(t) for t in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(_chunk_worker, tasks))
 
     rows = [row for chunk in chunks for row in chunk["rows"]]

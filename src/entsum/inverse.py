@@ -63,8 +63,9 @@ def effective_support(p: Dist, c: float = 2.0) -> CoreReport:
         raise ValueError("C must be >= 1")
     h = entropy(p)
     lo, hi = math.exp(-h) / c, math.exp(-h) * c
-    core = tuple(x for x, v in p.mass.items() if lo <= float(v) <= hi)
-    mass = sum((p.mass[x] for x in core), Fraction(0))
+    den = p.den
+    core = tuple(x for x, n in p.counts.items() if lo <= n / den <= hi)
+    mass = Fraction(sum(p.counts[x] for x in core), den)
     if core:
         gap = math.log(len(core)) - h
         ratio = additive_energy(set(core), p.group) / len(core) ** 3

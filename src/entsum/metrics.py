@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dists import Dist, convolve, entropy, iterated_convolve
@@ -99,11 +98,8 @@ def check_ese_suite(p: Dist, q: Dist, r: Dist, n: int) -> list[MetricReport]:
             w,
         )
     )
-    chain = convolve(p, p, "+")  # gives log sigma and starts the (2n+2)-fold chain
-    log_sigma = entropy(chain) - hp
-    for _ in range(2 * n):
-        chain = convolve(chain, p, "+")
-    h_chain = entropy(chain)
+    log_sigma = entropy(convolve(p, p, "+")) - hp
+    h_chain = entropy(iterated_convolve(p, 2 * n + 2))
     reports.append(
         MetricReport(
             "doubling_chain_bound",
@@ -186,13 +182,14 @@ def sumset_increase_lhs(p: Dist, q: Dist) -> float:
 def _increase_lhs(p: Dist, q: Dist, s: Dist) -> float:
     """sumset_increase_lhs with the sum law s = p * q already built."""
     g = p.group
+    pd, qd, sd, sc = p.den, q.den, s.den, s.counts
     terms = []
-    for y, qy in q.mass.items():
-        for x, px in p.mass.items():
-            z = g.add(x, y)
-            ratio = px / s.mass[z]
-            if ratio > 1:
-                terms.append(float(qy) * float(px) * math.log(ratio))
+    for y, qn in q.counts.items():
+        for x, pn in p.counts.items():
+            # p(x) / s(z) = num / den; int / int rounds as float(Fraction) does
+            num, den = pn * sd, sc[g.add(x, y)] * pd
+            if num > den:
+                terms.append(qn / qd * (pn / pd) * math.log(num / den))
     return math.fsum(terms)
 
 
@@ -218,8 +215,11 @@ class LevelSetReport:
     log_k: float
 
 
-def density_level(p_times_a: Fraction) -> int:
-    """Level index k >= 1 with 2^(2^(k-1)) <= p|A| < 2^(2^k); 0 below."""
+def density_level(p_times_a) -> int:
+    """Level index k >= 1 with 2^(2^(k-1)) <= p|A| < 2^(2^k); 0 below.
+
+    The thresholds are integers, so the floor of p|A| gives the same level.
+    """
     if p_times_a < 2:
         return 0
     k = 1
@@ -238,7 +238,7 @@ def jensen_level_sets(
     here; the classic 2^k-weighted sum is reported without assertion.
     """
     ambient_set = {p.group.reduce(e) for e in ambient}
-    if not set(p.mass) <= ambient_set:
+    if not set(p.counts) <= ambient_set:
         raise PreconditionError("distribution must be supported inside the ambient set")
     size = len(ambient_set)
     log_k = math.log(k_bound)
@@ -247,18 +247,17 @@ def jensen_level_sets(
         raise PreconditionError(
             f"entropy {ent:.6f} below log|A| - log K = {math.log(size) - log_k:.6f}"
         )
+    den = p.den
     levels: dict[int, list[Element]] = {}
-    level_mass: dict[int, Fraction] = {}
-    for e, v in p.mass.items():
-        k = density_level(v * size)
+    level_counts: dict[int, int] = {}
+    for e, n in p.counts.items():
+        k = density_level(n * size // den)
         if k >= 1:
             levels.setdefault(k, []).append(e)
-            level_mass[k] = level_mass.get(k, Fraction(0)) + v
-    weighted = math.fsum(
-        max(2 ** (k - 1) * math.log(2) - 1.0, 0.0) * float(m)
-        for k, m in sorted(level_mass.items())
-    )
-    classic = math.fsum(2**k * float(m) for k, m in sorted(level_mass.items()))
+            level_counts[k] = level_counts.get(k, 0) + n
+    level_mass = [(k, c / den) for k, c in sorted(level_counts.items())]
+    weighted = math.fsum(max(2 ** (k - 1) * math.log(2) - 1.0, 0.0) * m for k, m in level_mass)
+    classic = math.fsum(2**k * m for k, m in level_mass)
     if weighted > log_k + 1e-9:
         raise AssertionError(
             f"level-set bound violated: {weighted} > log K = {log_k}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dists import Dist, _kronecker, _normalise, convolve, entropy, f_nats, tv_distance
+from .dists import Dist, _f_count, _kronecker, _normalise, convolve, entropy, f_nats, tv_distance
 from .errors import CapExceededError, PreconditionError, SearchExhaustedError
 from .groups import GroupSpec
 from .metrics import MetricReport
@@ -32,8 +32,12 @@ SHIFT_GROUP_CAP = 300_000  # largest embedding group smooth_shift_search transfo
 
 
 def _binomial_atoms(n: int) -> dict:
-    den = 2**n
-    return {(2 * k - n,): Fraction(math.comb(n, k), den) for k in range(n + 1)}
+    """Counts C(n, k) over den 2**n at 2k - n, by C(n, k + 1) = C(n, k)(n - k) // (k + 1)."""
+    atoms, c = {}, 1
+    for k in range(n + 1):
+        atoms[(2 * k - n,)] = c
+        c = c * (n - k) // (k + 1)
+    return atoms
 
 
 def binomial_dist(n: int) -> Dist:
@@ -42,11 +46,12 @@ def binomial_dist(n: int) -> Dist:
         raise ValueError("n must be >= 1")
     if n > BINOMIAL_CAP:
         raise CapExceededError(f"binomial cap {BINOMIAL_CAP} exceeded: n={n}")
-    return Dist(GroupSpec([0]), _binomial_atoms(n))
+    return Dist._with_counts(GroupSpec([0]), 2**n, _binomial_atoms(n))
 
 
 def _binomial_entropy(n: int) -> float:
-    return math.fsum(f_nats(v) for v in _binomial_atoms(n).values())
+    den = 2**n
+    return math.fsum(_f_count(c, den) for c in _binomial_atoms(n).values())
 
 
 def binomial_entropy_gap(n: int) -> float:
@@ -139,6 +144,8 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def _poly_integral(poly: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    if not any(poly[1:]):  # a constant piece
+        return poly[0] * (hi - lo)
     acc = Fraction(0)
     for i, c in enumerate(poly):
         acc += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
@@ -297,6 +304,9 @@ def _unit_grid_convolve(f: _UnitSteps, g: _UnitSteps) -> _PiecewisePoly:
     (f0, df, nf), (g0, dg, ng) = f, g
     den = df * dg
     knots = [0, *_kronecker(nf, ng, den)[1], 0]
+    # the piece over [lo + k, lo + k + 1] integrates to (knots[k] + knots[k + 1]) / (2 den)
+    if sum(knots) != den:
+        raise ArithmeticError(f"convolution integral is {Fraction(sum(knots), den)}, expected 1")
     lo = f0 + g0
     polys = []
     for k, (u, v) in enumerate(zip(knots, knots[1:])):
@@ -309,12 +319,14 @@ def convolve_densities(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePo
     """Exact convolution density of two independent piecewise-affine laws.
 
     Two step densities with positive heights on unit intervals go through
-    `_unit_grid_convolve`; every other pair, zero-height pieces included, takes
-    the closed form `_closed_form_convolve`.  The result's integral is checked
-    to be exactly 1.
+    `_unit_grid_convolve`, which checks its integral in ints; every other pair,
+    zero-height pieces included, takes the closed form `_closed_form_convolve`,
+    whose integral is checked to be exactly 1 over Q.
     """
     steps = (_unit_steps(f), _unit_steps(g))
-    out = _unit_grid_convolve(*steps) if None not in steps else _closed_form_convolve(f, g)
+    if None not in steps:
+        return _unit_grid_convolve(*steps)
+    out = _closed_form_convolve(f, g)
     if out.integral() != 1:
         raise ArithmeticError(f"convolution integral is {out.integral()}, expected 1")
     return out

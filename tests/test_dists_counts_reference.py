@@ -8,12 +8,20 @@ over plain mass dicts, as the reference.  Both paths are exact, so every
 mass dict must be equal, atom order included, and every entropy bitwise
 equal.  A property test checks that each law, on whatever path it was
 built, is in its canonical count form.
+
+The fuzz generators `random_dist` and `random_joint`, `JointDist.push`, the
+serialisers `dump_dist` and `dump_joint` and `inverse.effective_support`
+read and build counts too; their `Fraction` bodies are kept here as well.
+The generators must draw the same numbers and give equal laws, the
+serialisers the same JSON text, and the core reports equal fields.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +38,10 @@ from entsum.dists import (
     tv_distance,
 )
 from entsum.errors import CertificateError
+from entsum.fileio import dump_dist, dump_joint
+from entsum.fuzz import _composition, _rand_elements, random_dist, random_joint
 from entsum.groups import GroupSpec
+from entsum.inverse import CoreReport, additive_energy, effective_support
 
 GROUPS = {
     "Z": GroupSpec([0]),
@@ -195,6 +206,73 @@ def _validates(cert, source):
     if _push(mass, lambda a: add(*a)) != cert.target.mass:
         return False
     return source.group == cert.target.group and _push(mass, lambda a: a[0]) == source.mass
+
+
+def _random_dist(rng, g, support_cap, den_cap):
+    size = rng.randrange(1, support_cap + 1)
+    els = _rand_elements(rng, g, size)
+    size = len(els)
+    den = rng.randrange(size, max(den_cap, size) + 1)
+    parts = _composition(rng, den, size)
+    return Dist(g, {e: Fraction(n, den) for e, n in zip(els, parts)})
+
+
+def _random_joint(rng, g, support_cap, den_cap, coords=2):
+    size = rng.randrange(1, support_cap + 1)
+    atoms = set()
+    tries = 0
+    while len(atoms) < size and tries < 400:
+        atom = tuple(
+            tuple(rng.randrange(m) if m > 0 else rng.randrange(-4, 5) for m in g.moduli)
+            for _ in range(coords)
+        )
+        atoms.add(atom)
+        tries += 1
+    atoms = sorted(atoms)
+    den = rng.randrange(len(atoms), max(den_cap, len(atoms)) + 1)
+    parts = _composition(rng, den, len(atoms))
+    return JointDist([g] * coords, {a: Fraction(n, den) for a, n in zip(atoms, parts)})
+
+
+def _joint_push(j, fn, groups):
+    """The former `JointDist.push`, over the `mass` view."""
+    return JointDist(groups, _push(j.mass, fn))
+
+
+def _dump_dist(p):
+    return {
+        "group": list(p.group.moduli),
+        "atoms": [
+            {"x": list(e), "num": v.numerator, "den": v.denominator}
+            for e, v in p.mass.items()
+        ],
+    }
+
+
+def _dump_joint(j):
+    return {
+        "groups": [list(g.moduli) for g in j.groups],
+        "atoms": [
+            {"xs": [list(x) for x in atom], "num": v.numerator, "den": v.denominator}
+            for atom, v in j.mass.items()
+        ],
+    }
+
+
+def _effective_support(p, c=2.0):
+    if c < 1:
+        raise ValueError("C must be >= 1")
+    h = p.entropy()
+    lo, hi = math.exp(-h) / c, math.exp(-h) * c
+    core = tuple(x for x, v in p.mass.items() if lo <= float(v) <= hi)
+    mass = sum((p.mass[x] for x in core), Fraction(0))
+    if core:
+        gap = math.log(len(core)) - h
+        ratio = additive_energy(set(core), p.group) / len(core) ** 3
+    else:
+        gap = -h
+        ratio = 0.0
+    return CoreReport(core, mass, gap, ratio, c, c_too_small=mass < Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +462,85 @@ def test_every_path_builds_canonical_laws(seed, name):
         laws += [cert.coupling, cert.target, cert.noise()]
     for law in laws:
         _assert_canonical(law)
+
+
+# ---------------------------------------------------------------------------
+# generators, pushforwards, serialisers and cores read from counts
+
+SAMPLED = {"Z": GroupSpec([0]), "Z/8": GroupSpec([8]), "Z/4xZ/4": GroupSpec([4, 4])}
+
+
+def _twin(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def _same_law(new, old):
+    assert new == old and hash(new) == hash(old)
+    assert list(new.counts) == list(old.counts)
+    assert new.entropy().hex() == old.entropy().hex()
+
+
+def _drawn(seed, count):
+    """(rng, group, support cap, den cap) over the sampled groups, with
+    denominators from fuzz-sized to 2**62, the widest `_composition` samples."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        name = rng.choice(sorted(SAMPLED))
+        yield rng, SAMPLED[name], rng.randrange(1, 9), rng.choice([1, 6, 64, 720_720, 2**62])
+
+
+def test_generators_match_reference():
+    sizes = set()
+    for rng, g, support_cap, den_cap in _drawn(7, 600):
+        twin = _twin(rng)
+        _same_law(random_dist(rng, g, support_cap, den_cap), _random_dist(twin, g, support_cap, den_cap))
+        assert rng.getstate() == twin.getstate()
+        for coords in (2, 3):
+            j = random_joint(rng, g, support_cap, den_cap, coords)
+            _same_law(j, _random_joint(twin, g, support_cap, den_cap, coords))
+            assert rng.getstate() == twin.getstate()
+            sizes.add(len(j))
+    assert sizes == set(range(1, 9))
+
+
+def test_push_matches_reference():
+    z2 = GroupSpec([2])
+    for rng, g, support_cap, den_cap in _drawn(8, 300):
+        j = random_joint(rng, g, support_cap, den_cap, coords=rng.choice((2, 3)))
+        unreduced = lambda a: (tuple(x + y for x, y in zip(a[0], a[-1])), a[1])  # noqa: E731
+        for fn, groups in (
+            (unreduced, [g, g]),  # sums past the modulus, reduced by the target group
+            (lambda a: (a[-1][:1], a[0]), [z2, g]),  # a coarser group merges atoms
+            (lambda a: (a[0],) * 4, [g] * 4),
+        ):
+            _same_law(j.push(fn, groups), _joint_push(j, fn, groups))
+        for bad in ([g], [g, g, g]):
+            with pytest.raises(ValueError, match="coordinates"):
+                j.push(unreduced, bad)
+            with pytest.raises(ValueError, match="coordinates"):
+                _joint_push(j, unreduced, bad)
+
+
+def test_serialisers_match_reference():
+    for rng, g, support_cap, den_cap in _drawn(9, 400):
+        p = random_dist(rng, g, support_cap, den_cap)
+        assert json.dumps(dump_dist(p)) == json.dumps(_dump_dist(p))
+        j = random_joint(rng, g, support_cap, den_cap, coords=rng.choice((2, 3)))
+        assert json.dumps(dump_joint(j)) == json.dumps(_dump_joint(j))
+
+
+def test_effective_support_matches_reference():
+    flags = set()
+    for rng, g, support_cap, den_cap in _drawn(10, 300):
+        p = random_dist(rng, g, support_cap, den_cap)
+        for c in (1.0, 1.1, 2.0, 8.0):
+            new, old = effective_support(p, c), _effective_support(p, c)
+            assert new.core_set == old.core_set
+            assert new.mass == old.mass and type(new.mass) is Fraction
+            assert new.log_size_gap.hex() == old.log_size_gap.hex()
+            assert new.energy_ratio.hex() == old.energy_ratio.hex()
+            assert (new.c_value, new.c_too_small) == (old.c_value, old.c_too_small)
+            flags.add((bool(new.core_set), new.c_too_small))
+    assert flags == {(True, True), (True, False), (False, True)}

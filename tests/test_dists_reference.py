@@ -6,6 +6,11 @@ builds the result through `Dist.__init__`, whose normaliser re-sums and sorts
 the `Fraction` masses.  It is kept here unchanged, with the common-denominator
 helper it used, as the reference.  Both paths are exact, so the laws must be
 equal, atom order included, and their entropies bitwise equal.
+
+`_iterated_convolve_reference` is `iterated_convolve` as it was before the
+Kronecker power: k - 1 calls of `convolve`.  It is the reference for the
+power path, which must give equal laws and raise `CapExceededError` exactly
+where the loop does.
 """
 
 import math
@@ -17,7 +22,7 @@ import pytest
 
 from entsum import dists
 from entsum.dists import Dist, convolve, entropy
-from entsum.errors import IncompatibleGroupError
+from entsum.errors import CapExceededError, IncompatibleGroupError
 from entsum.groups import GroupSpec
 
 
@@ -47,6 +52,17 @@ def _convolve_reference(p: Dist, q: Dist, sign: str = "+") -> Dist:
             acc[s] = acc.get(s, 0) + nx * ny
     den = dp * dq
     return Dist(g, {e: Fraction(n, den) for e, n in acc.items()})
+
+
+def _iterated_convolve_reference(p: Dist, k: int) -> Dist:
+    """k-fold convolution power of p (k >= 1); `convolve` raises
+    CapExceededError before a step whose support bound exceeds SUPPORT_CAP."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    out = p
+    for _ in range(k - 1):
+        out = convolve(out, p, "+")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,3 +159,82 @@ def test_wide_two_atom_law_takes_the_pair_loop():
     out = convolve(p, p)
     assert time.perf_counter() - t0 < 0.1
     assert out == _convolve_reference(p, p)
+
+
+# ---------------------------------------------------------------------------
+# convolution powers
+
+
+@pytest.fixture
+def loop_steps(monkeypatch):
+    """Counts the `convolve` calls that `iterated_convolve` makes: none on the
+    Kronecker power, k - 1 on the loop (the reference calls its own import)."""
+    calls = [0]
+
+    def counted(*args, _convolve=dists.convolve):
+        calls[0] += 1
+        return _convolve(*args)
+
+    monkeypatch.setattr(dists, "convolve", counted)
+    return calls
+
+
+def _assert_power(p: Dist, k: int) -> Dist:
+    new, old = dists.iterated_convolve(p, k), _iterated_convolve_reference(p, k)
+    assert new == old and hash(new) == hash(old)
+    assert list(new.counts) == list(old.counts)
+    assert entropy(new).hex() == entropy(old).hex()
+    return new
+
+
+def test_powers_match_the_loop_on_seeded_laws(loop_steps):
+    rng = random.Random(4)
+    looped = {}
+    for g in (Z, GroupSpec([8]), GroupSpec([4, 4])):
+        for _ in range(60):
+            p = _law(rng, g, rng.randrange(1, 7), rng.choice([2, 64, 2**20, 2**64]), reach=rng.choice([2, 8, 1000]))
+            before, k = loop_steps[0], rng.randrange(1, 9)
+            _assert_power(p, k)
+            if k > 1:
+                looped.setdefault(g, set()).add(loop_steps[0] > before)
+    # rank 2 always loops; rank 1 takes both paths
+    assert looped == {Z: {True, False}, GroupSpec([8]): {True, False}, GroupSpec([4, 4]): {True}}
+
+
+def test_power_path_edge_cases(loop_steps):
+    negative = Dist(Z, {(-7,): Fraction(1, 3), (-5,): Fraction(1, 6), (-2,): Fraction(1, 2)})
+    full = Dist.uniform(GroupSpec([8]), [(i,) for i in range(8)])
+    skewed = Dist(GroupSpec([8]), {(0,): Fraction(5, 7), (3,): Fraction(1, 7), (7,): Fraction(1, 7)})
+    point = Dist.point(Z, (-3,))
+    # on Z/8, k = 6 and 9 give 43 and 64 packed slots: the fold wraps five and seven times
+    for p, k in ((negative, 5), (full, 6), (skewed, 9), (point, 7)):
+        _assert_power(p, k)
+    assert loop_steps == [0]
+    assert dists.iterated_convolve(negative, 5).support()[0] == (-35,)
+    assert dists.iterated_convolve(point, 3) == Dist.point(Z, (-9,))
+    # a point on Z/8 fills one slot of 8, below the density rule
+    _assert_power(Dist.point(GroupSpec([8]), (5,)), 4)
+    assert loop_steps == [3]
+
+
+def test_power_path_stops_at_the_support_cap(monkeypatch, loop_steps):
+    p = Dist.uniform(Z, [(i,) for i in range(4)])  # k = 3: box 10, the last step 7 × 4 pairs
+    monkeypatch.setattr(dists, "SUPPORT_CAP", 10)
+    _assert_power(p, 3)
+    assert loop_steps == [0]
+    monkeypatch.setattr(dists, "SUPPORT_CAP", 9)
+    errors = []
+    for build in (dists.iterated_convolve, _iterated_convolve_reference):
+        with pytest.raises(CapExceededError) as exc:
+            build(p, 3)
+        errors.append(str(exc.value))
+    # both raise at the second step, with the same support bound
+    assert errors[0] == errors[1] == "convolution support may reach 10, cap 9"
+    assert loop_steps == [2]
+
+
+def test_sparse_power_takes_the_loop(loop_steps):
+    # the box of {0, 30000}^{*6} holds 180,001 slots for 64 atom tuples
+    p = Dist.uniform(Z, [(0,), (30000,)])
+    assert len(_assert_power(p, 6)) == 7
+    assert loop_steps == [5]

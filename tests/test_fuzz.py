@@ -78,6 +78,47 @@ def test_fuzz_workers_identical(tmp_path):
     ).read_bytes()
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "workers, instances, checks, cpus, size",
+    [
+        (64, 3, ["eident"], 8, 3),  # 3 tasks on 8 CPUs
+        (64, 100, ["eident", "triv"], 4, 4),  # 100 tasks on 4 CPUs
+        (10**6, 2, ["eident", "triv", "ento"], 1000, 6),
+        (3, 30, ["eident"], None, 1),  # an unknown CPU count runs in-process
+        (2, 1, ["eident"], 8, 1),  # one task
+    ],
+)
+def test_fuzz_pool_never_exceeds_tasks_or_cpus(tmp_path, monkeypatch, workers, instances, checks, cpus, size):
+    from entsum import fuzz
+
+    monkeypatch.setattr(fuzz.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(fuzz.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = small_cfg(instance_count=instances, inequality_set=checks)
+    fuzz_run(FuzzConfig(**{**asdict(cfg), "workers": workers}), tmp_path / "pool")
+    assert _InlinePool.sizes == ([size] if size > 1 else [])
+    fuzz_run(cfg, tmp_path / "serial")
+    assert (tmp_path / "pool/results.jsonl").read_bytes() == (tmp_path / "serial/results.jsonl").read_bytes()
+
+
 def test_fuzz_rejects_unknown_names(tmp_path):
     with pytest.raises(SchemaError):
         fuzz_run(small_cfg(inequality_set=["nope"]), tmp_path)

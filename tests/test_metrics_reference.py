@@ -6,8 +6,14 @@ p + q and p - q twice, and re-evaluates the entropies of the inputs each
 time.  It is kept here unchanged as the reference.  Both must give the same
 reports, every lhs and rhs bitwise, and raise `CapExceededError` on the same
 inputs.
+
+`_increase_lhs_reference` and `_jensen_level_sets_reference` are the
+truncated-log sum and the density-level partition as they were over
+`Fraction` masses, before they read the counts; both must give bitwise-equal
+floats and the same levels.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +24,16 @@ from entsum.dists import Dist, convolve, entropy, iterated_convolve
 from entsum.errors import CapExceededError, IncompatibleGroupError, PreconditionError
 from entsum.fileio import dump_dist
 from entsum.groups import GroupSpec
-from entsum.metrics import MetricReport, check_ese_suite, ruzsa_distance
+from entsum.fuzz import random_dist
+from entsum.metrics import (
+    LevelSetReport,
+    MetricReport,
+    _increase_lhs,
+    check_ese_suite,
+    density_level,
+    jensen_level_sets,
+    ruzsa_distance,
+)
 
 
 def _check_ese_suite_reference(p: Dist, q: Dist, r: Dist, n: int) -> list[MetricReport]:
@@ -99,6 +114,54 @@ def _check_ese_suite_reference(p: Dist, q: Dist, r: Dist, n: int) -> list[Metric
     return reports
 
 
+def _increase_lhs_reference(p: Dist, q: Dist, s: Dist) -> float:
+    """sumset_increase_lhs with the sum law s = p * q already built."""
+    g = p.group
+    terms = []
+    for y, qy in q.mass.items():
+        for x, px in p.mass.items():
+            z = g.add(x, y)
+            ratio = px / s.mass[z]
+            if ratio > 1:
+                terms.append(float(qy) * float(px) * math.log(ratio))
+    return math.fsum(terms)
+
+
+def _jensen_level_sets_reference(p: Dist, ambient, k_bound: float) -> LevelSetReport:
+    ambient_set = {p.group.reduce(e) for e in ambient}
+    if not set(p.mass) <= ambient_set:
+        raise PreconditionError("distribution must be supported inside the ambient set")
+    size = len(ambient_set)
+    log_k = math.log(k_bound)
+    ent = entropy(p)
+    if ent < math.log(size) - log_k - 1e-12:
+        raise PreconditionError(
+            f"entropy {ent:.6f} below log|A| - log K = {math.log(size) - log_k:.6f}"
+        )
+    levels = {}
+    level_mass = {}
+    for e, v in p.mass.items():
+        k = density_level(v * size)
+        if k >= 1:
+            levels.setdefault(k, []).append(e)
+            level_mass[k] = level_mass.get(k, Fraction(0)) + v
+    weighted = math.fsum(
+        max(2 ** (k - 1) * math.log(2) - 1.0, 0.0) * float(m)
+        for k, m in sorted(level_mass.items())
+    )
+    classic = math.fsum(2**k * float(m) for k, m in sorted(level_mass.items()))
+    if weighted > log_k + 1e-9:
+        raise AssertionError(
+            f"level-set bound violated: {weighted} > log K = {log_k}"
+        )
+    return LevelSetReport(
+        levels={k: tuple(v) for k, v in sorted(levels.items())},
+        weighted_sum=weighted,
+        classic_weighted_sum=classic,
+        log_k=log_k,
+    )
+
+
 # ---------------------------------------------------------------------------
 # seeded triples
 
@@ -162,3 +225,45 @@ def test_cap_raised_on_the_same_triples(monkeypatch):
         assert _key(check_ese_suite(p, q, r, n)) == expected
         outcomes.add("reports")
     assert outcomes == {"cap", "reports"}
+
+
+# ---------------------------------------------------------------------------
+# count readers
+
+SAMPLED = {"Z": GroupSpec([0]), "Z/8": GroupSpec([8]), "Z/4xZ/4": GroupSpec([4, 4])}
+
+
+def test_increase_lhs_matches_reference():
+    rng = random.Random(12)
+    positive = 0
+    for _ in range(600):
+        g = SAMPLED[rng.choice(sorted(SAMPLED))]
+        den_cap = rng.choice([6, 64, 720_720, 2**62])
+        p, q = (random_dist(rng, g, rng.randrange(1, 8), den_cap) for _ in range(2))
+        s = convolve(p, q, "+")
+        new = _increase_lhs(p, q, s)
+        assert new.hex() == _increase_lhs_reference(p, q, s).hex()
+        positive += new > 0
+    assert 100 < positive < 600
+
+
+def test_jensen_level_sets_match_reference():
+    rng = random.Random(13)
+    levels = set()
+    for _ in range(600):
+        size = rng.choice([8, 16, 32, 256])
+        g = GroupSpec([size])
+        ambient = [(i,) for i in range(size)]
+        p = random_dist(rng, g, min(rng.randrange(1, 9), size), rng.choice([6, 64, 720_720, 2**62]))
+        # K with log K a hair above the entropy deficit, as the fuzz check takes it
+        k_bound = math.exp(math.log(size) - entropy(p)) * (1 + 1e-9)
+        new = jensen_level_sets(p, ambient, k_bound)
+        old = _jensen_level_sets_reference(p, ambient, k_bound)
+        assert new.levels == old.levels
+        assert new.weighted_sum.hex() == old.weighted_sum.hex()
+        assert new.classic_weighted_sum.hex() == old.classic_weighted_sum.hex()
+        assert new.log_k.hex() == old.log_k.hex()
+        levels.update(new.levels)
+    assert levels >= {1, 2, 3}
+    with pytest.raises(PreconditionError):
+        jensen_level_sets(Dist.point(GroupSpec([8]), (9,)), [(0,)], 2.0)

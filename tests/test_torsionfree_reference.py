@@ -7,6 +7,12 @@ interpolation over Q.  It is kept here unchanged, with the polynomial helpers
 and the per-piece entropy loop it used, as the reference.  Both paths are
 exact, so breakpoints and coefficient tuples must be equal, trailing zeros
 included.
+
+`_binomial_atoms_reference` builds the sign walk's law from n + 1
+`Fraction`s over 2**n, as `binomial_dist` and `_binomial_entropy` did before
+they walked the binomial counts in ints; laws must be equal and entropies
+bitwise equal.  The unit-step kernel checks its integral in ints, which a
+corrupted knot must fail.
 """
 
 import math
@@ -16,11 +22,15 @@ from typing import Sequence
 
 import pytest
 
-from entsum import fuzz
+from entsum import fuzz, torsionfree
+from entsum.dists import Dist, f_nats
+from entsum.groups import GroupSpec
 from entsum.torsionfree import (
     PiecewiseDensity,
+    _binomial_entropy,
     _entropy_affine_piece,
     _PiecewisePoly,
+    binomial_dist,
     continuous_entropy,
     convolve_densities,
 )
@@ -49,6 +59,11 @@ def _poly_integral(poly: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     for i, c in enumerate(poly):
         acc += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
     return acc
+
+
+def _binomial_atoms_reference(n: int) -> dict:
+    den = 2**n
+    return {(2 * k - n,): Fraction(math.comb(n, k), den) for k in range(n + 1)}
 
 
 def _lagrange(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
@@ -233,3 +248,26 @@ def test_continuous_entropy_matches_reference():
             dens.append(_rand_step(rng, _rand_breaks(rng, g0, g1)))
     for f in dens:
         assert continuous_entropy(f) == _continuous_entropy_reference(f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 1024])
+def test_binomial_walk_matches_reference(n):
+    ref = _binomial_atoms_reference(n)
+    law, old = binomial_dist(n), Dist(GroupSpec([0]), ref)
+    assert law == old and hash(law) == hash(old)
+    assert _binomial_entropy(n).hex() == math.fsum(f_nats(v) for v in ref.values()).hex()
+
+
+def test_unit_step_integral_check_catches_corrupted_knots(monkeypatch):
+    f, g = _fuzz_step_pairs(5, 1)[0]
+    assert convolve_densities(f, g).integral() == 1
+    kronecker = torsionfree._kronecker
+
+    for corrupt in (lambda c: c[:-1] + [c[-1] + 1], lambda c: [c[0] - 1] + c[1:]):
+        def corrupted(*args, corrupt=corrupt):
+            lo, counts = kronecker(*args)
+            return lo, corrupt(counts)
+
+        monkeypatch.setattr(torsionfree, "_kronecker", corrupted)
+        with pytest.raises(ArithmeticError, match="integral"):
+            convolve_densities(f, g)
