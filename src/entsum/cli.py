@@ -129,8 +129,8 @@ def _cmd_inverse(args) -> int:
         {
             "coset": {
                 "is_coset_uniform": coset.is_coset_uniform,
-                "subgroup": sorted(map(list, coset.subgroup)) if coset.subgroup else None,
-                "base": list(coset.base) if coset.base else None,
+                "subgroup": sorted(map(list, coset.subgroup)) if coset.subgroup is not None else None,
+                "base": list(coset.base) if coset.base is not None else None,
                 "doubling": coset.doubling,
             },
             "core": {

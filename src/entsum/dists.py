@@ -1,12 +1,13 @@
 """Exact finitely supported distributions over abelian groups.
 
 Every law is held in one exact form: int counts over one denominator, in
-lowest terms, keyed by reduced atoms in sorted order.  Exact masses enter
-only through `_normalise` and leave only through the `mass` view, so
-marginals, conditioning, convolution and pushforwards run in Python ints;
-only entropies are floating point.  Each entropy term is taken on its mass in
-lowest terms and the sums use math.fsum, so the result is independent of
-summation order.
+lowest terms, keyed by reduced atoms in sorted order, and library code reads
+and builds laws as (den, counts), so marginals, conditioning, convolution
+and pushforwards run in Python ints; only entropies are floating point.
+`Fraction` masses enter only through the public constructors (`_normalise`),
+which the file loaders also use, and leave only through the `mass` view,
+which is for output.  Each entropy term is taken on its mass in lowest terms
+and the sums use math.fsum, so the result is independent of summation order.
 """
 
 from __future__ import annotations

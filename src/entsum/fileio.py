@@ -70,13 +70,13 @@ def _atoms(obj) -> list[dict]:
     return atoms
 
 
-def _element(coords, group: GroupSpec, atom: dict) -> tuple:
+def _element(coords, group: GroupSpec, where: dict) -> tuple:
     if (
         not isinstance(coords, (list, tuple))
         or len(coords) != group.dim
         or not all(_is_int(c) for c in coords)
     ):
-        raise SchemaError(f"atom coordinates {atom!r} do not match the group")
+        raise SchemaError(f"coordinates {coords!r} in {where!r} do not match the group")
     return group.reduce(coords)
 
 
@@ -90,6 +90,20 @@ def _fraction(atom: dict) -> Fraction:
     return Fraction(num, den)
 
 
+def _law(make, ambient, atoms: list[dict], fields: set[str], key):
+    """make(ambient, masses) of the atoms' masses summed per key(atom); the
+    constructor's ValueError, as for a total other than 1, is a SchemaError."""
+    mass: dict = {}
+    for atom in atoms:
+        _known(atom, fields, "atom")
+        k = key(atom)
+        mass[k] = mass.get(k, 0) + _fraction(atom)
+    try:
+        return make(ambient, mass)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def load_dist(path_or_obj) -> Dist:
     obj = _read(path_or_obj)
     try:
@@ -98,15 +112,7 @@ def load_dist(path_or_obj) -> Dist:
     except (KeyError, TypeError) as exc:
         raise SchemaError("distribution file needs 'group' and 'atoms'") from exc
     _known(obj, {"group", "atoms"}, "distribution")
-    mass = {}
-    for atom in atoms:
-        _known(atom, {"x", "num", "den"}, "atom")
-        key = _element(atom.get("x", ()), group, atom)
-        mass[key] = mass.get(key, Fraction(0)) + _fraction(atom)
-    total = sum(mass.values(), Fraction(0))
-    if total != 1:
-        raise SchemaError(f"masses sum to {total}, exact 1 required")
-    return Dist(group, mass)
+    return _law(Dist, group, atoms, {"x", "num", "den"}, lambda a: _element(a.get("x", ()), group, a))
 
 
 def _num_den(n: int, den: int) -> dict:
@@ -130,18 +136,14 @@ def load_joint(path_or_obj) -> JointDist:
     except (KeyError, TypeError) as exc:
         raise SchemaError("joint file needs 'groups' and 'atoms'") from exc
     _known(obj, {"groups", "atoms"}, "joint")
-    mass = {}
-    for atom in atoms:
-        _known(atom, {"xs", "num", "den"}, "atom")
+
+    def key(atom):
         xs = atom.get("xs")
         if not isinstance(xs, list) or len(xs) != len(groups):
             raise SchemaError(f"atom {atom!r} does not match the coordinate count")
-        key = tuple(_element(x, g, atom) for g, x in zip(groups, xs))
-        mass[key] = mass.get(key, Fraction(0)) + _fraction(atom)
-    total = sum(mass.values(), Fraction(0))
-    if total != 1:
-        raise SchemaError(f"masses sum to {total}, exact 1 required")
-    return JointDist(groups, mass)
+        return tuple(_element(x, g, atom) for g, x in zip(groups, xs))
+
+    return _law(JointDist, groups, atoms, {"xs", "num", "den"}, key)
 
 
 def dump_joint(j: JointDist) -> dict:
@@ -155,15 +157,17 @@ def load_progression(path_or_obj) -> CosetProgression:
     obj = _read(path_or_obj)
     try:
         group = _group(obj["group"])
-        subgroup = [tuple(h) for h in obj["H"]]
-        base = tuple(obj["base"])
-        steps = [tuple(s) for s in obj.get("steps", [])]
+        subgroup = [_element(h, group, obj) for h in obj["H"]]
+        base = _element(obj["base"], group, obj)
+        steps = [_element(s, group, obj) for s in obj.get("steps", [])]
         lengths = obj.get("lengths", [])
     except (KeyError, TypeError) as exc:
         raise SchemaError(
             "progression file needs 'group', 'H', 'base', 'steps', 'lengths'"
         ) from exc
     _known(obj, {"group", "H", "base", "steps", "lengths"}, "progression")
+    if not isinstance(lengths, list) or not all(_is_int(n) for n in lengths):
+        raise SchemaError(f"progression lengths must be a list of ints, got {lengths!r}")
     try:
         return CosetProgression(group, subgroup, base, steps, lengths)
     except (ValueError, TypeError, IncompatibleGroupError) as exc:

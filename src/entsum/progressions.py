@@ -116,14 +116,14 @@ class BoxEmbedding:
     backward: dict  # group element -> (h, ns)
 
     def pull(self, p: Dist) -> dict:
-        """Mass map of p re-indexed by box points; support must lie in H+P."""
+        """p's counts, over p.den, keyed by box point; support must lie in H+P."""
         out = {}
-        for e, v in p.mass.items():
+        for e, n in p.counts.items():
             if e not in self.backward:
                 raise PreconditionError(
                     f"support element {e} lies outside the progression"
                 )
-            out[self.backward[e]] = v
+            out[self.backward[e]] = n
         return out
 
     def push_shift(self, dh: Element, dns: tuple[int, ...]) -> Element:

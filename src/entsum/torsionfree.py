@@ -107,18 +107,15 @@ def mod_fiber_decomposition(p: Dist, m: int) -> tuple[Dist, dict[int, Dist]]:
         raise ValueError("m must be >= 1")
     z = GroupSpec([0])
     zm = GroupSpec([m])
-    w_mass: dict = {}
+    w_counts: dict = {}
     fibres: dict[int, dict] = {}
-    for (x,), v in p.mass.items():
+    for (x,), n in p.counts.items():
         w = x % m
-        w_mass[(w,)] = w_mass.get((w,), Fraction(0)) + v
-        fibres.setdefault(w, {})[((x - w) // m,)] = v
-    w_dist = Dist(zm, w_mass)
-    out = {
-        w: Dist(z, {e: v / w_mass[(w,)] for e, v in atoms.items()})
-        for w, atoms in fibres.items()
-    }
-    return w_dist, out
+        w_counts[(w,)] = w_counts.get((w,), 0) + n
+        fibres.setdefault(w, {})[((x - w) // m,)] = n
+    # each fibre's counts sum to its W count, so it sits over that count
+    out = {w: Dist._with_counts(z, w_counts[(w,)], atoms) for w, atoms in fibres.items()}
+    return Dist._with_counts(zm, p.den, w_counts), out
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +401,15 @@ def bridge_entropy(p: Dist) -> tuple[PiecewiseDensity, float]:
         raise PreconditionError("bridge needs a rank-1 Z-valued law")
     # one piece [x, x+1) per atom and one zero piece across each gap, so the
     # work is linear in the support, not in its span
-    atoms = sorted((x, v) for (x,), v in p.mass.items())
-    breaks = [Fraction(atoms[0][0])]
+    den = p.den
+    breaks = [Fraction(p.support()[0][0])]
     pieces = []
-    for x, v in atoms:
+    for (x,), n in p.counts.items():  # in increasing x
         if x > breaks[-1]:
             breaks.append(Fraction(x))
             pieces.append((0, 0))
         breaks.append(Fraction(x + 1))
-        pieces.append((v, 0))
+        pieces.append((Fraction(n, den), 0))
     dens = PiecewiseDensity(breaks, pieces)
     ent = continuous_entropy(dens)
     if abs(ent - entropy(p)) > 1e-9:
@@ -460,9 +457,9 @@ def smooth_shift_search(
     if not p.group.torsion_free() or p.group.dim < 1:
         raise PreconditionError("search needs a law on a torsion-free box")
     d = p.group.dim
-    mins = [min(x[i] for x in p.mass) for i in range(d)]
+    mins = [min(x[i] for x in p.counts) for i in range(d)]
     p0 = p.translate(tuple(-m for m in mins))
-    sizes = [max(x[i] for x in p0.mass) + 1 for i in range(d)]
+    sizes = [max(x[i] for x in p0.counts) + 1 for i in range(d)]
     if box is not None:
         box = [int(n) for n in box]
         if len(box) != d or any(b < s for b, s in zip(box, sizes)):
@@ -475,12 +472,14 @@ def smooth_shift_search(
 
     import numpy as np  # loaded by the search, not with the package
 
+    # int / int is correctly rounded, as float(Fraction) is
+    den = p0.den
     arr = np.zeros(dims, dtype=float)
-    for x, v in p0.mass.items():
-        arr[x] = float(v)
+    for x, n in p0.counts.items():
+        arr[x] = n / den
     coeffs = np.fft.fftn(arr)
     parseval_lhs = float(np.sum(np.abs(coeffs) ** 2))
-    parseval_rhs = total * float(sum(float(v) ** 2 for v in p0.mass.values()))
+    parseval_rhs = total * sum((n / den) ** 2 for n in p0.counts.values())
 
     mags = np.abs(coeffs)
     spectrum = tuple(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dists import Dist, JointDist, _f_count, _lowest_terms, _normalise, entropy, push_masses
+from .dists import Dist, JointDist, _f_count, _lowest_terms, _pack, _slots, entropy, push_masses
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     WraparoundError,
 )
-from .fileio import dump_dist
+from .fileio import _num_den, dump_dist
 from .groups import Element, GroupSpec
 from .metrics import density_level
 from .progressions import CosetProgression, box_embedding
@@ -90,8 +90,8 @@ class TransportCertificate:
             "group": list(self.target.group.moduli),
             "cost": self.cost,
             "coupling": [
-                {"x": list(x), "z": list(z), "num": v.numerator, "den": v.denominator}
-                for (x, z), v in self.coupling.mass.items()
+                {"x": list(x), "z": list(z), **_num_den(n, self.coupling.den)}
+                for (x, z), n in self.coupling.counts.items()
             ],
             "target": dump_dist(self.target)["atoms"],
         }
@@ -508,10 +508,6 @@ class _IndexedGroup:
     def sub(self, a: int, b: int) -> int:
         return self._rows[a][self._neg[b]]
 
-    def encode(self, mass: dict) -> _Law:
-        """(den, counts) of exact masses, keyed by element index."""
-        return _normalise(mass, self.index.__getitem__)
-
 
 @functools.lru_cache(maxsize=8)
 def _spec_group(g: GroupSpec) -> _IndexedGroup:
@@ -528,10 +524,10 @@ def _box_group(ambient: GroupSpec, subgroup: tuple, mods: tuple) -> _IndexedGrou
     return _IndexedGroup(elems, h_table, mods, (ambient.zero(), (0,) * len(mods)))
 
 
-def _index_law(ad: _IndexedGroup, p: Dist) -> _Law:
-    """p's counts keyed by element index; they stay in sorted order."""
+def _index_law(ad: _IndexedGroup, den: int, counts: dict) -> _Law:
+    """(den, counts) with the counts keyed by element index, in index order."""
     index = ad.index
-    return p.den, {index[e]: n for e, n in p.counts.items()}
+    return den, dict(sorted((index[e], n) for e, n in counts.items()))
 
 
 def _scaled(counts: dict, k: int) -> dict:
@@ -629,17 +625,22 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
     are at most _PAIRS_PER_PACKED_SLOT times the packed work
     |c2| + |supp W| |supp Y|, sums the pairs one by one.
     """
-    src = _raw_source(c2)
-    if not _same_law((c2.den, src), (c1.den, c1.target)):
-        raise CertificateError("second certificate does not start at the first's target")
     by_w: dict = {}
     for (w, z2), n in c2.coupling.items():
         by_w.setdefault(w, []).append((z2, n))
-    # Z2 given W = w has masses n / src[w]; put them all over m, the lcm of
-    # their denominators in lowest terms, so each atom is n1 * n2 / (den1 * m).
-    # src[w] need not divide m, so B[w, y] is n * m // src[w], never n * (m // src[w])
-    m = math.lcm(*(src[w] // math.gcd(src[w], *(n for _, n in row)) for w, row in by_w.items()))
-    cond = {w: [(z2, n * m // src[w]) for z2, n in row] for w, row in by_w.items()}
+    src = {w: sum(n for _, n in row) for w, row in by_w.items()}  # c2's source counts
+    if not _same_law((c2.den, src), (c1.den, c1.target)):
+        raise CertificateError("second certificate does not start at the first's target")
+    # Z2 given W = w has masses n / src[w] over d_w = src[w] // g_w in lowest terms,
+    # g_w = gcd(src[w], *row).  Over m = lcm(d_w), each atom is n1 * n2 / (den1 * m)
+    # with n2 = n * m / src[w] = (n // g_w) * (m // d_w), exact as d_w divides m.
+    gcds = {w: math.gcd(src[w], *(n for _, n in row)) for w, row in by_w.items()}
+    m = math.lcm(*(src[w] // g for w, g in gcds.items()))
+    cond = {}
+    for w, row in by_w.items():
+        g = gcds[w]
+        f = m // (src[w] // g)
+        cond[w] = [(z2, n // g * f) for z2, n in row]
     n1s, n2s, nw = len(c1.coupling), len(c2.coupling), len(by_w)
     if n1s * n2s <= _PAIRS_PER_PACKED_SLOT * nw * (n2s + nw * len(c2.target)):
         atoms: dict = {}
@@ -659,36 +660,29 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
 def _packed_rows(ad, coupling: dict, cond: dict, bound: int) -> dict:
     """The counts sum_w A[x, w] B[w, y] of a composed coupling, row by row.
 
-    Each row B[w, .] is packed into one int with a byte-aligned slot per y,
-    the slots in order of first appearance among the targets w + z2, so any
-    group serves (Kronecker substitution, as in `dists._kronecker`).  Each
-    x's row is then the int sum_z1 A[x, x + z1] * packed[x + z1], read back
-    slot by slot.  `bound` is den1 * m and no composed count exceeds it: c1's
-    counts at x sum to at most den1 and each row of B sums to m.  So a slot
-    of bound's bit length never carries into the next.
+    Each row B[w, .] is packed into one int by `dists._pack`, with a
+    byte-aligned slot per y, the slots in order of first appearance among the
+    targets w + z2, so any group serves (Kronecker substitution, as in
+    `dists._kronecker`).  Each x's row is then the int sum_z1 A[x, x + z1] *
+    packed[x + z1], read back by `dists._slots`.  `bound` is den1 * m and no
+    composed count exceeds it: c1's counts at x sum to at most den1 and each
+    row of B sums to m.  So a slot of bound's bit length never carries into
+    the next.
     """
     add, sub = ad.add, ad.sub
     width = (bound.bit_length() + 7) // 8
     slot: dict = {}  # y -> its slot index
-    placed = {
-        w: [(slot.setdefault(add(w, z2), len(slot)) * width, n) for z2, n in row]
+    packed = {
+        w: _pack({slot.setdefault(add(w, z2), len(slot)): n for z2, n in row}, 0, width)
         for w, row in cond.items()
     }
-    size = width * len(slot)
-    packed = {}
-    for w, row in placed.items():
-        buf = bytearray(size)
-        for o, n in row:
-            buf[o:o + width] = n.to_bytes(width, "little")
-        packed[w] = int.from_bytes(buf, "little")
     rows: dict = {}
     for (x, z1), n1 in coupling.items():
         rows[x] = rows.get(x, 0) + n1 * packed[add(x, z1)]
     atoms = {}
     for x, row in rows.items():
-        b = row.to_bytes(size, "little")
-        for y, o in zip(slot, range(0, size, width)):
-            n = int.from_bytes(b[o:o + width], "little")
+        # _slots omits the zero slots above the row's top one
+        for y, n in zip(slot, _slots(row, width, 0)):
             if n:
                 atoms[(x, sub(y, x))] = n
     return atoms
@@ -843,7 +837,7 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
     if k < 0:
         raise ValueError("k must be >= 0")
     ad = _spec_group(p.group)
-    _, raw, shifts, sqs = _raw_flatten_cert(ad, _index_law(ad, p), k, lambda q, sq: False)
+    _, raw, shifts, sqs = _raw_flatten_cert(ad, _index_law(ad, p.den, p.counts), k, lambda q, sq: False)
     trace = FlattenTrace([ad.elems[h] for h in shifts], [Fraction(*sq) for sq in sqs])
     trace.verify()
     cert = _cert(p.group, raw, ad.elems)
@@ -945,7 +939,7 @@ def uniformise_group(p: Dist, k_bound: float) -> TransportCertificate:
             f"entropy deficit {deficit:.6f} exceeds log K = {math.log(k_bound):.6f}"
         )
     ad = _spec_group(p.group)
-    cert = _cert(p.group, _raw_uniformise(ad, _index_law(ad, p)), ad.elems)
+    cert = _cert(p.group, _raw_uniformise(ad, _index_law(ad, p.den, p.counts)), ad.elems)
     cert.validate(p)
     return cert
 
@@ -971,7 +965,7 @@ def uniformise_coset_progression(
         return identity_certificate(p)
     lengths = cp.lengths
     ad = _box_group(g, cp.subgroup, tuple(2 * n for n in lengths))
-    box_mass = ad.encode(emb.pull(p))  # raises if support leaves H+P
+    box_mass = _index_law(ad, p.den, emb.pull(p))  # raises if support leaves H+P
     box_uniform = (len(hp), {ad.index[key]: 1 for key in emb.forward})
     c1 = _raw_uniformise(ad, box_mass)
     c2 = _raw_uniformise(ad, box_uniform)

@@ -85,12 +85,22 @@ BAD_JOINTS = [
                                      {"xs": [[1], [0]], "num": 2, "den": 1}]},
     {"groups": [[0], [0]], "atoms": [{"xs": [[0], [0]], "num": 1, "den": 1}], "k": 2},
     {"groups": [[0], [0]], "atoms": [{"xs": [[0], [0]], "num": 1, "den": 1, "x": [0]}]},
+    # a joint of no coordinates, which the constructor refuses
+    {"groups": [], "atoms": [{"xs": [], "num": 1, "den": 1}]},
 ]
 GOOD_PROGRESSION = {"group": [0], "H": [[0]], "base": [0], "steps": [[1]], "lengths": [4]}
 BAD_PROGRESSIONS = [
     {**GOOD_PROGRESSION, "rank": 1},
     {**GOOD_PROGRESSION, "base": [0, 1]},
     {**GOOD_PROGRESSION, "lengths": [None]},
+    # non-integer coordinates and lengths, which int() used to truncate
+    {**GOOD_PROGRESSION, "base": [1.5]},
+    {**GOOD_PROGRESSION, "steps": [[1.9]]},
+    {**GOOD_PROGRESSION, "lengths": [3.7]},
+    {**GOOD_PROGRESSION, "H": [[0.0]]},
+    {**GOOD_PROGRESSION, "base": [True]},
+    {**GOOD_PROGRESSION, "lengths": [True]},
+    {**GOOD_PROGRESSION, "lengths": 4},
 ]
 
 
@@ -289,6 +299,16 @@ def test_inverse_command(capsys, tmp_path):
     assert code == 0
     assert payload["coset"]["is_coset_uniform"]
     assert payload["coset"]["doubling"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_inverse_command_on_trivial_group(capsys, tmp_path):
+    # the one element of the trivial group is (), which is falsy but not absent
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"group": [], "atoms": [{"x": [], "num": 1, "den": 1}]}))
+    code, out = run(capsys, "inverse", str(path))
+    coset = json.loads(out)["coset"]
+    assert code == 0
+    assert coset["is_coset_uniform"] and coset["base"] == [] and coset["subgroup"] == [[]]
 
 
 def test_experiment_commands(capsys, dist_file, tmp_path):

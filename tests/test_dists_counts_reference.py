@@ -14,18 +14,26 @@ serialisers `dump_dist` and `dump_joint` and `inverse.effective_support`
 read and build counts too; their `Fraction` bodies are kept here as well.
 The generators must draw the same numbers and give equal laws, the
 serialisers the same JSON text, and the core reports equal fields.
+
+`mod_fiber_decomposition`, `bridge_entropy`, `smooth_shift_search`,
+`BoxEmbedding.pull`, `TransportCertificate.to_json` and the loaders
+`load_dist` and `load_joint` read counts as well.  Their `Fraction` bodies are
+the last references here: laws must be equal, floats and the character table
+bitwise equal, JSON text identical, and a malformed file must fail the same way.
 """
 
+import itertools
 import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entsum import transport
+from entsum import fileio, transport
 from entsum.bsg import BsgInstance, build_path_joint, factorization_exact
 from entsum.dists import (
     Dist,
@@ -37,11 +45,21 @@ from entsum.dists import (
     is_independent,
     tv_distance,
 )
-from entsum.errors import CertificateError
+from entsum.errors import CertificateError, PreconditionError, SchemaError, SearchExhaustedError
 from entsum.fileio import dump_dist, dump_joint
 from entsum.fuzz import _composition, _rand_elements, random_dist, random_joint
 from entsum.groups import GroupSpec
 from entsum.inverse import CoreReport, additive_energy, effective_support
+from entsum.progressions import CosetProgression, box_embedding
+from entsum.torsionfree import (
+    PiecewiseDensity,
+    SpectrumReport,
+    bridge_entropy,
+    continuous_entropy,
+    mod_fiber_decomposition,
+    smooth_shift_search,
+)
+from entsum.transport import uniformise_coset_progression
 
 GROUPS = {
     "Z": GroupSpec([0]),
@@ -544,3 +562,273 @@ def test_effective_support_matches_reference():
             assert (new.c_value, new.c_too_small) == (old.c_value, old.c_too_small)
             flags.add((bool(new.core_set), new.c_too_small))
     assert flags == {(True, True), (True, False), (False, True)}
+
+
+# ---------------------------------------------------------------------------
+# fibres, the bridge, the shift search, box pulls, certificates and loaders
+# read counts too; their former `Fraction` bodies follow
+
+
+def _mod_fiber_decomposition(p, m):
+    z, zm = GroupSpec([0]), GroupSpec([m])
+    w_mass, fibres = {}, {}
+    for (x,), v in p.mass.items():
+        w = x % m
+        w_mass[(w,)] = w_mass.get((w,), Fraction(0)) + v
+        fibres.setdefault(w, {})[((x - w) // m,)] = v
+    out = {w: Dist(z, {e: v / w_mass[(w,)] for e, v in atoms.items()}) for w, atoms in fibres.items()}
+    return Dist(zm, w_mass), out
+
+
+def _bridge_entropy(p):
+    atoms = sorted((x, v) for (x,), v in p.mass.items())
+    breaks = [Fraction(atoms[0][0])]
+    pieces = []
+    for x, v in atoms:
+        if x > breaks[-1]:
+            breaks.append(Fraction(x))
+            pieces.append((0, 0))
+        breaks.append(Fraction(x + 1))
+        pieces.append((v, 0))
+    dens = PiecewiseDensity(breaks, pieces)
+    ent = continuous_entropy(dens)
+    assert abs(ent - p.entropy()) <= 1e-9
+    return dens, ent
+
+
+def _smooth_shift_search(p, mu, box=None):
+    d = p.group.dim
+    mins = [min(x[i] for x in p.mass) for i in range(d)]
+    p0 = p.translate(tuple(-m for m in mins))
+    sizes = [max(x[i] for x in p0.mass) + 1 for i in range(d)]
+    if box is not None:
+        sizes = [int(n) for n in box]
+    dims = tuple(3 * n for n in sizes)
+    total = math.prod(dims)
+    arr = np.zeros(dims, dtype=float)
+    for x, v in p0.mass.items():
+        arr[x] = float(v)
+    coeffs = np.fft.fftn(arr)
+    parseval_lhs = float(np.sum(np.abs(coeffs) ** 2))
+    parseval_rhs = total * float(sum(float(v) ** 2 for v in p0.mass.values()))
+    mags = np.abs(coeffs)
+    spectrum = tuple(tuple(int(c) for c in idx) for idx in np.argwhere(mags >= mu))
+
+    def char_dist(r):
+        worst = 0.0
+        for t in spectrum:
+            theta = 2.0 * math.pi * math.fsum((t[i] * r[i]) / dims[i] for i in range(d))
+            worst = max(worst, 2.0 * abs(math.sin(theta / 2.0)))
+        return worst
+
+    radius = min(max(s - 1 for s in sizes), math.ceil(d * mu**-3))
+    best_r, best_m, chosen, chosen_m = None, math.inf, None, math.inf
+    for rho in range(1, radius + 1):
+        for r in itertools.product(*(range(min(n, rho + 1)) for n in sizes)):
+            if max(r) != rho:
+                continue
+            m = char_dist(r)
+            if m < best_m:
+                best_m, best_r = m, r
+            if m <= mu * mu:
+                chosen, chosen_m = r, m
+                break
+        if chosen is not None:
+            break
+    relaxed = chosen is None
+    if relaxed:
+        if best_r is None:
+            raise SearchExhaustedError(f"no nonzero shift exists within radius {radius}", spectrum)
+        chosen, chosen_m = best_r, best_m
+    conv = convolve(p0, p0, "+")
+    realized_tv = tv_distance(conv, conv.translate(chosen))
+    return SpectrumReport(mu, dims, coeffs, spectrum, chosen, chosen_m, relaxed, realized_tv,
+                          parseval_lhs, parseval_rhs)
+
+
+def _pull(emb, p):
+    out = {}
+    for e, v in p.mass.items():
+        if e not in emb.backward:
+            raise PreconditionError(f"support element {e} lies outside the progression")
+        out[emb.backward[e]] = v
+    return out
+
+
+def _to_json(cert):
+    return {
+        "group": list(cert.target.group.moduli),
+        "cost": cert.cost,
+        "coupling": [
+            {"x": list(x), "z": list(z), "num": v.numerator, "den": v.denominator}
+            for (x, z), v in cert.coupling.mass.items()
+        ],
+        "target": dump_dist(cert.target)["atoms"],
+    }
+
+
+def _load_dist(obj):
+    group = fileio._group(obj["group"])
+    mass = {}
+    for atom in fileio._atoms(obj):
+        fileio._known(atom, {"x", "num", "den"}, "atom")
+        key = fileio._element(atom.get("x", ()), group, atom)
+        mass[key] = mass.get(key, Fraction(0)) + fileio._fraction(atom)
+    total = sum(mass.values(), Fraction(0))
+    if total != 1:
+        raise SchemaError(f"masses sum to {total}, exact 1 required")
+    return Dist(group, mass)
+
+
+def _load_joint(obj):
+    groups = [fileio._group(g) for g in obj["groups"]]
+    mass = {}
+    for atom in fileio._atoms(obj):
+        fileio._known(atom, {"xs", "num", "den"}, "atom")
+        xs = atom.get("xs")
+        if not isinstance(xs, list) or len(xs) != len(groups):
+            raise SchemaError(f"atom {atom!r} does not match the coordinate count")
+        key = tuple(fileio._element(x, g, atom) for g, x in zip(groups, xs))
+        mass[key] = mass.get(key, Fraction(0)) + fileio._fraction(atom)
+    total = sum(mass.values(), Fraction(0))
+    if total != 1:
+        raise SchemaError(f"masses sum to {total}, exact 1 required")
+    return JointDist(groups, mass)
+
+
+# Z, Z^2 and Z/m, and criterion 5's four progression shapes
+READ_GROUPS = {"Z": GroupSpec([0]), "Z^2": GroupSpec([0, 0]), "Z/6": GroupSpec([6]), "Z/16": GroupSpec([16])}
+CP_SHAPES = [
+    CosetProgression(GroupSpec([0]), [(0,)], (0,), [(1,)], [16]),
+    CosetProgression(GroupSpec([0]), [(0,)], (5,), [(2,)], [12]),
+    CosetProgression(GroupSpec([0, 0]), [(0, 0)], (0, 0), [(1, 0), (0, 1)], [4, 4]),
+    CosetProgression(GroupSpec([8, 0]), [(0, 0), (4, 0)], (1, 0), [(0, 1)], [6]),
+]
+
+
+def _law_on(rng, g, elements):
+    """A law on a random subset of `elements`, with a random denominator."""
+    support = sorted(rng.sample(elements, rng.randrange(1, min(len(elements), 12) + 1)))
+    den = rng.randrange(len(support), max(rng.choice(DEN_CAPS), len(support)) + 1)
+    return Dist(g, {e: Fraction(n, den) for e, n in zip(support, _parts(rng, den, len(support)))})
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the entsum error it raised."""
+    try:
+        return fn(*args)
+    except (SchemaError, PreconditionError, SearchExhaustedError) as exc:
+        return type(exc)
+
+
+def test_mod_fibres_and_bridge_match_reference():
+    z = GroupSpec([0])
+    for rng, _ in _corpus(11, 300):
+        p = _law(rng, z)
+        for m in (1, 2, 3, rng.randrange(4, 12)):
+            (w, fibres), (w_ref, fibres_ref) = mod_fiber_decomposition(p, m), _mod_fiber_decomposition(p, m)
+            _same_law(w, w_ref)
+            assert list(fibres) == list(fibres_ref)
+            for key, fibre in fibres.items():
+                _same_law(fibre, fibres_ref[key])
+        (dens, ent), (dens_ref, ent_ref) = bridge_entropy(p), _bridge_entropy(p)
+        assert (dens.breakpoints, dens.pieces) == (dens_ref.breakpoints, dens_ref.pieces)
+        assert ent.hex() == ent_ref.hex()
+
+
+def test_smooth_shift_search_matches_reference():
+    outcomes = set()
+    for rng, _ in _corpus(12, 100):
+        g = READ_GROUPS[rng.choice(("Z", "Z^2"))]
+        p = _law(rng, g)
+        mu = rng.choice((0.3, 0.5, 0.8))
+        box = None
+        if rng.random() < 0.3:
+            box = [max(x[i] for x in p.counts) - min(x[i] for x in p.counts) + 1 + rng.randrange(3)
+                   for i in range(g.dim)]
+        new, old = _outcome(smooth_shift_search, p, mu, box), _outcome(_smooth_shift_search, p, mu, box)
+        if isinstance(old, type):
+            assert new is old
+            outcomes.add(old.__name__)
+            continue
+        assert np.array_equal(new.coeffs, old.coeffs)
+        for field in ("mu", "dims", "spectrum", "shift", "relaxed"):
+            assert getattr(new, field) == getattr(old, field)
+        for field in ("max_char_dist", "realized_tv", "parseval_lhs", "parseval_rhs"):
+            assert getattr(new, field).hex() == getattr(old, field).hex()
+        outcomes.add(old.relaxed)
+    assert outcomes == {True, False, "SearchExhaustedError"}
+
+
+def test_pull_and_certificates_match_reference():
+    rng = random.Random(13)
+    for cp in CP_SHAPES * 3:
+        emb = box_embedding(cp)
+        p = _law_on(rng, cp.group, sorted(emb.backward))
+        box = emb.pull(p)
+        assert {b: Fraction(n, p.den) for b, n in box.items()} == _pull(emb, p)
+        assert list(box) == list(_pull(emb, p))
+        for cert in (uniformise_coset_progression(p, cp),
+                     transport.independent_pair_certificate(p, Dist.uniform(cp.group, emb.backward))):
+            assert json.dumps(cert.to_json()) == json.dumps(_to_json(cert))
+        outside = p.translate(cp.group.reduce((100,) * cp.group.dim))  # every shape has a bounded Z side
+        assert _outcome(emb.pull, outside) is _outcome(_pull, emb, outside) is PreconditionError
+    for rng, _ in _corpus(14, 200):
+        g = READ_GROUPS[rng.choice(sorted(READ_GROUPS))]
+        p, q = _law(rng, g), _law(rng, g)
+        pair = transport.independent_pair_certificate(p, q)
+        certs = [pair, transport.reverse_certificate(pair), transport.independent_noise_certificate(p, q),
+                 transport.compose_certificates(pair, transport.identity_certificate(q, _element(rng, g)))]
+        if g.is_finite():
+            certs.append(transport.uniformise_group(p, 1e9))
+        for cert in certs:
+            assert json.dumps(cert.to_json()) == json.dumps(_to_json(cert))
+
+
+def _atoms_variant(rng, atoms, moduli):
+    """The same law's atoms reshuffled: unreduced num/den pairs, split and
+    zero-mass atoms, unreduced coordinates on Z/m, in a random order."""
+    out = []
+    for atom in atoms:
+        num, den = atom["num"], atom["den"]
+        k = rng.choice((1, 1, 2, 6))
+        num, den = num * k, den * k
+        if num > 1 and rng.random() < 0.3:
+            cut = rng.randrange(1, num)
+            out += [{**atom, "num": cut, "den": den}, {**atom, "num": num - cut, "den": den}]
+        else:
+            out.append({**atom, "num": num, "den": den})
+    if rng.random() < 0.2:
+        out.append({**rng.choice(atoms), "num": 0, "den": 7})
+    for atom in out:
+        for coords in atom["xs"] if "xs" in atom else [atom["x"]]:
+            for i, m in enumerate(moduli):
+                if m and rng.random() < 0.3:
+                    coords[i] += m
+    rng.shuffle(out)
+    if rng.random() < 0.15:  # a total above 1
+        out[0] = {**out[0], "num": out[0]["num"] + 1}
+    return out
+
+
+def test_loaders_match_reference():
+    outcomes = set()
+    for rng, _ in _corpus(15, 400):
+        g = READ_GROUPS[rng.choice(sorted(READ_GROUPS))]
+        obj = json.loads(json.dumps(dump_dist(_law(rng, g))))
+        obj["atoms"] = _atoms_variant(rng, obj["atoms"], g.moduli)
+        new, old = _outcome(fileio.load_dist, obj), _outcome(_load_dist, json.loads(json.dumps(obj)))
+        if isinstance(old, type):
+            assert new is old
+        else:
+            _same_law(new, old)
+        outcomes.add(old is SchemaError)
+        obj = json.loads(json.dumps(dump_joint(_joint(rng, g, k=rng.choice((2, 3))))))
+        obj["atoms"] = _atoms_variant(rng, obj["atoms"], g.moduli)
+        new, old = _outcome(fileio.load_joint, obj), _outcome(_load_joint, json.loads(json.dumps(obj)))
+        if isinstance(old, type):
+            assert new is old
+        else:
+            _same_law(new, old)
+        outcomes.add(old is SchemaError)
+    assert outcomes == {True, False}

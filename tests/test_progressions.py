@@ -126,9 +126,9 @@ def test_box_embedding_cap_before_walk(monkeypatch, proper_required):
 def test_pull_mass():
     cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [4])
     emb = box_embedding(cp)
-    p = Dist(Z, {(0,): F(1, 2), (3,): F(1, 2)})
+    p = Dist(Z, {(0,): F(1, 4), (3,): F(3, 4)})
     box = emb.pull(p)
-    assert box == {((0,), (0,)): F(1, 2), ((0,), (3,)): F(1, 2)}
+    assert p.den == 4 and box == {((0,), (0,)): 1, ((0,), (3,)): 3}
 
 
 def test_doubling_at_most_two_per_rank():

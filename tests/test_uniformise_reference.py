@@ -410,6 +410,16 @@ def _uniformise_group_reference(p: Dist, k_bound: float) -> TransportCertificate
     return cert
 
 
+def _pull(emb, p: Dist) -> dict:
+    """The former `BoxEmbedding.pull`: p's Fraction masses keyed by box point."""
+    out = {}
+    for e, v in p.mass.items():
+        if e not in emb.backward:
+            raise PreconditionError(f"support element {e} lies outside the progression")
+        out[emb.backward[e]] = v
+    return out
+
+
 def _uniformise_coset_progression_reference(
     p: Dist, cp: CosetProgression, k_bound: float | None = None
 ) -> TransportCertificate:
@@ -429,7 +439,7 @@ def _uniformise_coset_progression_reference(
             raise PreconditionError("entropy deficit exceeds log K")
     if p == target:
         return identity_certificate(p)
-    box_mass = emb.pull(p)  # raises if support leaves H+P
+    box_mass = _pull(emb, p)  # raises if support leaves H+P
     lengths = cp.lengths
     ad = _SubgroupBoxAdapter(g, cp.subgroup, tuple(2 * n for n in lengths))
     box_uniform = {
@@ -568,10 +578,14 @@ def test_kernel_operations_match_reference(case):
     def same(c, c_ref):
         return decoded(c) == (c_ref.coupling, c_ref.target)
 
-    noise = transport._raw_noise(ad, ad.encode(p), ad.encode(z))
+    def encode(mass):
+        law = Dist(g, mass)
+        return transport._index_law(ad, law.den, law.counts)
+
+    noise = transport._raw_noise(ad, encode(p), encode(z))
     noise_ref = _raw_noise(ref, p, z)
     assert same(noise, noise_ref)
-    pair = transport._raw_independent_pair(ad, (noise.den, noise.target), ad.encode(r))
+    pair = transport._raw_independent_pair(ad, (noise.den, noise.target), encode(r))
     pair_ref = _raw_independent_pair(ref, noise_ref.target, r)
     assert same(pair, pair_ref)
     for c, c_ref in [(noise, noise_ref), (pair, pair_ref)]:
@@ -587,5 +601,5 @@ def test_kernel_operations_match_reference(case):
     assert same(mixed, mixed_ref)
     # the float scan must choose exactly the reference's shift, ties included
     for q in (p, z, r, decoded(composed)[1]):
-        assert ad.elems[transport._pick_shift(ad, ad.encode(q))] == _pick_shift(ref, q)
-        assert ad.elems[transport._pick_shift_exact(ad, ad.encode(q))] == _pick_shift_exact(ref, q)
+        assert ad.elems[transport._pick_shift(ad, encode(q))] == _pick_shift(ref, q)
+        assert ad.elems[transport._pick_shift_exact(ad, encode(q))] == _pick_shift_exact(ref, q)
