@@ -69,20 +69,37 @@ class GroupSpec:
     def zero(self) -> Element:
         return (0,) * self.dim
 
+    # add, neg and sub sit on every hot path: one length test each, with
+    # _check called only to raise, and a direct path on rank-1 groups
+
     def add(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        return tuple(
-            (x + y) % m if m > 0 else x + y
-            for x, y, m in zip(a, b, self.moduli)
-        )
+        mods = self.moduli
+        if not len(a) == len(b) == len(mods):
+            self._check(a)
+            self._check(b)
+        if len(mods) == 1:
+            m, s = mods[0], a[0] + b[0]
+            return (s % m if m else s,)
+        return tuple([(x + y) % m if m else x + y for x, y, m in zip(a, b, mods)])
 
     def neg(self, a: Element) -> Element:
-        self._check(a)
-        return tuple((-x) % m if m > 0 else -x for x, m in zip(a, self.moduli))
+        mods = self.moduli
+        if len(a) != len(mods):
+            self._check(a)
+        if len(mods) == 1:
+            m = mods[0]
+            return (-a[0] % m if m else -a[0],)
+        return tuple([-x % m if m else -x for x, m in zip(a, mods)])
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
+        mods = self.moduli
+        if not len(a) == len(b) == len(mods):
+            self._check(a)
+            self._check(b)
+        if len(mods) == 1:
+            m, s = mods[0], a[0] - b[0]
+            return (s % m if m else s,)
+        return tuple([(x - y) % m if m else x - y for x, y, m in zip(a, b, mods)])
 
     def scalar(self, k: int, a: Element) -> Element:
         self._check(a)

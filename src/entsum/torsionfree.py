@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -461,7 +462,10 @@ def smooth_shift_search(
     p0 = p.translate(tuple(-m for m in mins))
     sizes = [max(x[i] for x in p0.counts) + 1 for i in range(d)]
     if box is not None:
-        box = [int(n) for n in box]
+        try:
+            box = [operator.index(n) for n in box]
+        except TypeError:
+            raise PreconditionError(f"box sides must be integers, got {box!r}") from None
         if len(box) != d or any(b < s for b, s in zip(box, sizes)):
             raise PreconditionError(f"box {box} does not contain the support")
         sizes = box

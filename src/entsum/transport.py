@@ -10,8 +10,11 @@ branch as soon as a single-partner atom overdraws its partner.  The
 constructive side builds certificates by flattening with two-point shifts,
 density-level splitting, and sigma-splits.  It runs in the int counts that
 `Dist` and `JointDist` hold, with the elements of a finite group encoded as
-indices into one addition table.  Certificate validity is always exact and
-checked in ints; only costs are floating point.
+indices into one addition table.  Every flatten step adds independent noise,
+and composing a certificate with independent noise is a convolution of each
+row with the noise law, formed on Z/n as one product of packed ints.
+Certificate validity is always exact and checked in ints; only costs are
+floating point.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dists import Dist, JointDist, _f_count, _lowest_terms, _pack, _slots, entropy, push_masses
+from .dists import Dist, JointDist, _f_count, _kronecker, _lowest_terms, _pack, _slots, entropy, push_masses
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -452,7 +455,12 @@ def is_translate(p: Dist, q: Dist) -> bool:
 # product of counts: a dense one packs each row of the second factor into
 # one int, keyed by target position rather than element index, so it serves
 # a GroupSpec too; a sparse one sums its atom pairs one by one
-# (`_raw_compose`).
+# (`_raw_compose`).  When the second factor is independent noise, the
+# product coupling q ⊗ z that `_raw_noise` builds and records, its
+# conditional law is z on every row, so the composition is a convolution of
+# each row of the first factor with z: on an `_IndexedGroup` that is one
+# cyclic factor Z/n, one Kronecker product per row, folded on Z/n
+# (`_compose_noise`).  Other groups take the matrix product.
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -472,6 +480,9 @@ class _IndexedGroup:
         self._h_table = h_table
         self._mods = mods
         self._zero = self.index[zero]
+        # n when the group is one cyclic factor Z/n with a trivial H, so that
+        # each index is its own residue and addition is addition mod n; else 0
+        self.cyclic = self.size if len(h_table) == 1 and len(mods) == 1 else 0
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -551,6 +562,8 @@ class _RawCert:
     den: int
     coupling: dict  # (x, z) -> count
     target: dict  # y -> count
+    # the laws (q, z) when the coupling is the product q ⊗ z, Z independent of X
+    noise: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         g = math.gcd(self.den, *self.coupling.values(), *self.target.values())
@@ -595,18 +608,25 @@ def _raw_independent_pair(ad, qp: _Law, qm: _Law) -> _RawCert:
     return _RawCert(dp * dm, atoms, _scaled(mm, dp))
 
 
+def _cyclic(ad) -> int:
+    """n when `ad` is an `_IndexedGroup` on Z/n with a trivial H, else 0."""
+    return ad.cyclic if isinstance(ad, _IndexedGroup) else 0
+
+
 def _raw_noise(ad, q: _Law, z: _Law) -> _RawCert:
+    """q ⊗ z, whose target q ⊛ z is one Kronecker product on Z/n."""
     (dq, mq), (dz, mz) = q, z
-    atoms: dict = {}
-    tgt: dict = {}
-    add = ad.add
-    for x, nx in mq.items():
-        for zz, nz in mz.items():
-            n = nx * nz
-            atoms[(x, zz)] = n
+    atoms = {(x, zz): nx * nz for x, nx in mq.items() for zz, nz in mz.items()}
+    n = _cyclic(ad)
+    if n:
+        tgt = {y: k for y, k in enumerate(_kronecker(mq, mz, dq * dz, n)[1]) if k}
+    else:
+        tgt = {}
+        add = ad.add
+        for (x, zz), k in atoms.items():
             y = add(x, zz)
-            tgt[y] = tgt.get(y, 0) + n
-    return _RawCert(dq * dz, atoms, tgt)
+            tgt[y] = tgt.get(y, 0) + k
+    return _RawCert(dq * dz, atoms, tgt, (q, z))
 
 
 def _raw_reverse(ad, c: _RawCert) -> _RawCert:
@@ -623,8 +643,11 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
     over a common denominator m.  A dense product is formed packed (see
     `_packed_rows`); a sparse one, whose estimated pairs |c1| |c2| / |supp W|
     are at most _PAIRS_PER_PACKED_SLOT times the packed work
-    |c2| + |supp W| |supp Y|, sums the pairs one by one.
+    |c2| + |supp W| |supp Y|, sums the pairs one by one.  On Z/n, a c2 that
+    is independent noise is a convolution instead (`_compose_noise`).
     """
+    if c2.noise is not None and _cyclic(ad):
+        return _compose_noise(ad.cyclic, c1, c2)
     by_w: dict = {}
     for (w, z2), n in c2.coupling.items():
         by_w.setdefault(w, []).append((z2, n))
@@ -655,6 +678,32 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
     return _RawCert(
         den, _scaled(atoms, den // (c1.den * m)), _scaled(c2.target, den // c2.den)
     )
+
+
+def _compose_noise(n: int, c1: _RawCert, c2: _RawCert) -> _RawCert:
+    """c1 then c2 = q ⊗ z on Z/n: Z2 is z whatever W is.
+
+    The composed count at (x, z1 + z2) is sum c1[x, z1] z[z2] over den1 * dz,
+    so each x's row of c1 convolves with z: one product of packed ints, the
+    row's and z's (packed once), read back folded on Z/n as in
+    `dists._kronecker`.  No count exceeds den1 * dz, the row's total times dz.
+    """
+    q, (dz, mz) = c2.noise
+    if not _same_law(q, (c1.den, c1.target)):
+        raise CertificateError("second certificate does not start at the first's target")
+    rows: dict = {}
+    for (x, z1), n1 in c1.coupling.items():
+        rows.setdefault(x, {})[z1] = n1
+    bound = c1.den * dz
+    width = (bound.bit_length() + 7) // 8
+    packed_z = _pack(mz, 0, width)
+    atoms = {}
+    for x, row in rows.items():
+        for zz, k in enumerate(_slots(_pack(row, 0, width) * packed_z, width, n)):
+            if k:
+                atoms[(x, zz)] = k
+    den = math.lcm(bound, c2.den)
+    return _RawCert(den, _scaled(atoms, den // bound), _scaled(c2.target, den // c2.den))
 
 
 def _packed_rows(ad, coupling: dict, cond: dict, bound: int) -> dict:

@@ -9,9 +9,13 @@ coupling atom by atom over `TransportCertificate` and `Dist`.
 `_raw_compose_reference` is the integer kernel's compose as it was before
 dense products were packed into ints: it sums every atom pair.  The kernel
 tests run `transport._raw_compose` on both sides of its gate, forced by
-`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates.
+`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates.  On Z/n a
+second certificate that is independent noise (`_raw_noise`) is composed by
+convolution instead; the noise tests compare it with the generic compose of
+the same certificates, and with the pair loop.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -289,6 +293,60 @@ def test_raw_compose_matches_pair_loop(gate, name):
         up = transport._raw_uniformise(ad, q)
         back = transport._raw_reverse(ad, transport._raw_uniformise(ad, _random_law(rng, ad.size, 1000)))
         assert transport._raw_compose(ad, up, back) == _raw_compose_reference(ad, up, back)
+
+
+# name -> (group, whether a noise compose on it is a convolution)
+NOISE_GROUPS = {
+    **{f"Z/{n}": (lambda n=n: transport._spec_group(GroupSpec([n])), True) for n in (1, 2, 8, 12, 64)},
+    # the one-dimensional box Z/10 of a progression with a trivial H
+    "box Z/10": (lambda: transport._box_group(GroupSpec([0]), ((0,),), (10,)), True),
+    "Z/2xZ/4": (KERNEL_GROUPS["Z/2xZ/4"], False),
+    "box": (KERNEL_GROUPS["box"], False),
+}
+
+
+@pytest.mark.parametrize("name", NOISE_GROUPS)
+def test_compose_with_noise_matches_generic(gate, monkeypatch, name):
+    make, convolves = NOISE_GROUPS[name]
+    ad = make()
+    convolutions = []
+    compose_noise = transport._compose_noise
+    monkeypatch.setattr(transport, "_compose_noise", lambda *a: convolutions.append(1) or compose_noise(*a))
+    rng = random.Random(f"noise:{name}")
+
+    def law(cap):
+        return _random_law(rng, ad.size, cap)
+
+    for i in range(45):
+        p = law(50)
+        if i % 3 == 0:  # dense
+            c1 = transport._raw_noise(ad, p, law(9))
+        elif i % 3 == 1:  # sparse
+            c1 = transport._raw_independent_pair(ad, p, law(50))
+        else:
+            k = rng.randrange(1, 8)
+            c1 = transport._raw_mix(8, [(k, transport._raw_noise(ad, p, law(9))),
+                                        (8 - k, transport._raw_independent_pair(ad, law(50), law(50)))])
+        w = (c1.den, c1.target)
+        c2 = rng.choice([
+            lambda: transport._raw_noise(ad, w, law(9)),
+            lambda: transport._raw_flatten_cert(ad, w, 3, lambda q, sq: False)[1],
+        ])()
+        if c2.noise is None:  # flattening took no round: an identity, not noise
+            continue
+        # the Kronecker target of _raw_noise against the per-atom sum
+        transport._raw_validate(ad, c2)
+        generic = dataclasses.replace(c2, noise=None)
+        out = transport._raw_compose(ad, c1, c2)
+        ref = transport._raw_compose(ad, c1, generic)
+        assert (out.den, out.coupling, out.target) == (ref.den, ref.coupling, ref.target)
+        assert out == _raw_compose_reference(ad, c1, generic)
+        transport._raw_validate(ad, out, (c1.den, transport._raw_source(c1)))
+        other = transport._raw_noise(ad, law(50), law(9))
+        if not transport._same_law(other.noise[0], w):
+            with pytest.raises(CertificateError):
+                transport._raw_compose(ad, c1, other)
+    assert bool(convolutions) == convolves
 
 
 def test_compose_on_z_matches_reference(gate):

@@ -29,10 +29,23 @@ def test_is_subgroup_examples():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(IncompatibleGroupError):
-        GroupSpec([4]).add((1,), (1, 2))
+    for g, a, b in [
+        (GroupSpec([4]), (1,), (1, 2)),  # second argument too long
+        (GroupSpec([4]), (1, 2), (1,)),  # first argument too long
+        (GroupSpec([2, 2]), (1,), (1, 0)),
+        (GroupSpec([0, 3]), (), (1, 0)),
+        (GroupSpec([]), (), (1,)),
+        (GroupSpec([]), (0,), ()),
+    ]:
+        for op in (g.add, g.sub):
+            with pytest.raises(IncompatibleGroupError):
+                op(a, b)
     with pytest.raises(IncompatibleGroupError):
         GroupSpec([2, 2]).neg((1,))
+    with pytest.raises(IncompatibleGroupError):
+        GroupSpec([]).neg((1,))
+    g0 = GroupSpec([])
+    assert g0.add((), ()) == g0.sub((), ()) == g0.neg(()) == g0.zero() == ()
 
 
 def test_add_associative_commutative_random():
@@ -47,6 +60,7 @@ def test_add_associative_commutative_random():
             assert g.add(a, b) == g.add(b, a)
             assert g.add(g.add(a, b), c) == g.add(a, g.add(b, c))
             assert g.neg(g.add(a, b)) == g.add(g.neg(a), g.neg(b))
+            assert g.sub(a, b) == g.add(a, g.neg(b)) == g.reduce([x - y for x, y in zip(a, b)])
 
 
 @pytest.mark.parametrize("moduli", [(2,), (5,), (2, 3), (4, 4), (2, 2, 2, 2)])

@@ -80,6 +80,10 @@ def test_commands_load_only_their_modules(tmp_path):
     for argv in (["entropy", d], ["doubling", d], ["ruzsa", d, d], ["check", d, d, d],
                  ["bsg", str(joint)], ["inverse", d]):
         assert _loaded_in_fresh_interpreter(*argv) == [], argv
+    # the exact oracle runs in Python ints: its cold path loads no numpy
+    point = tmp_path / "q.json"
+    save_json(point, dump_dist(Dist.point(z8, (1,))))
+    assert _loaded_in_fresh_interpreter("transport", d, str(point), "--exact") == ["entsum.transport"]
 
 
 def test_public_names_listed_once():

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from entsum.dists import Dist, convolve, entropy, tv_distance
@@ -293,6 +294,20 @@ def test_smooth_shift_even_spacing_prefers_even():
     pe = Dist.uniform(Z, [(2 * i,) for i in range(8)])
     rep = smooth_shift_search(pe, 0.1, box=[16])
     assert rep.shift[0] % 2 == 0
+
+
+def test_smooth_shift_box_sides_must_be_integers():
+    p = Dist(Z, {(0,): F(1, 2), (1,): F(1, 3), (2,): F(1, 6)})
+    for box in ([3.7], ["3"], [3, 1.0]):
+        with pytest.raises(PreconditionError, match="integers"):
+            smooth_shift_search(p, 0.5, box=box)
+    # an int side, a numpy int side and the inferred side 3 give one result
+    reps = [smooth_shift_search(p, 0.5, box=box) for box in ([3], [np.int64(3)], None)]
+    for rep in reps:
+        assert rep.coeffs.shape == (9,)
+        assert (rep.shift, rep.relaxed, rep.realized_tv) == ((1,), True, 2 / 3)
+        assert rep.spectrum == ((0,), (1,), (2,), (7,), (8,))
+        assert np.array_equal(rep.coeffs, reps[0].coeffs)
 
 
 def test_smooth_shift_point_mass_fails():
