@@ -6,6 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .dists import Dist
 from .errors import CapExceededError, NonProperError, PreconditionError
@@ -56,17 +57,19 @@ class CosetProgression:
             out = g.add(out, g.scalar(n, r))
         return out
 
+    def _walk(self, lengths: Sequence[int]) -> Iterator[tuple[tuple, Element]]:
+        """((h, ns), element) over the box H x prod [0, lengths[i]), in box order."""
+        for h in self.subgroup:
+            for ns in itertools.product(*(range(n) for n in lengths)):
+                yield (h, ns), self._element(h, ns)
+
     def enumerate(self) -> frozenset[Element]:
         """Exact element set, with collisions collapsed."""
         if self.nominal_size() > ENUM_CAP:
             raise CapExceededError(
                 f"progression size {self.nominal_size()} exceeds cap {ENUM_CAP}"
             )
-        out = set()
-        for h in self.subgroup:
-            for ns in itertools.product(*(range(n) for n in self.lengths)):
-                out.add(self._element(h, ns))
-        return frozenset(out)
+        return frozenset(el for _, el in self._walk(self.lengths))
 
     def is_proper(self) -> bool:
         return is_t_proper(self, 1)
@@ -90,12 +93,10 @@ def is_t_proper(cp: CosetProgression, t) -> bool:
     if total > ENUM_CAP:
         raise CapExceededError(f"t-proper check needs {total} sums, cap {ENUM_CAP}")
     seen = set()
-    for h in cp.subgroup:
-        for ns in itertools.product(*(range(c) for c in counts)):
-            el = cp._element(h, ns)
-            if el in seen:
-                return False
-            seen.add(el)
+    for _, el in cp._walk(counts):
+        if el in seen:
+            return False
+        seen.add(el)
     return True
 
 
@@ -148,11 +149,9 @@ def box_embedding(cp: CosetProgression, proper_required: bool = True) -> BoxEmbe
         raise CapExceededError(f"box embedding needs {size} points, cap {ENUM_CAP}")
     forward = {}
     backward = {}
-    for h in cp.subgroup:
-        for ns in itertools.product(*(range(n) for n in cp.lengths)):
-            el = cp._element(h, ns)
-            if proper_required and el in backward:
-                raise NonProperError(f"progression is not proper (collision at {el}); embedding refused")
-            forward[(h, ns)] = el
-            backward[el] = (h, ns)
+    for key, el in cp._walk(cp.lengths):
+        if proper_required and el in backward:
+            raise NonProperError(f"progression is not proper (collision at {el}); embedding refused")
+        forward[key] = el
+        backward[el] = key
     return BoxEmbedding(cp, forward, backward)

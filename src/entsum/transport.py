@@ -10,8 +10,8 @@ branch as soon as a single-partner atom overdraws its partner.  The
 constructive side builds certificates by flattening with two-point shifts,
 density-level splitting, and sigma-splits.  It runs in the int counts that
 `Dist` and `JointDist` hold, with the elements of a finite group encoded as
-indices into one addition table.  Every flatten step adds independent noise,
-and composing a certificate with independent noise is a convolution of each
+indices into one addition table.  The certificate is built left to right:
+each flatten stage extends it by independent noise, a convolution of each
 row with the noise law, formed on Z/n as one product of packed ints.
 Certificate validity is always exact and checked in ints; only costs are
 floating point.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -79,14 +79,10 @@ class TransportCertificate:
     def validate(self, source: Dist | None = None) -> None:
         """Exact marginal and pushforward checks; raises on any mismatch."""
         c, t = self.coupling, self.target
-        add = t.group.add
-        if not _same_law((c.den, push_masses(c.counts, lambda a: add(*a))), (t.den, t.counts)):
-            raise CertificateError("pushforward of coupling differs from target")
-        if source is not None and (
-            source.group != t.group
-            or not _same_law((c.den, push_masses(c.counts, lambda a: a[0])), (source.den, source.counts))
-        ):
+        if source is not None and source.group != t.group:
             raise CertificateError("X-marginal of coupling differs from source")
+        _check_coupling(t.group.add, (c.den, c.counts), (t.den, t.counts),
+                        None if source is None else (source.den, source.counts))
 
     def to_json(self) -> dict:
         return {
@@ -120,7 +116,8 @@ def _raw(c: TransportCertificate) -> "_RawCert":
 def identity_certificate(p: Dist, shift: Element | None = None) -> TransportCertificate:
     """Deterministic shift certificate; cost 0."""
     g = p.group
-    return _cert(g, _raw_identity(g, (p.den, p.counts), None if shift is None else g.reduce(shift)))
+    c = g.zero() if shift is None else g.reduce(shift)
+    return _cert(g, _raw_noise(g, (p.den, p.counts), (1, {c: 1})))
 
 
 def independent_noise_certificate(p: Dist, z: Dist) -> TransportCertificate:
@@ -455,12 +452,13 @@ def is_translate(p: Dist, q: Dist) -> bool:
 # product of counts: a dense one packs each row of the second factor into
 # one int, keyed by target position rather than element index, so it serves
 # a GroupSpec too; a sparse one sums its atom pairs one by one
-# (`_raw_compose`).  When the second factor is independent noise, the
-# product coupling q ⊗ z that `_raw_noise` builds and records, its
-# conditional law is z on every row, so the composition is a convolution of
-# each row of the first factor with z: on an `_IndexedGroup` that is one
-# cyclic factor Z/n, one Kronecker product per row, folded on Z/n
-# (`_compose_noise`).  Other groups take the matrix product.
+# (`_raw_compose`).  The uniformisation composes left to right: each flatten
+# stage extends the certificate built so far by independent noise z, whose
+# conditional law is z on every row, so the extension is a convolution of
+# each row with z: on an `_IndexedGroup` that is one cyclic factor Z/n, one
+# Kronecker product per row, folded on Z/n (`_compose_noise`).  Other groups
+# compose with the product coupling q ⊗ z that `_raw_noise` builds.  An
+# identity is `_raw_noise` with a point law.
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -550,6 +548,16 @@ def _same_law(a: _Law, b: _Law) -> bool:
     return ma.keys() == mb.keys() and all(n * db == mb[e] * da for e, n in ma.items())
 
 
+def _check_coupling(add, coupling: _Law, target: _Law, source: _Law | None = None) -> None:
+    """Raise unless `coupling` pushes forward by `add` to `target` and, when
+    given, has X-marginal `source`; the three may have different denominators."""
+    den, counts = coupling
+    if not _same_law((den, push_masses(counts, lambda a: add(*a))), target):
+        raise CertificateError("pushforward of coupling differs from target")
+    if source is not None and not _same_law((den, push_masses(counts, lambda a: a[0])), source):
+        raise CertificateError("X-marginal of coupling differs from source")
+
+
 def _is_uniform(ad, law: _Law) -> bool:
     den, mass = law
     return len(mass) == ad.size and all(ad.size * n == den for n in mass.values())
@@ -562,8 +570,6 @@ class _RawCert:
     den: int
     coupling: dict  # (x, z) -> count
     target: dict  # y -> count
-    # the laws (q, z) when the coupling is the product q ⊗ z, Z independent of X
-    noise: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         g = math.gcd(self.den, *self.coupling.values(), *self.target.values())
@@ -575,26 +581,6 @@ class _RawCert:
 
 def _raw_source(c: _RawCert) -> dict:
     return push_masses(c.coupling, lambda a: a[0])
-
-
-def _raw_validate(ad, c: _RawCert, source: _Law | None = None) -> None:
-    add = ad.add
-    if push_masses(c.coupling, lambda a: add(*a)) != c.target:
-        raise CertificateError("raw pushforward mismatch")
-    if source is not None and not _same_law((c.den, _raw_source(c)), source):
-        raise CertificateError("raw source mismatch")
-
-
-def _raw_identity(ad, q: _Law, c: Element | None = None) -> _RawCert:
-    """Deterministic shift by c, or by zero when c is None; cost 0."""
-    den, mass = q
-    if c is None:
-        c = ad.zero()
-        return _RawCert(den, {(x, c): n for x, n in mass.items()}, dict(mass))
-    add = ad.add
-    return _RawCert(
-        den, {(x, c): n for x, n in mass.items()}, {add(x, c): n for x, n in mass.items()}
-    )
 
 
 def _raw_independent_pair(ad, qp: _Law, qm: _Law) -> _RawCert:
@@ -614,7 +600,10 @@ def _cyclic(ad) -> int:
 
 
 def _raw_noise(ad, q: _Law, z: _Law) -> _RawCert:
-    """q ⊗ z, whose target q ⊛ z is one Kronecker product on Z/n."""
+    """q ⊗ z, whose target q ⊛ z is one Kronecker product on Z/n.
+
+    With z the point law at c this is the deterministic shift by c, cost 0.
+    """
     (dq, mq), (dz, mz) = q, z
     atoms = {(x, zz): nx * nz for x, nx in mq.items() for zz, nz in mz.items()}
     n = _cyclic(ad)
@@ -626,7 +615,7 @@ def _raw_noise(ad, q: _Law, z: _Law) -> _RawCert:
         for (x, zz), k in atoms.items():
             y = add(x, zz)
             tgt[y] = tgt.get(y, 0) + k
-    return _RawCert(dq * dz, atoms, tgt, (q, z))
+    return _RawCert(dq * dz, atoms, tgt)
 
 
 def _raw_reverse(ad, c: _RawCert) -> _RawCert:
@@ -643,11 +632,8 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
     over a common denominator m.  A dense product is formed packed (see
     `_packed_rows`); a sparse one, whose estimated pairs |c1| |c2| / |supp W|
     are at most _PAIRS_PER_PACKED_SLOT times the packed work
-    |c2| + |supp W| |supp Y|, sums the pairs one by one.  On Z/n, a c2 that
-    is independent noise is a convolution instead (`_compose_noise`).
+    |c2| + |supp W| |supp Y|, sums the pairs one by one.
     """
-    if c2.noise is not None and _cyclic(ad):
-        return _compose_noise(ad.cyclic, c1, c2)
     by_w: dict = {}
     for (w, z2), n in c2.coupling.items():
         by_w.setdefault(w, []).append((z2, n))
@@ -680,21 +666,28 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
     )
 
 
-def _compose_noise(n: int, c1: _RawCert, c2: _RawCert) -> _RawCert:
-    """c1 then c2 = q ⊗ z on Z/n: Z2 is z whatever W is.
+def _raw_extend(ad, c: _RawCert, z: _Law) -> _RawCert:
+    """c followed by independent noise z: c ∘ (q ⊗ z), with q c's target."""
+    n = _cyclic(ad)
+    if n:
+        return _compose_noise(n, c, z)
+    return _raw_compose(ad, c, _raw_noise(ad, (c.den, c.target), z))
 
-    The composed count at (x, z1 + z2) is sum c1[x, z1] z[z2] over den1 * dz,
-    so each x's row of c1 convolves with z: one product of packed ints, the
+
+def _compose_noise(n: int, c: _RawCert, z: _Law) -> _RawCert:
+    """c followed by independent noise z on Z/n: Z2 is z whatever W is.
+
+    The composed count at (x, z1 + z2) is sum c[x, z1] z[z2] over den * dz,
+    so each x's row of c convolves with z: one product of packed ints, the
     row's and z's (packed once), read back folded on Z/n as in
-    `dists._kronecker`.  No count exceeds den1 * dz, the row's total times dz.
+    `dists._kronecker`, and the target is c's target convolved with z.  No
+    count exceeds den * dz, the row's total times dz.
     """
-    q, (dz, mz) = c2.noise
-    if not _same_law(q, (c1.den, c1.target)):
-        raise CertificateError("second certificate does not start at the first's target")
+    dz, mz = z
     rows: dict = {}
-    for (x, z1), n1 in c1.coupling.items():
-        rows.setdefault(x, {})[z1] = n1
-    bound = c1.den * dz
+    for (x, z1), k in c.coupling.items():
+        rows.setdefault(x, {})[z1] = k
+    bound = c.den * dz
     width = (bound.bit_length() + 7) // 8
     packed_z = _pack(mz, 0, width)
     atoms = {}
@@ -702,8 +695,8 @@ def _compose_noise(n: int, c1: _RawCert, c2: _RawCert) -> _RawCert:
         for zz, k in enumerate(_slots(_pack(row, 0, width) * packed_z, width, n)):
             if k:
                 atoms[(x, zz)] = k
-    den = math.lcm(bound, c2.den)
-    return _RawCert(den, _scaled(atoms, den // bound), _scaled(c2.target, den // c2.den))
+    tgt = {y: k for y, k in enumerate(_kronecker(c.target, mz, bound, n)[1]) if k}
+    return _RawCert(bound, atoms, tgt)
 
 
 def _packed_rows(ad, coupling: dict, cond: dict, bound: int) -> dict:
@@ -886,7 +879,7 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
     if k < 0:
         raise ValueError("k must be >= 0")
     ad = _spec_group(p.group)
-    _, raw, shifts, sqs = _raw_flatten_cert(ad, _index_law(ad, p.den, p.counts), k, lambda q, sq: False)
+    raw, shifts, sqs = _raw_flatten_cert(ad, _index_law(ad, p.den, p.counts), k, lambda q, sq: False)
     trace = FlattenTrace([ad.elems[h] for h in shifts], [Fraction(*sq) for sq in sqs])
     trace.verify()
     cert = _cert(p.group, raw, ad.elems)
@@ -899,17 +892,18 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
 
 def _raw_flatten_cert(
     ad, q: _Law, max_rounds: int, stop
-) -> tuple[_Law, _RawCert, list[int], list[tuple[int, int]]]:
+) -> tuple[_RawCert, list[int], list[tuple[int, int]]]:
     """Flatten q and couple it with the independent sum of the chosen shifts."""
     final, shifts, sqs = _raw_flatten(ad, q, max_rounds, stop)
-    cert = _raw_noise(ad, q, _shift_noise(ad, shifts)) if shifts else _raw_identity(ad, q)
+    cert = _raw_noise(ad, q, _shift_noise(ad, shifts))
     if not _same_law((cert.den, cert.target), final):
         raise CertificateError("flatten certificate does not reach the flattened law")
-    return final, cert, shifts, sqs
+    return cert, shifts, sqs
 
 
-def _raw_to_uniform(ad, q: _Law, depth: int = 0) -> _RawCert:
-    """Iterated sigma-split: flatten, peel the positive excess, recurse.
+def _raw_to_uniform(ad, c: _RawCert, depth: int = 0) -> _RawCert:
+    """Extend c to the uniform law: flatten c's target, extend c by the shift
+    noise, then peel the positive excess and recurse on it from the identity.
 
     The sigma target tightens with depth and bottoms out at sigma_min, where
     the remaining excess is moved by the independent coupling at cost at most
@@ -917,11 +911,15 @@ def _raw_to_uniform(ad, q: _Law, depth: int = 0) -> _RawCert:
     """
     n = ad.size
     bits = min(SIGMA_MIN_BITS, 10 * (depth + 1))  # target sigma 2**-bits
-    cur, flat_cert, _, _ = _raw_flatten_cert(
-        ad, q, _MAX_FLATTEN_ROUNDS, lambda c, sq: _sigma_excess(ad, c) << bits <= n * c[0]
+    cur, shifts, _ = _raw_flatten(
+        ad, (c.den, c.target), _MAX_FLATTEN_ROUNDS,
+        lambda q, sq: _sigma_excess(ad, q) << bits <= n * q[0],
     )
+    c = _raw_extend(ad, c, _shift_noise(ad, shifts))
+    if not _same_law((c.den, c.target), cur):
+        raise CertificateError("flatten certificate does not reach the flattened law")
     if _is_uniform(ad, cur):
-        return flat_cert
+        return c
     den, mass = cur
     s = _sigma_excess(ad, cur)
     q_plus = _lowest_terms(s, {e: n * v - den for e, v in mass.items() if n * v > den})
@@ -929,20 +927,19 @@ def _raw_to_uniform(ad, q: _Law, depth: int = 0) -> _RawCert:
         e: den - n * mass.get(e, 0) for e in range(n) if n * mass.get(e, 0) < den
     })
     mu = _lowest_terms(n * den - s, {e: min(n * v, den) for e, v in mass.items()})
+    point = _shift_noise(ad, ())
     if s << SIGMA_MIN_BITS <= n * den:
         piece = _raw_independent_pair(ad, q_plus, q_minus)
     else:
-        up = _raw_to_uniform(ad, q_plus, depth + 1)
-        um = _raw_to_uniform(ad, q_minus, depth + 1)
+        up = _raw_to_uniform(ad, _raw_noise(ad, q_plus, point), depth + 1)
+        um = _raw_to_uniform(ad, _raw_noise(ad, q_minus, point), depth + 1)
         piece = _raw_compose(ad, up, _raw_reverse(ad, um))
-    split = _raw_mix(n * den, [(s, piece), (n * den - s, _raw_identity(ad, mu))])
-    return _raw_compose(ad, flat_cert, split)
+    split = _raw_mix(n * den, [(s, piece), (n * den - s, _raw_noise(ad, mu, point))])
+    return _raw_compose(ad, c, split)
 
 
 def _raw_uniformise(ad, q: _Law) -> _RawCert:
     """Full pipeline: density-level partition, per-level flattening, sigma-splits."""
-    if _is_uniform(ad, q):
-        return _raw_identity(ad, q)
     den, mass = q
     size = ad.size
     levels: dict[int, dict] = {}
@@ -953,22 +950,24 @@ def _raw_uniformise(ad, q: _Law) -> _RawCert:
         weights[k] = weights.get(k, 0) + v
     pieces: list[tuple[int, _RawCert]] = []
     for k in sorted(levels):
-        w = weights[k]
-        cond = _lowest_terms(w, levels[k])
-        if k == 0:
-            pieces.append((w, _raw_identity(ad, cond)))
-        else:
-            # stop at ||q_k - u||_2^2 <= 1/|G|
-            _, cert, _, _ = _raw_flatten_cert(
-                ad, cond, _MAX_FLATTEN_ROUNDS, lambda c, sq: sq[0] * size <= sq[1]
-            )
-            pieces.append((w, cert))
-    glued = _raw_mix(den, pieces)
-    tail = _raw_to_uniform(ad, _lowest_terms(glued.den, glued.target), depth=0)
-    out = _raw_compose(ad, glued, tail)
+        # level 0 is kept as it is; the others stop at ||q_k - u||_2^2 <= 1/|G|
+        cert, _, _ = _raw_flatten_cert(
+            ad, _lowest_terms(weights[k], levels[k]), _MAX_FLATTEN_ROUNDS if k else 0,
+            lambda c, sq: sq[0] * size <= sq[1],
+        )
+        pieces.append((weights[k], cert))
+    out = _raw_to_uniform(ad, _raw_mix(den, pieces))
     if not _is_uniform(ad, (out.den, out.target)):
         raise CertificateError("uniformisation failed to reach the uniform law")
     return out
+
+
+def _check_deficit(p: Dist, size: int, k_bound: float) -> None:
+    """Refuse p unless Ent(p) >= log size - log K, with K below 10 taken as 10."""
+    log_k = math.log(max(float(k_bound), 10.0))
+    deficit = math.log(size) - entropy(p)
+    if deficit > log_k + 1e-9:
+        raise PreconditionError(f"entropy deficit {deficit:.6f} exceeds log K = {log_k:.6f}")
 
 
 def uniformise_group(p: Dist, k_bound: float) -> TransportCertificate:
@@ -980,13 +979,7 @@ def uniformise_group(p: Dist, k_bound: float) -> TransportCertificate:
     """
     if not p.group.is_finite():
         raise PreconditionError("uniformisation needs a finite group")
-    k_bound = max(float(k_bound), 10.0)
-    size = p.group.order()
-    deficit = math.log(size) - entropy(p)
-    if deficit > math.log(k_bound) + 1e-9:
-        raise PreconditionError(
-            f"entropy deficit {deficit:.6f} exceeds log K = {math.log(k_bound):.6f}"
-        )
+    _check_deficit(p, p.group.order(), k_bound)
     ad = _spec_group(p.group)
     cert = _cert(p.group, _raw_uniformise(ad, _index_law(ad, p.den, p.counts)), ad.elems)
     cert.validate(p)
@@ -1001,15 +994,14 @@ def uniformise_coset_progression(
     Pulls p back to the box H x prod [0, Ni), embeds it in H x prod Z/2NiZ,
     uniformises there, and pushes the composed transport forward; every shift
     used must come from a box difference (no wraparound), which is checked.
+    With k_bound, p is refused as `uniformise_group` refuses it, on |H + P|.
     """
     emb = box_embedding(cp, proper_required=True)
     g = cp.group
     hp = frozenset(emb.backward)
     target = Dist.uniform(g, hp)
     if k_bound is not None:
-        deficit = math.log(len(hp)) - entropy(p)
-        if deficit > math.log(max(float(k_bound), 10.0)) + 1e-9:
-            raise PreconditionError("entropy deficit exceeds log K")
+        _check_deficit(p, len(hp), k_bound)
     if p == target:
         return identity_certificate(p)
     lengths = cp.lengths
@@ -1019,7 +1011,7 @@ def uniformise_coset_progression(
     c1 = _raw_uniformise(ad, box_mass)
     c2 = _raw_uniformise(ad, box_uniform)
     raw = _raw_compose(ad, c1, _raw_reverse(ad, c2))
-    _raw_validate(ad, raw, box_mass)
+    _check_coupling(ad.add, (raw.den, raw.coupling), (raw.den, raw.target), box_mass)
 
     atoms: dict = {}
     for (x, z), n in raw.coupling.items():

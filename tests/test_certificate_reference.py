@@ -9,13 +9,13 @@ coupling atom by atom over `TransportCertificate` and `Dist`.
 `_raw_compose_reference` is the integer kernel's compose as it was before
 dense products were packed into ints: it sums every atom pair.  The kernel
 tests run `transport._raw_compose` on both sides of its gate, forced by
-`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates.  On Z/n a
-second certificate that is independent noise (`_raw_noise`) is composed by
-convolution instead; the noise tests compare it with the generic compose of
-the same certificates, and with the pair loop.
+`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates.  On Z/n,
+`_raw_extend` composes a certificate with independent noise by convolution
+instead (`_compose_noise`); the noise tests compare it with the generic
+compose with the product coupling that `_raw_noise` builds, and with the
+pair loop.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -229,6 +229,11 @@ def _raw_compose_reference(ad, c1, c2):
     )
 
 
+def _validate(ad, c, source=None):
+    """The exact pushforward and source checks of a raw certificate."""
+    transport._check_coupling(ad.add, (c.den, c.coupling), (c.den, c.target), source)
+
+
 @pytest.fixture(params=["pairs", "packed"])
 def gate(request, monkeypatch):
     """Force one side of the compose gate; yields a list that counts packed products."""
@@ -258,13 +263,13 @@ def _kernel_pairs(ad, rng):
     c1 = rng.choice([
         lambda: transport._raw_independent_pair(ad, p, _random_law(rng, ad.size, 50)),
         lambda: transport._raw_noise(ad, p, _random_law(rng, ad.size, 9)),
-        lambda: transport._raw_flatten_cert(ad, p, 3, lambda q, sq: False)[1],
+        lambda: transport._raw_flatten_cert(ad, p, 3, lambda q, sq: False)[0],
     ])()
     w = (c1.den, c1.target)
     c2 = rng.choice([
         lambda: transport._raw_independent_pair(ad, w, _random_law(rng, ad.size, 50)),
         lambda: transport._raw_noise(ad, w, _random_law(rng, ad.size, 9)),
-        lambda: transport._raw_flatten_cert(ad, w, 2, lambda q, sq: False)[1],
+        lambda: transport._raw_flatten_cert(ad, w, 2, lambda q, sq: False)[0],
         lambda: transport._raw_reverse(ad, c1),
     ])()
     return c1, c2
@@ -286,7 +291,7 @@ def test_raw_compose_matches_pair_loop(gate, name):
         c1, c2 = _kernel_pairs(ad, rng)
         out = transport._raw_compose(ad, c1, c2)
         assert out == _raw_compose_reference(ad, c1, c2)
-        transport._raw_validate(ad, out, (c1.den, transport._raw_source(c1)))
+        _validate(ad, out, (c1.den, transport._raw_source(c1)))
     # a sigma-split compose of the uniformisation pipeline, the kernel's dense case
     if name == "Z/64":
         q = _random_law(rng, ad.size, 1000)
@@ -328,24 +333,18 @@ def test_compose_with_noise_matches_generic(gate, monkeypatch, name):
             c1 = transport._raw_mix(8, [(k, transport._raw_noise(ad, p, law(9))),
                                         (8 - k, transport._raw_independent_pair(ad, law(50), law(50)))])
         w = (c1.den, c1.target)
-        c2 = rng.choice([
-            lambda: transport._raw_noise(ad, w, law(9)),
-            lambda: transport._raw_flatten_cert(ad, w, 3, lambda q, sq: False)[1],
+        # a random noise law, or the shift noise of up to three flatten rounds
+        z = rng.choice([
+            lambda: law(9),
+            lambda: transport._shift_noise(ad, transport._raw_flatten(ad, w, 3, lambda q, sq: False)[1]),
         ])()
-        if c2.noise is None:  # flattening took no round: an identity, not noise
-            continue
+        noise = transport._raw_noise(ad, w, z)
         # the Kronecker target of _raw_noise against the per-atom sum
-        transport._raw_validate(ad, c2)
-        generic = dataclasses.replace(c2, noise=None)
-        out = transport._raw_compose(ad, c1, c2)
-        ref = transport._raw_compose(ad, c1, generic)
-        assert (out.den, out.coupling, out.target) == (ref.den, ref.coupling, ref.target)
-        assert out == _raw_compose_reference(ad, c1, generic)
-        transport._raw_validate(ad, out, (c1.den, transport._raw_source(c1)))
-        other = transport._raw_noise(ad, law(50), law(9))
-        if not transport._same_law(other.noise[0], w):
-            with pytest.raises(CertificateError):
-                transport._raw_compose(ad, c1, other)
+        _validate(ad, noise)
+        out = transport._raw_extend(ad, c1, z)
+        assert out == transport._raw_compose(ad, c1, noise)
+        assert out == _raw_compose_reference(ad, c1, noise)
+        _validate(ad, out, (c1.den, transport._raw_source(c1)))
     assert bool(convolutions) == convolves
 
 

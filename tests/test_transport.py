@@ -273,6 +273,26 @@ def test_uniformise_small_k_treated_as_ten():
     cert.validate(p)
 
 
+@pytest.mark.parametrize("entry", ["group", "progression"])
+def test_uniformise_k_below_ten_counts_as_ten(entry):
+    # on 64 points, uniform on 4 has deficit log 16, above log 10, and
+    # uniform on 8 has deficit log 8, below it
+    g = GroupSpec([64]) if entry == "group" else Z
+    cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [64])
+
+    def run(p, k):
+        return uniformise_group(p, k) if entry == "group" else uniformise_coset_progression(p, cp, k)
+
+    four = Dist.uniform(g, [(i,) for i in range(4)])
+    eight = Dist.uniform(g, [(i,) for i in range(8)])
+    refusal = r"entropy deficit 2\.772589 exceeds log K = 2\.302585"
+    for k in (0.5, 1, 9.99, 10):
+        with pytest.raises(PreconditionError, match=refusal):
+            run(four, k)
+        run(eight, k).validate(eight)
+    run(four, 16).validate(four)
+
+
 def test_uniformise_corpus_z64():
     g = GroupSpec([64])
     uniform = Dist.uniform(g, [(i,) for i in range(64)])

@@ -7,6 +7,15 @@ here unchanged as the reference: flattening, the sigma-split, the density-level
 pipeline and the box push-forward, all in exact `Fraction` arithmetic over
 tuple elements.  The tests compare `to_json()` of the public certificates,
 the flatten traces, and the kernel operations one by one.
+
+The `_kernel_*_reference` functions are the integer kernel's identity and
+uniformisation as they were while the pipeline composed right to left: each
+flatten stage built its own certificate q ⊗ z, or an identity when it took
+no round, the sigma-split was composed after it (flat ∘ split), and the
+pipeline ended in glued ∘ tail.  The kernel now extends the certificate
+built so far stage by stage, (glued ∘ flat) ∘ split.  Composition multiplies
+Markov kernels, so it is associative, and every `_RawCert` is in lowest
+terms, so both orders must give equal raw certificates.
 """
 
 import itertools
@@ -17,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -603,3 +613,165 @@ def test_kernel_operations_match_reference(case):
     for q in (p, z, r, decoded(composed)[1]):
         assert ad.elems[transport._pick_shift(ad, encode(q))] == _pick_shift(ref, q)
         assert ad.elems[transport._pick_shift_exact(ad, encode(q))] == _pick_shift_exact(ref, q)
+
+
+# -- the right-to-left integer pipeline ----------------------------------------
+
+
+def _kernel_identity_reference(ad, q, c=None) -> transport._RawCert:
+    """Deterministic shift by c, or by zero when c is None; cost 0."""
+    den, mass = q
+    if c is None:
+        c = ad.zero()
+        return transport._RawCert(den, {(x, c): n for x, n in mass.items()}, dict(mass))
+    add = ad.add
+    return transport._RawCert(
+        den, {(x, c): n for x, n in mass.items()}, {add(x, c): n for x, n in mass.items()}
+    )
+
+
+def _kernel_flatten_cert_reference(ad, q, max_rounds: int, stop):
+    final, shifts, _ = transport._raw_flatten(ad, q, max_rounds, stop)
+    if shifts:
+        cert = transport._raw_noise(ad, q, transport._shift_noise(ad, shifts))
+    else:
+        cert = _kernel_identity_reference(ad, q)
+    if not transport._same_law((cert.den, cert.target), final):
+        raise CertificateError("flatten certificate does not reach the flattened law")
+    return final, cert
+
+
+def _kernel_to_uniform_reference(ad, q, depth: int = 0) -> transport._RawCert:
+    n = ad.size
+    bits = min(transport.SIGMA_MIN_BITS, 10 * (depth + 1))  # target sigma 2**-bits
+    cur, flat_cert = _kernel_flatten_cert_reference(
+        ad, q, _MAX_FLATTEN_ROUNDS, lambda c, sq: transport._sigma_excess(ad, c) << bits <= n * c[0]
+    )
+    if transport._is_uniform(ad, cur):
+        return flat_cert
+    den, mass = cur
+    s = transport._sigma_excess(ad, cur)
+    lowest = transport._lowest_terms
+    q_plus = lowest(s, {e: n * v - den for e, v in mass.items() if n * v > den})
+    q_minus = lowest(s, {e: den - n * mass.get(e, 0) for e in range(n) if n * mass.get(e, 0) < den})
+    mu = lowest(n * den - s, {e: min(n * v, den) for e, v in mass.items()})
+    if s << transport.SIGMA_MIN_BITS <= n * den:
+        piece = transport._raw_independent_pair(ad, q_plus, q_minus)
+    else:
+        up = _kernel_to_uniform_reference(ad, q_plus, depth + 1)
+        um = _kernel_to_uniform_reference(ad, q_minus, depth + 1)
+        piece = transport._raw_compose(ad, up, transport._raw_reverse(ad, um))
+    split = transport._raw_mix(n * den, [(s, piece), (n * den - s, _kernel_identity_reference(ad, mu))])
+    return transport._raw_compose(ad, flat_cert, split)
+
+
+def _kernel_uniformise_reference(ad, q) -> transport._RawCert:
+    if transport._is_uniform(ad, q):
+        return _kernel_identity_reference(ad, q)
+    den, mass = q
+    size = ad.size
+    levels: dict[int, dict] = {}
+    weights: dict[int, int] = {}
+    for e, v in mass.items():
+        k = density_level(v * size // den)
+        levels.setdefault(k, {})[e] = v
+        weights[k] = weights.get(k, 0) + v
+    pieces = []
+    for k in sorted(levels):
+        w = weights[k]
+        cond = transport._lowest_terms(w, levels[k])
+        if k == 0:
+            pieces.append((w, _kernel_identity_reference(ad, cond)))
+        else:
+            _, cert = _kernel_flatten_cert_reference(
+                ad, cond, _MAX_FLATTEN_ROUNDS, lambda c, sq: sq[0] * size <= sq[1]
+            )
+            pieces.append((w, cert))
+    glued = transport._raw_mix(den, pieces)
+    tail = _kernel_to_uniform_reference(ad, transport._lowest_terms(glued.den, glued.target))
+    out = transport._raw_compose(ad, glued, tail)
+    if not transport._is_uniform(ad, (out.den, out.target)):
+        raise CertificateError("uniformisation failed to reach the uniform law")
+    return out
+
+
+def _count_kernel_splits(monkeypatch) -> list[int]:
+    """Record the depth of each right-to-left sigma-split recursion."""
+    depths: list[int] = []
+    to_uniform = _kernel_to_uniform_reference
+
+    def counted(ad, q, depth=0):
+        depths.append(depth)
+        return to_uniform(ad, q, depth)
+
+    monkeypatch.setitem(globals(), "_kernel_to_uniform_reference", counted)
+    return depths
+
+
+def _criterion_5_kernel_laws():
+    """(group, law) for criterion 5's 100 laws, a progression law on its box
+    together with that box's uniform law, as the two entry points pass them."""
+    from test_acceptance import _uniformise_corpus
+
+    out = []
+    box_uniform = {}
+    for _, kind, p, cp in _uniformise_corpus():
+        if kind == "group":
+            ad = transport._spec_group(p.group)
+            out.append((ad, transport._index_law(ad, p.den, p.counts)))
+            continue
+        emb = box_embedding(cp, proper_required=True)
+        ad = transport._box_group(cp.group, cp.subgroup, tuple(2 * n for n in cp.lengths))
+        out.append((ad, transport._index_law(ad, p.den, emb.pull(p))))
+        if cp not in box_uniform:
+            box_uniform[cp] = (ad, (len(emb.forward), {ad.index[key]: 1 for key in emb.forward}))
+    return out + list(box_uniform.values())
+
+
+def test_left_to_right_matches_right_to_left_on_criterion_5(monkeypatch):
+    depths = _count_kernel_splits(monkeypatch)
+    laws = _criterion_5_kernel_laws()
+    assert len(laws) == 104  # 60 on Z/64, 40 on the four boxes, and each box's uniform law
+    for ad, law in laws:
+        assert transport._raw_uniformise(ad, law) == _kernel_uniformise_reference(ad, law)
+    assert max(depths) >= 1
+
+
+def _seeded_law(rng, size: int, near_uniform: bool):
+    """A random law, or one within about 2**-9 of uniform, whose sigma-split
+    on a group as small as Z/2 x Z/4 still recurses before flattening ends it."""
+    if near_uniform:
+        counts = {e: 4096 + rng.randrange(-8, 9) for e in range(size)}
+    else:
+        support = rng.sample(range(size), rng.randrange(1, size + 1))
+        counts = {e: rng.randrange(1, 60) for e in sorted(support)}
+    return transport._lowest_terms(sum(counts.values()), counts)
+
+
+@pytest.mark.parametrize("name", ["Z/2xZ/4", "H-box"])
+def test_left_to_right_matches_right_to_left_on_seeded_laws(monkeypatch, name):
+    if name == "Z/2xZ/4":
+        ad = transport._spec_group(GroupSpec([2, 4]))
+    else:  # H = {0, 2} x {0, 3} inside Z/4 x Z/6, boxed as H x Z/4 x Z/2
+        ad = transport._box_group(GroupSpec([4, 6]), ((0, 0), (0, 3), (2, 0), (2, 3)), (4, 2))
+    depths = _count_kernel_splits(monkeypatch)
+    rng = random.Random(f"left to right:{name}")
+    laws = [_seeded_law(rng, ad.size, i % 2 == 1) for i in range(40)]
+    laws.append((ad.size, dict.fromkeys(range(ad.size), 1)))  # already uniform
+    for law in laws:
+        assert transport._raw_uniformise(ad, law) == _kernel_uniformise_reference(ad, law)
+    assert max(depths) >= 1
+
+
+@pytest.mark.parametrize("mods", [[0], [0, 0], [6]], ids=["Z", "Z^2", "Z/6"])
+def test_identity_certificate_matches_kernel_reference(mods):
+    g = GroupSpec(mods)
+    rng = random.Random(f"identity:{g.moduli}")
+    for _ in range(20):
+        p = random_dist(rng, g, 5, 30)
+        for shift in (None, tuple(rng.randrange(-9, 10) for _ in g.moduli)):
+            c = None if shift is None else g.reduce(shift)
+            ref = _kernel_identity_reference(g, (p.den, p.counts), c)
+            new = identity_certificate(p, shift)
+            assert transport._raw(new) == ref
+            assert new.to_json() == transport._cert(g, ref).to_json()
