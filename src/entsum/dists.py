@@ -12,7 +12,9 @@ and the sums use math.fsum, so the result is independent of summation order.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -230,82 +232,110 @@ def entropy(p: _CountLaw) -> float:
     return math.fsum(_f_count(n, den) for n in p.counts.values())
 
 
-def _kronecker(a: dict[int, int], b: dict[int, int], cap: int, m: int = 0) -> tuple[int, list[int]]:
-    """Dense convolution of two int count vectors by Kronecker substitution.
+class _Kronecker:
+    """Packed products on a box of axes, each Z/m (m > 0) or Z (m = 0).
 
-    `a` and `b` map an integer (a residue on Z/m) to a positive count, and no
-    entry of the result exceeds `cap`.  Returns (lo, counts) with counts[i]
-    the total at lo + i; on Z/m, lo is 0 and the cyclic wrap is folded back.
-    Each vector is packed into one big int at a whole number of bytes per
-    slot, so one multiplication forms every product without carries between
-    slots, and the result is read back by byte slices.
+    Axis i has sides[i] digits (see `_layout`).  A law is packed into one
+    int, the point with digits x in the w-byte slot sum_i x_i strides[i], so
+    one product of packed ints forms every sum at once, and no slot carries
+    into the next while no count exceeds `cap` (multivariate Kronecker
+    substitution; Harvey, J. Symbolic Comput. 2009).  `read` folds each
+    cyclic axis, adding digit d >= m onto d - m.
     """
-    w = (cap.bit_length() + 7) // 8
-    bases = (0, 0) if m else (min(a), min(b))
-    return sum(bases), _slots(_pack(a, bases[0], w) * _pack(b, bases[1], w), w, m)
+
+    def __init__(self, mods: Sequence[int], sides: Sequence[int], cap: int):
+        self.w = w = (cap.bit_length() + 7) // 8
+        slots = t = math.prod(sides)
+        self.strides = []
+        self._folds = []  # (mask of the slots whose digit is m or more, shift by m digits)
+        for m, s in zip(mods, sides):
+            t //= s
+            self.strides.append(t)
+            if m and s > m:
+                run = bytes(w * m * t) + b"\xff" * (w * (s - m) * t)  # one run of the axis
+                self._folds.append((int.from_bytes(run * (slots // (s * t)), "little"), 8 * w * m * t))
+
+    def pack(self, counts: Mapping[int, int]) -> int:
+        """Counts keyed by slot as one int."""
+        w = self.w
+        buf = bytearray(w * (max(counts) + 1))
+        for i, n in counts.items():
+            buf[i * w:i * w + w] = n.to_bytes(w, "little")
+        return int.from_bytes(buf, "little")
+
+    def read(self, packed: int) -> list[int]:
+        """The folded slots up to the last nonzero one, at most `cap` each."""
+        for mask, shift in self._folds:
+            while high := packed & mask:  # a power's digits can pass m more than once
+                packed += (high >> shift) - high
+        w = self.w
+        size = -(-packed.bit_length() // (8 * w)) * w
+        buf = packed.to_bytes(size, "little")
+        return [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
 
 
-def _pack(vec: dict[int, int], base: int, w: int) -> int:
-    """The counts of `vec` as one int, the count at x in slot x - base of w bytes."""
-    buf = bytearray(w * (max(vec) - base + 1))
-    for x, n in vec.items():
-        i = (x - base) * w
-        buf[i:i + w] = n.to_bytes(w, "little")
-    return int.from_bytes(buf, "little")
+def _layout(mods: Sequence[int], laws: Sequence[Mapping], k: int = 1) -> tuple[list, list, int]:
+    """(lows, sides, box) for a sum of k independent draws from each law:
+    each law's lowest coordinate per axis, 0 on Z/m; the digits of the sums
+    per axis, k times the summed spans plus 1, a law on Z/m spanning m - 1;
+    and the number of possible sums, with side m on Z/m."""
+    lows, sides = [], [1] * len(mods)
+    for counts in laws:
+        low = []
+        for i, (m, col) in enumerate(zip(mods, zip(*counts))):
+            lo, hi = (0, m - 1) if m else (min(col), max(col))
+            low.append(lo)
+            sides[i] += k * (hi - lo)
+        lows.append(low)
+    return lows, sides, math.prod(m or s for m, s in zip(mods, sides))
 
 
-def _slots(packed: int, w: int, m: int) -> list[int]:
-    """The w-byte slots of `packed`, with every slot i + j·m added onto slot i
-    first on Z/m; folded sums still fit, since the caller's cap bounds them."""
-    if m:
-        # a power's k·(m - 1) + 1 slots can wrap more than once
-        shift = 8 * w * m
-        while packed >> shift:
-            packed = (packed & ((1 << shift) - 1)) + (packed >> shift)
-    size = -(-packed.bit_length() // (8 * w)) * w
-    buf = packed.to_bytes(size, "little")
-    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
+def _packed_sum(mods: Sequence[int], laws: Sequence[Mapping], lows: list, sides: list,
+                cap: int, k: int = 1) -> dict:
+    """Counts of the sum of k independent draws from each law, each count at
+    most `cap`, from one product of packed ints, laid out by `_layout`."""
+    box = _Kronecker(mods, sides, cap)
+    strides, w = box.strides, box.w
+    packed = 1
+    for counts, low in zip(laws, lows):
+        base = sum(map(operator.mul, low, strides))
+        buf = bytearray(w * math.prod(sides))
+        for x, n in counts.items():
+            i = (sum(map(operator.mul, x, strides)) - base) * w
+            buf[i:i + w] = n.to_bytes(w, "little")
+        packed *= int.from_bytes(buf, "little")
+    starts = [k * sum(axis) for axis in zip(*lows)]  # where the sums start on each axis
+    points = itertools.product(*map(range, starts, map(operator.add, starts, sides)))
+    return {x: n for x, n in zip(points, box.read(packed ** k)) if n}
 
 
-def _sum_box(p: Dist, q: Dist) -> int:
-    """Number of possible sums: side m on Z/m and span(p) + span(q) + 1 on Z."""
-    box = 1
-    for i, m in enumerate(p.group.moduli):
-        if m == 0:
-            m = sum(max(x[i] for x in r.counts) - min(x[i] for x in r.counts) for r in (p, q)) + 1
-        box *= m
-    return box
-
-
-_DENSE_SLOTS_PER_PAIR = 4  # the Kronecker kernel runs while box <= this * |p| * |q|
+_DENSE_SLOTS_PER_PAIR = 4  # the packed product runs while its slots <= this * |p| * |q|
 
 
 def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
     """Exact law of X ± Y for independent X ~ p, Y ~ q on the same group.
 
-    Raises CapExceededError, before anything is built, when the support bound
-    min(|p|·|q|, box of possible sums) exceeds SUPPORT_CAP.  On a rank-1 group
-    the integer kernel `_kronecker` forms all sums at once; it costs one slot
-    per possible sum, which is quadratic work for a wide sparse law, so a box
-    beyond _DENSE_SLOTS_PER_PAIR slots per atom pair, and every group of
-    higher rank, sums the count products pair by pair instead.
+    Raises CapExceededError, before any sum is formed, when the support bound
+    min(|p|·|q|, box of possible sums) exceeds SUPPORT_CAP.  `_packed_sum`
+    forms all sums at once on any group, one slot per digit tuple: quadratic
+    work for a wide sparse law, 2m - 1 digits on each Z/m.  Beyond
+    _DENSE_SLOTS_PER_PAIR slots per atom pair, the pairs are summed one by one.
     """
     if p.group != q.group:
         raise IncompatibleGroupError("convolution needs a common ambient group")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    pairs, box = len(p) * len(q), _sum_box(p, q)
-    if min(pairs, box) > SUPPORT_CAP:
-        raise CapExceededError(f"convolution support may reach {min(pairs, box)}, cap {SUPPORT_CAP}")
     g = p.group
     nq = q.counts
     if sign == "-":
         nq = {g.neg(e): n for e, n in nq.items()}
+    lows, sides, box = _layout(g.moduli, (p.counts, nq))
+    pairs = len(p) * len(q)
+    if min(pairs, box) > SUPPORT_CAP:
+        raise CapExceededError(f"convolution support may reach {min(pairs, box)}, cap {SUPPORT_CAP}")
     den = p.den * q.den
-    if g.dim == 1 and box <= _DENSE_SLOTS_PER_PAIR * pairs:
-        lo, counts = _kronecker({x: n for (x,), n in p.counts.items()},
-                                {y: n for (y,), n in nq.items()}, den, g.moduli[0])
-        acc = {(lo + i,): n for i, n in enumerate(counts) if n}
+    if math.prod(sides) <= _DENSE_SLOTS_PER_PAIR * pairs:
+        acc = _packed_sum(g.moduli, (p.counts, nq), lows, sides, den)
     else:
         acc: dict[Element, int] = {}
         for ex, nx in p.counts.items():
@@ -318,22 +348,23 @@ def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
 def iterated_convolve(p: Dist, k: int) -> Dist:
     """k-fold convolution power of p (k >= 1).
 
-    A rank-1 law whose final box of sums (k·span + 1 on Z, m on Z/m) is within
-    SUPPORT_CAP, so that no `convolve` step could raise, and dense by its rule,
-    is packed once and raised to the k-th power; any other runs k - 1 `convolve`s.
+    A law is packed once and raised to the k-th power while the power's
+    slots are within SUPPORT_CAP, so that no step of the loop of k - 1
+    `convolve`s could raise, `convolve` would pack p * p, the first step, and
+    the slots are at most _DENSE_SLOTS_PER_PAIR per pair of the loop: at most
+    n·(C(n + k - 1, k - 1) - 1) for n atoms, as the j-fold sum has at most
+    C(n + j - 1, j).  Any other law runs the loop.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     g = p.group
-    if k > 1 and g.dim == 1:
-        (m,) = g.moduli
-        xs = [x for (x,) in p.counts]  # sorted
-        box = m or k * (xs[-1] - xs[0]) + 1
-        if box <= SUPPORT_CAP and box <= _DENSE_SLOTS_PER_PAIR * len(p) ** k:
-            den, base = p.den ** k, 0 if m else xs[0]
-            w = (den.bit_length() + 7) // 8
-            counts = _slots(_pack(dict(zip(xs, p.counts.values())), base, w) ** k, w, m)
-            return Dist._with_counts(g, den, {(k * base + i,): n for i, n in enumerate(counts) if n})
+    if k > 1:
+        lows, sides, _ = _layout(g.moduli, (p.counts,), k)
+        n, slots, square = len(p), math.prod(sides), _layout(g.moduli, (p.counts, p.counts))[1]
+        if (slots <= SUPPORT_CAP and math.prod(square) <= _DENSE_SLOTS_PER_PAIR * n * n
+                and slots <= _DENSE_SLOTS_PER_PAIR * n * (math.comb(n + k - 1, k - 1) - 1)):
+            den = p.den ** k
+            return Dist._with_counts(g, den, _packed_sum(g.moduli, (p.counts,), lows, sides, den, k))
     out = p
     for _ in range(k - 1):
         out = convolve(out, p, "+")

@@ -1,4 +1,4 @@
-"""JSON file formats for distributions, joints, progressions, certificates.
+"""JSON file formats for distributions, joints and certificates.
 
 Masses are exact rationals (num/den pairs); loaders reject anything that does
 not sum to exactly 1, so files round-trip without renormalisation surprises.
@@ -12,9 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dists import Dist, JointDist
-from .errors import IncompatibleGroupError, SchemaError
+from .errors import SchemaError
 from .groups import GroupSpec
-from .progressions import CosetProgression
 
 
 def _read(path_or_obj):
@@ -151,27 +150,6 @@ def dump_joint(j: JointDist) -> dict:
         "groups": [list(g.moduli) for g in j.groups],
         "atoms": [{"xs": [list(x) for x in atom], **_num_den(n, j.den)} for atom, n in j.counts.items()],
     }
-
-
-def load_progression(path_or_obj) -> CosetProgression:
-    obj = _read(path_or_obj)
-    try:
-        group = _group(obj["group"])
-        subgroup = [_element(h, group, obj) for h in obj["H"]]
-        base = _element(obj["base"], group, obj)
-        steps = [_element(s, group, obj) for s in obj.get("steps", [])]
-        lengths = obj.get("lengths", [])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(
-            "progression file needs 'group', 'H', 'base', 'steps', 'lengths'"
-        ) from exc
-    _known(obj, {"group", "H", "base", "steps", "lengths"}, "progression")
-    if not isinstance(lengths, list) or not all(_is_int(n) for n in lengths):
-        raise SchemaError(f"progression lengths must be a list of ints, got {lengths!r}")
-    try:
-        return CosetProgression(group, subgroup, base, steps, lengths)
-    except (ValueError, TypeError, IncompatibleGroupError) as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 def save_json(path, obj) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dists import Dist, _f_count, _kronecker, _normalise, convolve, entropy, f_nats, tv_distance
+from .dists import Dist, _f_count, _Kronecker, _normalise, convolve, entropy, f_nats, tv_distance
 from .errors import CapExceededError, PreconditionError, SearchExhaustedError
 from .groups import GroupSpec
 from .metrics import MetricReport
@@ -301,7 +301,8 @@ def _unit_grid_convolve(f: _UnitSteps, g: _UnitSteps) -> _PiecewisePoly:
     """
     (f0, df, nf), (g0, dg, ng) = f, g
     den = df * dg
-    knots = [0, *_kronecker(nf, ng, den)[1], 0]
+    box = _Kronecker((0,), (len(nf) + len(ng) - 1,), den)  # the indices are the slots
+    knots = [0, *box.read(box.pack(nf) * box.pack(ng)), 0]
     # the piece over [lo + k, lo + k + 1] integrates to (knots[k] + knots[k + 1]) / (2 den)
     if sum(knots) != den:
         raise ArithmeticError(f"convolution integral is {Fraction(sum(knots), den)}, expected 1")

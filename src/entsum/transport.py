@@ -12,9 +12,9 @@ density-level splitting, and sigma-splits.  It runs in the int counts that
 `Dist` and `JointDist` hold, with the elements of a finite group encoded as
 indices into one addition table.  The certificate is built left to right:
 each flatten stage extends it by independent noise, a convolution of each
-row with the noise law, formed on Z/n as one product of packed ints.
-Certificate validity is always exact and checked in ints; only costs are
-floating point.
+row with the noise law, formed on a product of cyclic factors as one product
+of packed ints.  Certificate validity is always exact and checked in ints;
+only costs are floating point.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dists import Dist, JointDist, _f_count, _kronecker, _lowest_terms, _pack, _slots, entropy, push_masses
+from .dists import (_DENSE_SLOTS_PER_PAIR, Dist, JointDist, _f_count, _Kronecker, _lowest_terms, entropy,
+                    push_masses)
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -417,21 +419,17 @@ def translate_shift(p: Dist, q: Dist) -> Element | None:
     Each q-atom is tried as the image of p's first atom, so translates that
     wrap around a finite factor are found too.
     """
-    if p.group != q.group or len(p) != len(q):
+    # both laws are in lowest terms, so a translate has the same den and counts
+    if p.group != q.group or p.den != q.den or len(p) != len(q):
         return None
     g = p.group
-    x0, m0 = next(iter(p))
-    for y, v in q:
-        if v == m0:
+    x0, n0 = next(iter(p.counts.items()))
+    for y, n in q.counts.items():
+        if n == n0:
             c = g.sub(y, x0)
             if q == p.translate(c):
                 return c
     return None
-
-
-def is_translate(p: Dist, q: Dist) -> bool:
-    """True iff q is exactly a translate of p."""
-    return translate_shift(p, q) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +452,12 @@ def is_translate(p: Dist, q: Dist) -> bool:
 # a GroupSpec too; a sparse one sums its atom pairs one by one
 # (`_raw_compose`).  The uniformisation composes left to right: each flatten
 # stage extends the certificate built so far by independent noise z, whose
-# conditional law is z on every row, so the extension is a convolution of
-# each row with z: on an `_IndexedGroup` that is one cyclic factor Z/n, one
-# Kronecker product per row, folded on Z/n (`_compose_noise`).  Other groups
-# compose with the product coupling q ⊗ z that `_raw_noise` builds.  An
-# identity is `_raw_noise` with a point law.
+# conditional law is z on every row, so the extension convolves each row
+# with z (`_convolver`, on the kernel `dists._Kronecker` of `convolve`) on an
+# `_IndexedGroup` with a trivial H, a product of cyclic factors, unless its
+# padded box is too sparse.  Other groups compose with the product coupling
+# q ⊗ z of `_raw_noise`; placing a row in a box with a nontrivial H needs H's
+# table.  An identity is `_raw_noise` with a point law.
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -478,9 +477,6 @@ class _IndexedGroup:
         self._h_table = h_table
         self._mods = mods
         self._zero = self.index[zero]
-        # n when the group is one cyclic factor Z/n with a trivial H, so that
-        # each index is its own residue and addition is addition mod n; else 0
-        self.cyclic = self.size if len(h_table) == 1 and len(mods) == 1 else 0
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -594,27 +590,40 @@ def _raw_independent_pair(ad, qp: _Law, qm: _Law) -> _RawCert:
     return _RawCert(dp * dm, atoms, _scaled(mm, dp))
 
 
-def _cyclic(ad) -> int:
-    """n when `ad` is an `_IndexedGroup` on Z/n with a trivial H, else 0."""
-    return ad.cyclic if isinstance(ad, _IndexedGroup) else 0
+def _convolver(ad, z: _Law, cap: int) -> Callable[[dict], dict] | None:
+    """Convolution with z of index-keyed counts, one packed product per call,
+    each result count at most `cap`.  None unless `ad` is an `_IndexedGroup`
+    with a trivial H, whose indices run row-major over its moduli, and its
+    2m - 1 digits on each Z/m give at most _DENSE_SLOTS_PER_PAIR slots per
+    element, the rule of `dists.convolve` for a full row and a point law.
+    """
+    if not isinstance(ad, _IndexedGroup) or len(ad._h_table) > 1:
+        return None
+    sides = [2 * m - 1 for m in ad._mods]
+    if math.prod(sides) > _DENSE_SLOTS_PER_PAIR * ad.size:
+        return None
+    box = _Kronecker(ad._mods, sides, cap)
+    digits = itertools.product(*(range(m) for m in ad._mods))  # of each element index
+    cells = [sum(map(operator.mul, d, box.strides)) for d in digits]  # its slot
+    index = {c: e for e, c in enumerate(cells)}
+    packed_z = box.pack({cells[e]: n for e, n in z[1].items()})
+
+    def convolve(counts: dict) -> dict:
+        packed = box.pack({cells[e]: n for e, n in counts.items()}) * packed_z
+        return {index[i]: n for i, n in enumerate(box.read(packed)) if n}
+
+    return convolve
 
 
 def _raw_noise(ad, q: _Law, z: _Law) -> _RawCert:
-    """q ⊗ z, whose target q ⊛ z is one Kronecker product on Z/n.
+    """q ⊗ z, with its target q ⊛ z from `_convolver` where it serves.
 
     With z the point law at c this is the deterministic shift by c, cost 0.
     """
     (dq, mq), (dz, mz) = q, z
     atoms = {(x, zz): nx * nz for x, nx in mq.items() for zz, nz in mz.items()}
-    n = _cyclic(ad)
-    if n:
-        tgt = {y: k for y, k in enumerate(_kronecker(mq, mz, dq * dz, n)[1]) if k}
-    else:
-        tgt = {}
-        add = ad.add
-        for (x, zz), k in atoms.items():
-            y = add(x, zz)
-            tgt[y] = tgt.get(y, 0) + k
+    conv = _convolver(ad, z, dq * dz)
+    tgt = conv(mq) if conv else push_masses(atoms, lambda a: ad.add(*a))
     return _RawCert(dq * dz, atoms, tgt)
 
 
@@ -667,64 +676,44 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
 
 
 def _raw_extend(ad, c: _RawCert, z: _Law) -> _RawCert:
-    """c followed by independent noise z: c ∘ (q ⊗ z), with q c's target."""
-    n = _cyclic(ad)
-    if n:
-        return _compose_noise(n, c, z)
-    return _raw_compose(ad, c, _raw_noise(ad, (c.den, c.target), z))
+    """c followed by independent noise z: c ∘ (q ⊗ z), with q c's target.
 
-
-def _compose_noise(n: int, c: _RawCert, z: _Law) -> _RawCert:
-    """c followed by independent noise z on Z/n: Z2 is z whatever W is.
-
-    The composed count at (x, z1 + z2) is sum c[x, z1] z[z2] over den * dz,
-    so each x's row of c convolves with z: one product of packed ints, the
-    row's and z's (packed once), read back folded on Z/n as in
-    `dists._kronecker`, and the target is c's target convolved with z.  No
-    count exceeds den * dz, the row's total times dz.
+    Z2 is z whatever W is, so the composed count at (x, z1 + z2) is
+    sum c[x, z1] z[z2] over den * dz, at most den * dz: each row of c and c's
+    target convolve with z, where `_convolver` serves.
     """
-    dz, mz = z
+    bound = c.den * z[0]
+    conv = _convolver(ad, z, bound)
+    if conv is None:
+        return _raw_compose(ad, c, _raw_noise(ad, (c.den, c.target), z))
     rows: dict = {}
     for (x, z1), k in c.coupling.items():
         rows.setdefault(x, {})[z1] = k
-    bound = c.den * dz
-    width = (bound.bit_length() + 7) // 8
-    packed_z = _pack(mz, 0, width)
-    atoms = {}
-    for x, row in rows.items():
-        for zz, k in enumerate(_slots(_pack(row, 0, width) * packed_z, width, n)):
-            if k:
-                atoms[(x, zz)] = k
-    tgt = {y: k for y, k in enumerate(_kronecker(c.target, mz, bound, n)[1]) if k}
-    return _RawCert(bound, atoms, tgt)
+    atoms = {(x, zz): k for x, row in rows.items() for zz, k in conv(row).items()}
+    return _RawCert(bound, atoms, conv(c.target))
 
 
 def _packed_rows(ad, coupling: dict, cond: dict, bound: int) -> dict:
     """The counts sum_w A[x, w] B[w, y] of a composed coupling, row by row.
 
-    Each row B[w, .] is packed into one int by `dists._pack`, with a
-    byte-aligned slot per y, the slots in order of first appearance among the
-    targets w + z2, so any group serves (Kronecker substitution, as in
-    `dists._kronecker`).  Each x's row is then the int sum_z1 A[x, x + z1] *
-    packed[x + z1], read back by `dists._slots`.  `bound` is den1 * m and no
-    composed count exceeds it: c1's counts at x sum to at most den1 and each
-    row of B sums to m.  So a slot of bound's bit length never carries into
-    the next.
+    Each row B[w, .] is packed by `dists._Kronecker` on one Z axis, a slot
+    per y in order of first appearance among the targets w + z2, so any group
+    serves.  Each x's row is then the int sum_z1 A[x, x + z1] * packed[x + z1].
+    No composed count exceeds `bound`, den1 * m: c1's counts at x sum to at
+    most den1 and each row of B sums to m.
     """
     add, sub = ad.add, ad.sub
-    width = (bound.bit_length() + 7) // 8
     slot: dict = {}  # y -> its slot index
-    packed = {
-        w: _pack({slot.setdefault(add(w, z2), len(slot)): n for z2, n in row}, 0, width)
-        for w, row in cond.items()
-    }
+    by_slot = {w: {slot.setdefault(add(w, z2), len(slot)): n for z2, n in row}
+               for w, row in cond.items()}
+    box = _Kronecker((0,), (len(slot),), bound)
+    packed = {w: box.pack(row) for w, row in by_slot.items()}
     rows: dict = {}
     for (x, z1), n1 in coupling.items():
         rows[x] = rows.get(x, 0) + n1 * packed[add(x, z1)]
     atoms = {}
     for x, row in rows.items():
-        # _slots omits the zero slots above the row's top one
-        for y, n in zip(slot, _slots(row, width, 0)):
+        for y, n in zip(slot, box.read(row)):  # read stops at the row's top slot
             if n:
                 atoms[(x, sub(y, x))] = n
     return atoms

@@ -9,11 +9,11 @@ coupling atom by atom over `TransportCertificate` and `Dist`.
 `_raw_compose_reference` is the integer kernel's compose as it was before
 dense products were packed into ints: it sums every atom pair.  The kernel
 tests run `transport._raw_compose` on both sides of its gate, forced by
-`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates.  On Z/n,
-`_raw_extend` composes a certificate with independent noise by convolution
-instead (`_compose_noise`); the noise tests compare it with the generic
-compose with the product coupling that `_raw_noise` builds, and with the
-pair loop.
+`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates.  On a product
+of cyclic factors whose padded box is dense enough, `_raw_extend` composes a
+certificate with independent noise by convolution instead, one packed
+product per row; the noise tests compare it with the generic compose with
+the product coupling that `_raw_noise` builds, and with the pair loop.
 """
 
 import math
@@ -305,7 +305,11 @@ NOISE_GROUPS = {
     **{f"Z/{n}": (lambda n=n: transport._spec_group(GroupSpec([n])), True) for n in (1, 2, 8, 12, 64)},
     # the one-dimensional box Z/10 of a progression with a trivial H
     "box Z/10": (lambda: transport._box_group(GroupSpec([0]), ((0,),), (10,)), True),
-    "Z/2xZ/4": (KERNEL_GROUPS["Z/2xZ/4"], False),
+    "Z/2xZ/4": (KERNEL_GROUPS["Z/2xZ/4"], True),
+    "Z/8xZ/8": (lambda: transport._spec_group(GroupSpec([8, 8])), True),
+    "Z/2xZ/2xZ/3": (lambda: transport._spec_group(GroupSpec([2, 2, 3])), True),
+    # 3^4 padded slots for 16 elements: too sparse to pack, so the generic compose
+    "(Z/2)^4": (lambda: transport._spec_group(GroupSpec([2] * 4)), False),
     "box": (KERNEL_GROUPS["box"], False),
 }
 
@@ -314,9 +318,10 @@ NOISE_GROUPS = {
 def test_compose_with_noise_matches_generic(gate, monkeypatch, name):
     make, convolves = NOISE_GROUPS[name]
     ad = make()
-    convolutions = []
-    compose_noise = transport._compose_noise
-    monkeypatch.setattr(transport, "_compose_noise", lambda *a: convolutions.append(1) or compose_noise(*a))
+    composes = []  # one entry per _raw_compose call
+    raw_compose = transport._raw_compose
+    monkeypatch.setattr(transport, "_raw_compose", lambda *a: composes.append(1) or raw_compose(*a))
+    extended_by_compose = set()
     rng = random.Random(f"noise:{name}")
 
     def law(cap):
@@ -341,11 +346,13 @@ def test_compose_with_noise_matches_generic(gate, monkeypatch, name):
         noise = transport._raw_noise(ad, w, z)
         # the Kronecker target of _raw_noise against the per-atom sum
         _validate(ad, noise)
+        before = len(composes)
         out = transport._raw_extend(ad, c1, z)
-        assert out == transport._raw_compose(ad, c1, noise)
+        extended_by_compose.add(len(composes) > before)
+        assert out == raw_compose(ad, c1, noise)
         assert out == _raw_compose_reference(ad, c1, noise)
         _validate(ad, out, (c1.den, transport._raw_source(c1)))
-    assert bool(convolutions) == convolves
+    assert extended_by_compose == {not convolves}
 
 
 def test_compose_on_z_matches_reference(gate):

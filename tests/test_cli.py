@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entsum.cli import main
-from entsum.fileio import dump_dist, dump_joint, load_dist, load_joint, load_progression
+from entsum.fileio import dump_dist, dump_joint, load_dist, load_joint
 from entsum.dists import Dist, JointDist, independent_joint
 from entsum.errors import SchemaError
 from entsum.groups import GroupSpec
@@ -51,8 +51,6 @@ def test_roundtrip_formats(tmp_path):
     assert load_dist(dump_dist(p)) == p
     j = independent_joint(p, p)
     assert load_joint(dump_joint(j)) == j
-    prog = load_progression(GOOD_PROGRESSION)
-    assert sorted(prog.enumerate()) == [(0,), (1,), (2,), (3,)]
 
 
 def test_loader_rejects_unnormalised():
@@ -88,20 +86,6 @@ BAD_JOINTS = [
     # a joint of no coordinates, which the constructor refuses
     {"groups": [], "atoms": [{"xs": [], "num": 1, "den": 1}]},
 ]
-GOOD_PROGRESSION = {"group": [0], "H": [[0]], "base": [0], "steps": [[1]], "lengths": [4]}
-BAD_PROGRESSIONS = [
-    {**GOOD_PROGRESSION, "rank": 1},
-    {**GOOD_PROGRESSION, "base": [0, 1]},
-    {**GOOD_PROGRESSION, "lengths": [None]},
-    # non-integer coordinates and lengths, which int() used to truncate
-    {**GOOD_PROGRESSION, "base": [1.5]},
-    {**GOOD_PROGRESSION, "steps": [[1.9]]},
-    {**GOOD_PROGRESSION, "lengths": [3.7]},
-    {**GOOD_PROGRESSION, "H": [[0.0]]},
-    {**GOOD_PROGRESSION, "base": [True]},
-    {**GOOD_PROGRESSION, "lengths": [True]},
-    {**GOOD_PROGRESSION, "lengths": 4},
-]
 
 
 @pytest.mark.parametrize("obj", BAD_DISTS)
@@ -114,12 +98,6 @@ def test_load_dist_schema_errors(obj):
 def test_load_joint_schema_errors(obj):
     with pytest.raises(SchemaError):
         load_joint(obj)
-
-
-@pytest.mark.parametrize("obj", BAD_PROGRESSIONS)
-def test_load_progression_schema_errors(obj):
-    with pytest.raises(SchemaError):
-        load_progression(obj)
 
 
 def test_malformed_files_exit_2(capsys, tmp_path):

@@ -312,7 +312,7 @@ def _assert_bounds_support_before_building(monkeypatch, build):
     def never(*args):
         raise AssertionError("convolution work ran past the cap")
 
-    monkeypatch.setattr(dists, "_kronecker", never)
+    monkeypatch.setattr(dists, "_Kronecker", never)
     monkeypatch.setattr(GroupSpec, "add", never)
     for p, bound in cases:
         monkeypatch.setattr(dists, "SUPPORT_CAP", bound - 1)

@@ -74,6 +74,8 @@ GROUPS = {
     "Z/8": GroupSpec([8]),
     "Z/2xZ/4": GroupSpec([2, 4]),
     "Z^2": GroupSpec([0, 0]),
+    "ZxZ/3": GroupSpec([0, 3]),
+    "Z/2xZ/2xZ/3": GroupSpec([2, 2, 3]),
 }
 
 
@@ -124,8 +126,8 @@ def test_corpus_covers_every_group_sign_and_denominator():
 
 @pytest.mark.parametrize("dense_slots", [0, None, 10**9], ids=["pair-loop", "default", "dense"])
 def test_seeded_laws_match_reference(monkeypatch, dense_slots):
-    # 0 sends every rank-1 pair through the pair loop, 10**9 through the
-    # Kronecker product; None keeps the dense/sparse rule
+    # 0 sends every pair of laws through the pair loop, 10**9 through the
+    # packed product on every group; None keeps the dense/sparse rule
     if dense_slots is not None:
         monkeypatch.setattr(dists, "_DENSE_SLOTS_PER_PAIR", dense_slots)
     for _, p, q, sign in _corpus(1, 400):
@@ -190,15 +192,16 @@ def _assert_power(p: Dist, k: int) -> Dist:
 def test_powers_match_the_loop_on_seeded_laws(loop_steps):
     rng = random.Random(4)
     looped = {}
-    for g in (Z, GroupSpec([8]), GroupSpec([4, 4])):
+    groups = (Z, GroupSpec([8]), GroupSpec([4, 4]), GroupSpec([0, 3]))
+    for g in groups:
         for _ in range(60):
             p = _law(rng, g, rng.randrange(1, 7), rng.choice([2, 64, 2**20, 2**64]), reach=rng.choice([2, 8, 1000]))
             before, k = loop_steps[0], rng.randrange(1, 9)
             _assert_power(p, k)
             if k > 1:
                 looped.setdefault(g, set()).add(loop_steps[0] > before)
-    # rank 2 always loops; rank 1 takes both paths
-    assert looped == {Z: {True, False}, GroupSpec([8]): {True, False}, GroupSpec([4, 4]): {True}}
+    # every group takes both paths, whatever its rank
+    assert looped == {g: {True, False} for g in groups}
 
 
 def test_power_path_edge_cases(loop_steps):
@@ -234,7 +237,50 @@ def test_power_path_stops_at_the_support_cap(monkeypatch, loop_steps):
 
 
 def test_sparse_power_takes_the_loop(loop_steps):
-    # the box of {0, 30000}^{*6} holds 180,001 slots for 64 atom tuples
+    # the box of {0, 30000}^{*6} holds 180,001 slots; the loop pairs at most 40 atoms
     p = Dist.uniform(Z, [(0,), (30000,)])
     assert len(_assert_power(p, 6)) == 7
     assert loop_steps == [5]
+
+
+def test_wide_power_with_a_sparse_square_takes_the_loop(loop_steps):
+    # p * p would pack 2601 slots for 25 pairs, so the 7-fold power, 9101
+    # slots of 448 bits, is not packed either
+    den = 2**64 + 13
+    p = Dist._with_counts(Z, den, {(0,): 1, (300,): 2, (700,): 3, (1000,): 4, (1300,): den - 10})
+    _assert_power(p, 7)
+    assert loop_steps == [6]
+
+
+def _never(*args):
+    raise AssertionError("packed a sparse product")
+
+
+def test_padded_slots_gate_the_packed_power(monkeypatch, loop_steps):
+    # on (Z/2)^r a 10-fold power has a box of 2^r sums, but packing it would
+    # take 11 digits per axis, 11^r slots: the uniform law on (Z/2)^8 loops,
+    # as does a 2-atom law on (Z/2)^10, whose square is sparse too
+    kronecker = dists._Kronecker
+
+    def step_sized(mods, sides, cap):  # a step of the loop packs 3 digits per axis
+        assert set(sides) == {3}, "packed the power"
+        return kronecker(mods, sides, cap)
+
+    monkeypatch.setattr(dists, "_Kronecker", step_sized)
+    u = Dist.uniform(GroupSpec([2] * 8), list(GroupSpec([2] * 8).elements()))
+    assert _assert_power(u, 10) == u
+    assert loop_steps == [9]
+    g = GroupSpec([2] * 10)
+    p = Dist.uniform(g, [(0,) * 10, (1,) * 10])
+    assert len(_assert_power(p, 10)) == 2
+    assert loop_steps == [18]
+
+
+def test_padded_slots_gate_the_packed_product(monkeypatch):
+    # two 40-atom laws on (Z/2)^11: 1600 pairs for a box of 2^11 sums, but
+    # 3^11 packed slots, so the pairs are summed one by one
+    rng = random.Random(11)
+    g = GroupSpec([2] * 11)
+    p, q = (Dist.uniform(g, rng.sample(list(g.elements()), 40)) for _ in range(2))
+    monkeypatch.setattr(dists, "_Kronecker", _never)
+    assert convolve(p, q) == _convolve_reference(p, q)

@@ -261,13 +261,13 @@ def test_binomial_walk_matches_reference(n):
 def test_unit_step_integral_check_catches_corrupted_knots(monkeypatch):
     f, g = _fuzz_step_pairs(5, 1)[0]
     assert convolve_densities(f, g).integral() == 1
-    kronecker = torsionfree._kronecker
+    kronecker = torsionfree._Kronecker
 
     for corrupt in (lambda c: c[:-1] + [c[-1] + 1], lambda c: [c[0] - 1] + c[1:]):
-        def corrupted(*args, corrupt=corrupt):
-            lo, counts = kronecker(*args)
-            return lo, corrupt(counts)
+        class Corrupted(kronecker):
+            def read(self, packed, corrupt=corrupt):
+                return corrupt(super().read(packed))
 
-        monkeypatch.setattr(torsionfree, "_kronecker", corrupted)
+        monkeypatch.setattr(torsionfree, "_Kronecker", Corrupted)
         with pytest.raises(ArithmeticError, match="integral"):
             convolve_densities(f, g)
