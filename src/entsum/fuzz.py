@@ -16,7 +16,6 @@ import math
 import os
 import random
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +42,7 @@ from .metrics import (
     sumset_increase_report,
     three_sum_bound,
 )
-from .torsionfree import PiecewiseDensity, abbn_check
+from .torsionfree import _unit_abbn
 
 TOL = 1e-9
 
@@ -283,11 +282,9 @@ def _check_abbn(rng, cfg):
         pieces = rng.randrange(1, 7)
         den = rng.randrange(pieces, 64 + pieces)
         parts = _composition(rng, den, pieces)
-        lo = rng.randrange(-4, 5)
-        breaks = list(range(lo, lo + pieces + 1))
-        return PiecewiseDensity(breaks, [(Fraction(n, den), 0) for n in parts])
+        return rng.randrange(-4, 5), den, dict(enumerate(parts))
 
-    return [abbn_check(rand_step(), rand_step())]
+    return [_unit_abbn(rand_step(), rand_step())]
 
 
 CHECKS = {
@@ -376,8 +373,8 @@ def _chunk_worker(args):
 def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
     """Run the configured inequality set; write results and counterexamples.
 
-    Returns a summary dict with per-name statistics; the caller maps a
-    positive violation count to a nonzero exit code.
+    Returns a summary dict with per-name statistics and per-check skips; the
+    caller maps a positive violation count to a nonzero exit code.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -404,7 +401,9 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
             chunks = list(pool.map(_chunk_worker, tasks))
 
     rows = [row for chunk in chunks for row in chunk["rows"]]
-    skipped = sum(chunk["skipped"] for chunk in chunks)
+    skips = dict.fromkeys(cfg.inequality_set, 0)  # per check, beside the total
+    for (_, check, _, _), chunk in zip(tasks, chunks):
+        skips[check] += chunk["skipped"]
     rows.sort(key=lambda r: (r["check"], r["index"], r["name"]))
 
     violations = 0
@@ -447,8 +446,9 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
         "seed": cfg.seed,
         "instances": cfg.instance_count,
         "violations": violations,
-        "skipped": skipped,
+        "skipped": sum(skips.values()),
         "per_name": per_name,
+        "stats": {"skipped": skips},
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
     return summary

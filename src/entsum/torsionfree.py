@@ -6,7 +6,8 @@ Densities are piecewise affine with exact rational coefficients; convolving
 two of them is computed exactly as a piecewise polynomial (degree at most
 deg f + deg g + 1) by a closed-form binomial expansion over Q.  Entropy of
 affine pieces has a closed form; higher-degree pieces fall back to certified
-adaptive quadrature.
+adaptive quadrature.  Positive steps on unit intervals convolve to a hat with
+int knots, from which `abbn_check` and the `abbn` fuzz check read both sides.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ class PiecewiseDensity:
     @staticmethod
     def uniform(lo, hi) -> "PiecewiseDensity":
         lo, hi = Fraction(lo), Fraction(hi)
+        if hi <= lo:
+            raise ValueError("breakpoints must be strictly increasing")
         return PiecewiseDensity([lo, hi], [(Fraction(1, 1) / (hi - lo), 0)])
 
     def translate(self, c) -> "PiecewiseDensity":
@@ -200,20 +203,18 @@ class PiecewiseDensity:
         return [(a, b) if b != 0 else (a,) for a, b in self.pieces]
 
 
+def _anti(u: float) -> float:
+    """Antiderivative of -u log u, 0 for u <= 0."""
+    if u <= 0.0:
+        return 0.0
+    return u * u * 0.25 - 0.5 * u * u * math.log(u)
+
+
 def _entropy_affine_piece(a: Fraction, b: Fraction, t0: Fraction, t1: Fraction) -> float:
     """Closed-form integral of F(a + b t) over [t0, t1]."""
-
-    def anti(u: float) -> float:
-        # antiderivative of -u log u
-        if u <= 0.0:
-            return 0.0
-        return u * u * 0.25 - 0.5 * u * u * math.log(u)
-
     if b == 0:
         return float(t1 - t0) * f_nats(a)
-    u0 = float(a + b * t0)
-    u1 = float(a + b * t1)
-    return (anti(u1) - anti(u0)) / float(b)
+    return (_anti(float(a + b * t1)) - _anti(float(a + b * t0))) / float(b)
 
 
 def continuous_entropy(f: PiecewiseDensity) -> float:
@@ -291,13 +292,13 @@ def _unit_steps(f: PiecewiseDensity) -> _UnitSteps | None:
     return t0.numerator, den, counts
 
 
-def _unit_grid_convolve(f: _UnitSteps, g: _UnitSteps) -> _PiecewisePoly:
-    """Convolution of two unit step densities from `_unit_steps`.
+def _unit_knots(f: _UnitSteps, g: _UnitSteps) -> tuple[int, int, list[int]]:
+    """(lo, den, knots) for two unit step densities from `_unit_steps`: their
+    convolution is linear between the integers and is knots[k] / den at lo + k.
 
-    Two unit boxes convolve to the hat on [0, 2] with peak 1, so the result
-    is piecewise linear on the integers from f0 + g0 to the far end, and its
-    value at f0 + g0 + k is the discrete convolution of the heights at k - 1
-    (the box-spline identity).  That convolution is the integer kernel's.
+    Two unit boxes convolve to the hat on [0, 2] with peak 1, so the value at
+    f0 + g0 + k is the discrete convolution of the heights at k - 1 (the
+    box-spline identity).  That convolution is the integer kernel's.
     """
     (f0, df, nf), (g0, dg, ng) = f, g
     den = df * dg
@@ -306,7 +307,12 @@ def _unit_grid_convolve(f: _UnitSteps, g: _UnitSteps) -> _PiecewisePoly:
     # the piece over [lo + k, lo + k + 1] integrates to (knots[k] + knots[k + 1]) / (2 den)
     if sum(knots) != den:
         raise ArithmeticError(f"convolution integral is {Fraction(sum(knots), den)}, expected 1")
-    lo = f0 + g0
+    return f0 + g0, den, knots
+
+
+def _unit_grid_convolve(f: _UnitSteps, g: _UnitSteps) -> _PiecewisePoly:
+    """Convolution of two unit step densities from `_unit_steps`, over Q."""
+    lo, den, knots = _unit_knots(f, g)
     polys = []
     for k, (u, v) in enumerate(zip(knots, knots[1:])):
         # (u + (v - u)(t - lo - k)) / den on [lo + k, lo + k + 1]
@@ -378,22 +384,37 @@ def _closed_form_convolve(f: PiecewiseDensity, g: PiecewiseDensity) -> _Piecewis
     return _PiecewisePoly(tuple(breaks), tuple(polys))
 
 
+def _unit_abbn(f: _UnitSteps, g: _UnitSteps) -> MetricReport:
+    """`abbn_check` on two unit step densities (first break, den, {i: count > 0}),
+    in ints: Ent sums F(count / den), and each hat piece between knots u and v
+    is the affine closed form at u / den and v / den, slope (v - u) / den.
+    int / int rounds as float(Fraction) does, so every float is the closed form's."""
+    ents, witness = [], {}
+    for name, (first, den, counts) in zip("fg", (f, g)):
+        if min(counts.values()) <= 0 or sum(counts.values()) != den:
+            raise ValueError(f"step counts {list(counts.values())} must be positive and sum to {den}")
+        ents.append(math.fsum(_f_count(n, den) for n in counts.values()))
+        reduced = [(n // math.gcd(n, den), den // math.gcd(n, den)) for n in counts.values()]
+        witness[name] = {"breaks": [str(first + i) for i in range(len(counts) + 1)],
+                         "pieces": [[f"{n}/{d}" if d > 1 else str(n), "0"] for n, d in reduced]}
+    _, den, knots = _unit_knots(f, g)
+    rhs = math.fsum(_f_count(u, den) if u == v else (_anti(v / den) - _anti(u / den)) / ((v - u) / den)
+                    for u, v in zip(knots, knots[1:]))
+    lhs = 0.5 * (ents[0] + ents[1]) + 0.5 * math.log(2)
+    return MetricReport("continuous_sum_lower_bound", lhs, rhs, witness)
+
+
 def abbn_check(f: PiecewiseDensity, g: PiecewiseDensity) -> MetricReport:
-    """Ent(S + T) >= (Ent(S) + Ent(T))/2 + (log 2)/2 for independent densities."""
+    """Ent(S + T) >= (Ent(S) + Ent(T))/2 + (log 2)/2 for independent densities;
+    two unit step densities (see `_unit_steps`) take `_unit_abbn`."""
+    steps = (_unit_steps(f), _unit_steps(g))
+    if None not in steps:
+        return _unit_abbn(*steps)
     conv = convolve_densities(f, g)
     lhs = 0.5 * (continuous_entropy(f) + continuous_entropy(g)) + 0.5 * math.log(2)
-    rhs = conv.entropy()
-    return MetricReport(
-        "continuous_sum_lower_bound",
-        lhs,
-        rhs,
-        {
-            "f": {"breaks": [str(b) for b in f.breakpoints],
-                  "pieces": [[str(a), str(b)] for a, b in f.pieces]},
-            "g": {"breaks": [str(b) for b in g.breakpoints],
-                  "pieces": [[str(a), str(b)] for a, b in g.pieces]},
-        },
-    )
+    witness = {name: {"breaks": [str(b) for b in h.breakpoints],
+                      "pieces": [[str(a), str(b)] for a, b in h.pieces]} for name, h in (("f", f), ("g", g))}
+    return MetricReport("continuous_sum_lower_bound", lhs, conv.entropy(), witness)
 
 
 def bridge_entropy(p: Dist) -> tuple[PiecewiseDensity, float]:

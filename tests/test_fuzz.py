@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 from fractions import Fraction as F
 from pathlib import Path
@@ -332,3 +333,36 @@ def test_cap_violations_skipped_with_counts(tmp_path, monkeypatch):
     assert summary["violations"] == 0
     assert summary["skipped"] > 0
     assert summary["skipped"] + summary["per_name"]["sometimes"]["count"] == 20
+    assert summary["stats"]["skipped"] == {"capped": summary["skipped"]}
+
+    # per check, beside an uncapped one; the same summary.json for any worker count
+    for workers in (1, 4):
+        cfg = FuzzConfig(seed=2, instance_count=20, inequality_set=["capped", "triv"], workers=workers)
+        fuzz_run(cfg, tmp_path / f"w{workers}")
+    summary = json.loads((tmp_path / "w1" / "summary.json").read_text())
+    assert sum(summary["stats"]["skipped"].values()) == summary["skipped"] > 0
+    assert summary["stats"]["skipped"]["triv"] == 0
+    assert (tmp_path / "w1" / "summary.json").read_bytes() == (tmp_path / "w4" / "summary.json").read_bytes()
+    assert (tmp_path / "w1" / "results.jsonl").read_bytes() == (tmp_path / "w4" / "results.jsonl").read_bytes()
+
+
+def test_forced_abbn_violation_is_written_and_replays(capsys, tmp_path, monkeypatch):
+    # with the tolerance pushed past every slack, each abbn instance is a
+    # violation; its file must hold a valid witness and replay the slack
+    from entsum import fuzz as fuzz_mod
+    from entsum.cli import main
+    from entsum.torsionfree import PiecewiseDensity, abbn_check
+
+    monkeypatch.setattr(fuzz_mod, "TOL", -math.inf)
+    cfg = FuzzConfig(seed=3, instance_count=4, inequality_set=["abbn"])
+    assert fuzz_run(cfg, tmp_path)["violations"] == 4
+    files = sorted((tmp_path / "counterexamples").iterdir())
+    assert len(files) == 4
+    for path in files:
+        stored = json.loads(path.read_text())
+        assert stored["check"] == "abbn" and stored["name"] == "continuous_sum_lower_bound"
+        f, g = (PiecewiseDensity(w["breaks"], [tuple(F(x) for x in p) for p in w["pieces"]])
+                for w in (stored["witness"][k] for k in "fg"))
+        assert abbn_check(f, g).slack == stored["slack"]
+        assert main(["replay", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["reproduced"]

@@ -133,6 +133,13 @@ def test_density_validation():
         PiecewiseDensity([0, 1, 2], [(1, 0), (-1, 0)])  # negative piece
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 0), (1, 0), (F(1, 3), F(1, 3)), (5, -5)])
+def test_uniform_on_an_empty_interval_is_rejected(lo, hi):
+    # an empty interval is checked before 1 / (hi - lo), so hi == lo is no ZeroDivisionError
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseDensity.uniform(lo, hi)
+
+
 def test_convolution_of_uniforms_is_triangle():
     u = PiecewiseDensity.uniform(0, 1)
     conv = convolve_densities(u, u)

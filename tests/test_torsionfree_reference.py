@@ -13,8 +13,14 @@ included.
 they walked the binomial counts in ints; laws must be equal and entropies
 bitwise equal.  The unit-step kernel checks its integral in ints, which a
 corrupted knot must fail.
+
+`_abbn_check_reference` is `abbn_check` as it was before unit steps were read
+in ints: `PiecewiseDensity` -> `convolve_densities` (`_unit_grid_convolve` on
+unit steps) -> `_PiecewisePoly.entropy`.  Both sides must be bitwise equal,
+by `.hex()`, and the witnesses equal.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,6 +36,7 @@ from entsum.torsionfree import (
     _binomial_entropy,
     _entropy_affine_piece,
     _PiecewisePoly,
+    abbn_check,
     binomial_dist,
     continuous_entropy,
     convolve_densities,
@@ -64,6 +71,19 @@ def _poly_integral(poly: Poly, lo: Fraction, hi: Fraction) -> Fraction:
 def _binomial_atoms_reference(n: int) -> dict:
     den = 2**n
     return {(2 * k - n,): Fraction(math.comb(n, k), den) for k in range(n + 1)}
+
+
+def _abbn_check_reference(f: PiecewiseDensity, g: PiecewiseDensity):
+    """(lhs, rhs, witness) of Ent(S + T) >= (Ent(S) + Ent(T))/2 + (log 2)/2."""
+    conv = convolve_densities(f, g)
+    lhs = 0.5 * (continuous_entropy(f) + continuous_entropy(g)) + 0.5 * math.log(2)
+    rhs = conv.entropy()
+    return lhs, rhs, {
+        "f": {"breaks": [str(b) for b in f.breakpoints],
+              "pieces": [[str(a), str(b)] for a, b in f.pieces]},
+        "g": {"breaks": [str(b) for b in g.breakpoints],
+              "pieces": [[str(a), str(b)] for a, b in g.pieces]},
+    }
 
 
 def _lagrange(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
@@ -143,13 +163,34 @@ def _convolve_densities_reference(f: PiecewiseDensity, g: PiecewiseDensity) -> _
 # inputs
 
 
+def _step_density(step) -> PiecewiseDensity:
+    first, den, counts = step
+    return PiecewiseDensity(range(first, first + len(counts) + 1),
+                            [(Fraction(n, den), 0) for n in counts.values()])
+
+
+def _fuzz_steps(seed: int, count: int) -> list:
+    """The (report, f step, g step) the fuzz `abbn` check makes for the first
+    `count` indices, each step as drawn: (first break, den, {i: count})."""
+    out = []
+
+    def capture(f, g):
+        out.append((torsionfree._unit_abbn(f, g), f, g))
+        return out[-1][0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuzz, "_unit_abbn", capture)
+        for index in range(count):
+            reports = fuzz._check_abbn(random.Random(fuzz._child_seed(seed, "abbn", index)), fuzz.FuzzConfig())
+            assert reports == [out[-1][0]]
+    assert len(out) == count
+    return out
+
+
 def _fuzz_step_pairs(seed: int, count: int) -> list:
     """The (f, g) pairs the fuzz `abbn` check draws for the first `count` indices."""
-    pairs = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fuzz, "abbn_check", lambda f, g: pairs.append((f, g)))
-        for index in range(count):
-            fuzz._check_abbn(random.Random(fuzz._child_seed(seed, "abbn", index)), fuzz.FuzzConfig())
+    pairs = [(_step_density(f), _step_density(g)) for _, f, g in _fuzz_steps(seed, count)]
+    assert len(pairs) == count
     return pairs
 
 
@@ -271,3 +312,101 @@ def test_unit_step_integral_check_catches_corrupted_knots(monkeypatch):
         monkeypatch.setattr(torsionfree, "_Kronecker", Corrupted)
         with pytest.raises(ArithmeticError, match="integral"):
             convolve_densities(f, g)
+
+
+def _assert_abbn_matches(rep, f: PiecewiseDensity, g: PiecewiseDensity) -> None:
+    lhs, rhs, witness = _abbn_check_reference(f, g)
+    assert rep.name == "continuous_sum_lower_bound"
+    assert (rep.lhs.hex(), rep.rhs.hex()) == (lhs.hex(), rhs.hex())
+    assert rep.witness == witness
+
+
+def test_fuzz_abbn_matches_reference():
+    # 2,000 draws of the fuzz check, as it runs them, against today's path
+    count = 0
+    for seed in range(20):
+        for rep, f, g in _fuzz_steps(seed, 100):
+            _assert_abbn_matches(rep, _step_density(f), _step_density(g))
+            count += 1
+    assert count == 2000
+
+
+def test_fuzz_abbn_builds_no_fraction(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("the fuzz abbn check built a Fraction")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for index in range(100):
+        fuzz._check_abbn(random.Random(fuzz._child_seed(1, "abbn", index)), fuzz.FuzzConfig())
+
+
+def test_criterion_08_abbn_pairs_match_reference():
+    # the 200 seeded pairs of criterion 8, through the public abbn_check
+    for i in range(200):
+        srng = random.Random(9000 + i)
+
+        def rand_step():
+            pieces = srng.randrange(1, 6)
+            den = srng.randrange(pieces, 64 + pieces)
+            cuts = sorted(srng.sample(range(1, den), pieces - 1)) if pieces > 1 else []
+            edges = [0] + cuts + [den]
+            lo = srng.randrange(-4, 5)
+            return PiecewiseDensity(range(lo, lo + pieces + 1),
+                                    [(Fraction(b - a, den), 0) for a, b in zip(edges, edges[1:])])
+
+        f, g = rand_step(), rand_step()
+        _assert_abbn_matches(abbn_check(f, g), f, g)
+
+
+def _unit(first: int, den: int, parts) -> PiecewiseDensity:
+    return _step_density((first, den, dict(enumerate(parts))))
+
+
+UNIT_STEPS = [
+    _unit(0, 6, [2, 4]),  # parts sharing a factor with den
+    _unit(-3, 12, [3, 6, 3]),
+    _unit(2, 10, [5, 5]),
+    _unit(0, 1, [1]),  # one piece
+    _unit(7, 1, [1]),
+    PiecewiseDensity.uniform(-2, -1),
+    _unit(0, 64, [1, 62, 1]),
+    _unit(0, 63, [21, 7, 14, 9, 12]).translate(5),  # translated breaks
+    _unit(1, 5, [1, 2, 2]).translate(-4),
+]
+
+
+def test_public_abbn_on_unit_steps_matches_reference(monkeypatch):
+    calls = []
+    kernel = torsionfree._unit_abbn
+    monkeypatch.setattr(torsionfree, "_unit_abbn", lambda f, g: calls.append(1) or kernel(f, g))
+    for f, g in itertools.product(UNIT_STEPS, repeat=2):
+        _assert_abbn_matches(abbn_check(f, g), f, g)
+    assert len(calls) == len(UNIT_STEPS) ** 2
+
+
+def test_public_abbn_off_the_unit_grid_takes_closed_form(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("the int kernel took a pair off the unit grid")
+
+    monkeypatch.setattr(torsionfree, "_unit_abbn", refuse)
+    u = PiecewiseDensity.uniform(0, 1)
+    others = [
+        PiecewiseDensity([0, 1, 2, 3], [(Fraction(1, 2), 0), (0, 0), (Fraction(1, 2), 0)]),  # zero height
+        PiecewiseDensity([0, Fraction(1, 2), 2], [(1, 0), (Fraction(1, 3), 0)]),  # rational breaks
+        PiecewiseDensity.uniform(Fraction(1, 3), Fraction(4, 3)),  # one rational translate
+        PiecewiseDensity([0, 1, 2], [(0, 1), (2, -1)]),  # a hat
+    ]
+    for f in others:
+        for pair in ((f, u), (u, f), (f, f)):
+            _assert_abbn_matches(abbn_check(*pair), *pair)
+
+
+@pytest.mark.parametrize("counts", [{0: 3, 1: 2}, {0: -1, 1: 7}, {0: 2, 1: 0, 2: 4}])
+def test_unit_abbn_rejects_bad_counts(counts):
+    # a wrong total or a negative height fails PiecewiseDensity too; a zero
+    # height is valid there, but such a step is off the unit grid
+    if min(counts.values()) < 0 or sum(counts.values()) != 6:
+        with pytest.raises(ValueError):
+            PiecewiseDensity(range(len(counts) + 1), [(Fraction(n, 6), 0) for n in counts.values()])
+    with pytest.raises(ValueError, match="positive and sum"):
+        torsionfree._unit_abbn((0, 6, counts), (0, 1, {0: 1}))
