@@ -376,12 +376,14 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
     Returns a summary dict with per-name statistics and per-check skips; the
     caller maps a positive violation count to a nonzero exit code.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "counterexamples").mkdir(exist_ok=True)
     unknown = [c for c in cfg.inequality_set if c not in CHECKS]
     if unknown:
         raise SchemaError(f"unknown inequality names: {unknown}")
+    if cfg.instance_count < 0:
+        raise SchemaError(f"instance count must be >= 0, got {cfg.instance_count}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "counterexamples").mkdir(exist_ok=True)
 
     tasks = []
     workers = max(1, cfg.workers)

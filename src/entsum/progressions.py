@@ -75,20 +75,12 @@ class CosetProgression:
         return is_t_proper(self, 1)
 
 
-def _count_below(t: Fraction, n: int) -> int:
-    """Number of integers in [0, t*n)."""
-    tn = t * n
-    if tn.denominator == 1:
-        return int(tn)
-    return int(math.ceil(tn))
-
-
 def is_t_proper(cp: CosetProgression, t) -> bool:
     """True iff all sums with ni in [0, t*Ni) are pairwise distinct."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    counts = [_count_below(t, n) for n in cp.lengths]
+    counts = [math.ceil(t * n) for n in cp.lengths]  # the integers in [0, t*n); ceil is exact
     total = len(cp.subgroup) * math.prod(counts)
     if total > ENUM_CAP:
         raise CapExceededError(f"t-proper check needs {total} sums, cap {ENUM_CAP}")

@@ -10,11 +10,12 @@ branch as soon as a single-partner atom overdraws its partner.  The
 constructive side builds certificates by flattening with two-point shifts,
 density-level splitting, and sigma-splits.  It runs in the int counts that
 `Dist` and `JointDist` hold, with the elements of a finite group encoded as
-indices into one addition table.  The certificate is built left to right:
-each flatten stage extends it by independent noise, a convolution of each
-row with the noise law, formed on a product of cyclic factors as one product
-of packed ints.  Certificate validity is always exact and checked in ints;
-only costs are floating point.
+indices into one addition table.  The certificate is built left to right,
+one flatten stage at a time: each couples a law with independent shift
+noise, or extends the certificate so far by it, a convolution of each row
+with the noise law, formed on a product of cyclic factors as one product of
+packed ints.  Each sigma-split half starts from its law.  Validity is always
+exact and checked in ints; only costs are floating point.
 """
 
 from __future__ import annotations
@@ -450,14 +451,15 @@ def translate_shift(p: Dist, q: Dist) -> Element | None:
 # product of counts: a dense one packs each row of the second factor into
 # one int, keyed by target position rather than element index, so it serves
 # a GroupSpec too; a sparse one sums its atom pairs one by one
-# (`_raw_compose`).  The uniformisation composes left to right: each flatten
-# stage extends the certificate built so far by independent noise z, whose
-# conditional law is z on every row, so the extension convolves each row
-# with z (`_convolver`, on the kernel `dists._Kronecker` of `convolve`) on an
-# `_IndexedGroup` with a trivial H, a product of cyclic factors, unless its
-# padded box is too sparse.  Other groups compose with the product coupling
-# q ⊗ z of `_raw_noise`; placing a row in a box with a nontrivial H needs H's
-# table.  An identity is `_raw_noise` with a point law.
+# (`_raw_compose`).  The uniformisation composes left to right, one flatten
+# stage per `_raw_stage` call: it flattens a law q and adds independent shift
+# noise z, as the product coupling q ⊗ z of `_raw_noise`, whose target is the
+# pushforward of its atoms, or as an extension of the certificate so far.  As
+# z is the conditional law on every row, `_raw_extend` convolves each row with
+# z on `dists._Kronecker`, the kernel of `convolve`, when H is trivial and the
+# padded box dense enough; otherwise it composes with q ⊗ z, since placing a
+# row in a box with a nontrivial H needs H's table.  An identity is
+# `_raw_noise` with the point law at zero, and touches no group law.
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -590,41 +592,18 @@ def _raw_independent_pair(ad, qp: _Law, qm: _Law) -> _RawCert:
     return _RawCert(dp * dm, atoms, _scaled(mm, dp))
 
 
-def _convolver(ad, z: _Law, cap: int) -> Callable[[dict], dict] | None:
-    """Convolution with z of index-keyed counts, one packed product per call,
-    each result count at most `cap`.  None unless `ad` is an `_IndexedGroup`
-    with a trivial H, whose indices run row-major over its moduli, and its
-    2m - 1 digits on each Z/m give at most _DENSE_SLOTS_PER_PAIR slots per
-    element, the rule of `dists.convolve` for a full row and a point law.
-    """
-    if not isinstance(ad, _IndexedGroup) or len(ad._h_table) > 1:
-        return None
-    sides = [2 * m - 1 for m in ad._mods]
-    if math.prod(sides) > _DENSE_SLOTS_PER_PAIR * ad.size:
-        return None
-    box = _Kronecker(ad._mods, sides, cap)
-    digits = itertools.product(*(range(m) for m in ad._mods))  # of each element index
-    cells = [sum(map(operator.mul, d, box.strides)) for d in digits]  # its slot
-    index = {c: e for e, c in enumerate(cells)}
-    packed_z = box.pack({cells[e]: n for e, n in z[1].items()})
-
-    def convolve(counts: dict) -> dict:
-        packed = box.pack({cells[e]: n for e, n in counts.items()}) * packed_z
-        return {index[i]: n for i, n in enumerate(box.read(packed)) if n}
-
-    return convolve
-
-
 def _raw_noise(ad, q: _Law, z: _Law) -> _RawCert:
-    """q ⊗ z, with its target q ⊛ z from `_convolver` where it serves.
+    """q ⊗ z, whose target q ⊛ z is the pushforward of its atoms.
 
-    With z the point law at c this is the deterministic shift by c, cost 0.
+    With z the point law at c this is the deterministic shift by c, cost 0;
+    at zero it is the identity, whose target is q, with no group law used.
     """
     (dq, mq), (dz, mz) = q, z
     atoms = {(x, zz): nx * nz for x, nx in mq.items() for zz, nz in mz.items()}
-    conv = _convolver(ad, z, dq * dz)
-    tgt = conv(mq) if conv else push_masses(atoms, lambda a: ad.add(*a))
-    return _RawCert(dq * dz, atoms, tgt)
+    if len(mz) == 1 and ad.zero() in mz:
+        return _RawCert(dq * dz, atoms, _scaled(mq, dz))
+    add = ad.add
+    return _RawCert(dq * dz, atoms, push_masses(atoms, lambda a: add(*a)))
 
 
 def _raw_reverse(ad, c: _RawCert) -> _RawCert:
@@ -670,9 +649,7 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
     else:
         atoms = _packed_rows(ad, c1.coupling, cond, c1.den * m)
     den = math.lcm(c1.den * m, c2.den)
-    return _RawCert(
-        den, _scaled(atoms, den // (c1.den * m)), _scaled(c2.target, den // c2.den)
-    )
+    return _RawCert(den, _scaled(atoms, den // (c1.den * m)), _scaled(c2.target, den // c2.den))
 
 
 def _raw_extend(ad, c: _RawCert, z: _Law) -> _RawCert:
@@ -680,12 +657,25 @@ def _raw_extend(ad, c: _RawCert, z: _Law) -> _RawCert:
 
     Z2 is z whatever W is, so the composed count at (x, z1 + z2) is
     sum c[x, z1] z[z2] over den * dz, at most den * dz: each row of c and c's
-    target convolve with z, where `_convolver` serves.
+    target convolve with z, one packed product each (`dists._Kronecker`), if
+    H is trivial, so that indices run row-major over the moduli, and the
+    2m - 1 digits on each Z/m give at most _DENSE_SLOTS_PER_PAIR slots per
+    element, as in `dists.convolve`.  Otherwise c composes with q ⊗ z.
     """
-    bound = c.den * z[0]
-    conv = _convolver(ad, z, bound)
-    if conv is None:
+    sides = [2 * m - 1 for m in ad._mods]
+    if len(ad._h_table) > 1 or math.prod(sides) > _DENSE_SLOTS_PER_PAIR * ad.size:
         return _raw_compose(ad, c, _raw_noise(ad, (c.den, c.target), z))
+    bound = c.den * z[0]
+    box = _Kronecker(ad._mods, sides, bound)
+    digits = itertools.product(*(range(m) for m in ad._mods))  # of each element index
+    cells = [sum(map(operator.mul, d, box.strides)) for d in digits]  # its slot
+    index = {s: e for e, s in enumerate(cells)}
+    packed_z = box.pack({cells[e]: n for e, n in z[1].items()})
+
+    def conv(counts: dict) -> dict:
+        packed = box.pack({cells[e]: n for e, n in counts.items()}) * packed_z
+        return {index[i]: n for i, n in enumerate(box.read(packed)) if n}
+
     rows: dict = {}
     for (x, z1), k in c.coupling.items():
         rows.setdefault(x, {})[z1] = k
@@ -791,10 +781,7 @@ def _shift_mix(ad, q: _Law, h) -> _Law:
 
 
 def _raw_flatten(
-    ad,
-    q: _Law,
-    max_rounds: int,
-    stop: Callable[[_Law, tuple[int, int]], bool],
+    ad, q: _Law, max_rounds: int, stop: Callable[[_Law, tuple[int, int]], bool]
 ) -> tuple[_Law, list[int], list[tuple[int, int]]]:
     """Run mixing rounds until `stop(law, sq)` or the round budget ends.
 
@@ -828,6 +815,24 @@ def _shift_noise(ad, shifts: Sequence[int]) -> _Law:
     for h in shifts:
         z = _shift_mix(ad, z, h)
     return z
+
+
+def _raw_stage(
+    ad, c: _RawCert | None, q: _Law | None, max_rounds: int, stop
+) -> tuple[_RawCert, _Law, list[int], list[tuple[int, int]]]:
+    """One flatten stage: flatten q, or c's target when c is given, and add the
+    independent sum z of the chosen shifts, as q ⊗ z or as c extended by z.
+
+    Returns (certificate, flattened law, chosen shifts, squared distances).
+    """
+    if c is not None:
+        q = (c.den, c.target)
+    final, shifts, sqs = _raw_flatten(ad, q, max_rounds, stop)
+    z = _shift_noise(ad, shifts)
+    cert = _raw_noise(ad, q, z) if c is None else _raw_extend(ad, c, z)
+    if not _same_law((cert.den, cert.target), final):
+        raise CertificateError("flatten certificate does not reach the flattened law")
+    return cert, final, shifts, sqs
 
 
 def _sigma_excess(ad, q: _Law) -> int:
@@ -868,7 +873,7 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
     if k < 0:
         raise ValueError("k must be >= 0")
     ad = _spec_group(p.group)
-    raw, shifts, sqs = _raw_flatten_cert(ad, _index_law(ad, p.den, p.counts), k, lambda q, sq: False)
+    raw, _, shifts, sqs = _raw_stage(ad, None, _index_law(ad, p.den, p.counts), k, lambda q, sq: False)
     trace = FlattenTrace([ad.elems[h] for h in shifts], [Fraction(*sq) for sq in sqs])
     trace.verify()
     cert = _cert(p.group, raw, ad.elems)
@@ -879,20 +884,9 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
 # -- uniformisation ----------------------------------------------------------
 
 
-def _raw_flatten_cert(
-    ad, q: _Law, max_rounds: int, stop
-) -> tuple[_RawCert, list[int], list[tuple[int, int]]]:
-    """Flatten q and couple it with the independent sum of the chosen shifts."""
-    final, shifts, sqs = _raw_flatten(ad, q, max_rounds, stop)
-    cert = _raw_noise(ad, q, _shift_noise(ad, shifts))
-    if not _same_law((cert.den, cert.target), final):
-        raise CertificateError("flatten certificate does not reach the flattened law")
-    return cert, shifts, sqs
-
-
-def _raw_to_uniform(ad, c: _RawCert, depth: int = 0) -> _RawCert:
-    """Extend c to the uniform law: flatten c's target, extend c by the shift
-    noise, then peel the positive excess and recurse on it from the identity.
+def _raw_to_uniform(ad, c: _RawCert | None, q: _Law | None = None, depth: int = 0) -> _RawCert:
+    """Carry c's target, or the law q when c is None, to the uniform law: one
+    flatten stage, then peel the positive excess and recurse on its laws.
 
     The sigma target tightens with depth and bottoms out at sigma_min, where
     the remaining excess is moved by the independent coupling at cost at most
@@ -900,13 +894,9 @@ def _raw_to_uniform(ad, c: _RawCert, depth: int = 0) -> _RawCert:
     """
     n = ad.size
     bits = min(SIGMA_MIN_BITS, 10 * (depth + 1))  # target sigma 2**-bits
-    cur, shifts, _ = _raw_flatten(
-        ad, (c.den, c.target), _MAX_FLATTEN_ROUNDS,
-        lambda q, sq: _sigma_excess(ad, q) << bits <= n * q[0],
+    c, cur, _, _ = _raw_stage(
+        ad, c, q, _MAX_FLATTEN_ROUNDS, lambda law, sq: _sigma_excess(ad, law) << bits <= n * law[0]
     )
-    c = _raw_extend(ad, c, _shift_noise(ad, shifts))
-    if not _same_law((c.den, c.target), cur):
-        raise CertificateError("flatten certificate does not reach the flattened law")
     if _is_uniform(ad, cur):
         return c
     den, mass = cur
@@ -916,14 +906,13 @@ def _raw_to_uniform(ad, c: _RawCert, depth: int = 0) -> _RawCert:
         e: den - n * mass.get(e, 0) for e in range(n) if n * mass.get(e, 0) < den
     })
     mu = _lowest_terms(n * den - s, {e: min(n * v, den) for e, v in mass.items()})
-    point = _shift_noise(ad, ())
     if s << SIGMA_MIN_BITS <= n * den:
         piece = _raw_independent_pair(ad, q_plus, q_minus)
     else:
-        up = _raw_to_uniform(ad, _raw_noise(ad, q_plus, point), depth + 1)
-        um = _raw_to_uniform(ad, _raw_noise(ad, q_minus, point), depth + 1)
+        up = _raw_to_uniform(ad, None, q_plus, depth + 1)
+        um = _raw_to_uniform(ad, None, q_minus, depth + 1)
         piece = _raw_compose(ad, up, _raw_reverse(ad, um))
-    split = _raw_mix(n * den, [(s, piece), (n * den - s, _raw_noise(ad, mu, point))])
+    split = _raw_mix(n * den, [(s, piece), (n * den - s, _raw_noise(ad, mu, _shift_noise(ad, ())))])
     return _raw_compose(ad, c, split)
 
 
@@ -940,10 +929,10 @@ def _raw_uniformise(ad, q: _Law) -> _RawCert:
     pieces: list[tuple[int, _RawCert]] = []
     for k in sorted(levels):
         # level 0 is kept as it is; the others stop at ||q_k - u||_2^2 <= 1/|G|
-        cert, _, _ = _raw_flatten_cert(
-            ad, _lowest_terms(weights[k], levels[k]), _MAX_FLATTEN_ROUNDS if k else 0,
+        cert = _raw_stage(
+            ad, None, _lowest_terms(weights[k], levels[k]), _MAX_FLATTEN_ROUNDS if k else 0,
             lambda c, sq: sq[0] * size <= sq[1],
-        )
+        )[0]
         pieces.append((weights[k], cert))
     out = _raw_to_uniform(ad, _raw_mix(den, pieces))
     if not _is_uniform(ad, (out.den, out.target)):
@@ -1014,7 +1003,7 @@ def uniformise_coset_progression(
             if not -m < di < m:
                 raise WraparoundError(f"shift coordinate {di} outside (-{m}, {m})")
             dns.append(di)
-        dh = ad.elems[ad.sub(y, x)][0]
+        dh = ad.elems[z][0]
         shift = emb.push_shift(dh, tuple(dns))
         key = (emb.forward[ad.elems[x]], shift)
         atoms[key] = atoms.get(key, 0) + n

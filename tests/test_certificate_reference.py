@@ -9,11 +9,13 @@ coupling atom by atom over `TransportCertificate` and `Dist`.
 `_raw_compose_reference` is the integer kernel's compose as it was before
 dense products were packed into ints: it sums every atom pair.  The kernel
 tests run `transport._raw_compose` on both sides of its gate, forced by
-`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates.  On a product
-of cyclic factors whose padded box is dense enough, `_raw_extend` composes a
+`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates; their pairs
+include flatten stages started from a law (`_raw_stage`).  On a product of
+cyclic factors whose padded box is dense enough, `_raw_extend` composes a
 certificate with independent noise by convolution instead, one packed
 product per row; the noise tests compare it with the generic compose with
-the product coupling that `_raw_noise` builds, and with the pair loop.
+the product coupling q ⊗ z that `_raw_noise` builds, whose target is the
+pushforward of its atoms, and with the pair loop.
 """
 
 import math
@@ -263,13 +265,13 @@ def _kernel_pairs(ad, rng):
     c1 = rng.choice([
         lambda: transport._raw_independent_pair(ad, p, _random_law(rng, ad.size, 50)),
         lambda: transport._raw_noise(ad, p, _random_law(rng, ad.size, 9)),
-        lambda: transport._raw_flatten_cert(ad, p, 3, lambda q, sq: False)[0],
+        lambda: transport._raw_stage(ad, None, p, 3, lambda q, sq: False)[0],
     ])()
     w = (c1.den, c1.target)
     c2 = rng.choice([
         lambda: transport._raw_independent_pair(ad, w, _random_law(rng, ad.size, 50)),
         lambda: transport._raw_noise(ad, w, _random_law(rng, ad.size, 9)),
-        lambda: transport._raw_flatten_cert(ad, w, 2, lambda q, sq: False)[0],
+        lambda: transport._raw_stage(ad, None, w, 2, lambda q, sq: False)[0],
         lambda: transport._raw_reverse(ad, c1),
     ])()
     return c1, c2
@@ -344,7 +346,7 @@ def test_compose_with_noise_matches_generic(gate, monkeypatch, name):
             lambda: transport._shift_noise(ad, transport._raw_flatten(ad, w, 3, lambda q, sq: False)[1]),
         ])()
         noise = transport._raw_noise(ad, w, z)
-        # the Kronecker target of _raw_noise against the per-atom sum
+        # q ⊗ z against its target: the pushforward, or q for the point law at zero
         _validate(ad, noise)
         before = len(composes)
         out = transport._raw_extend(ad, c1, z)

@@ -358,6 +358,21 @@ def test_fuzz_config_schema_errors(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+def test_negative_fuzz_count_exits_2(capsys, tmp_path):
+    # a negative instance count is a schema error, from --count or the config
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"instance_count": -3}))
+    out_dir = tmp_path / "out"
+    for argv in (["--count", "-2"], ["--config", str(cfg_path)],
+                 ["--config", str(cfg_path), "--count", "-1"]):
+        assert main(["fuzz", *argv, "--out", str(out_dir)]) == 2, argv
+        assert "schema error" in capsys.readouterr().err, argv
+        assert not (out_dir / "results.jsonl").exists(), argv
+    for argv in (["--count", "0"], ["--config", str(cfg_path), "--count", "0"]):
+        code, out = run(capsys, "fuzz", *argv, "--out", str(out_dir))
+        assert code == 0 and json.loads(out)["instances"] == 0, argv
+
+
 def test_check_command(capsys, tmp_path):
     p = Dist.uniform(Z, [(0,), (1,)])
     path = tmp_path / "p.json"

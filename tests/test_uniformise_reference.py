@@ -748,12 +748,20 @@ def _seeded_law(rng, size: int, near_uniform: bool):
     return transport._lowest_terms(sum(counts.values()), counts)
 
 
-@pytest.mark.parametrize("name", ["Z/2xZ/4", "H-box"])
+SEEDED_GROUPS = {
+    "Z/2xZ/4": lambda: transport._spec_group(GroupSpec([2, 4])),
+    # the noise extension packs on a rank-2 Kronecker box here
+    "Z/8xZ/8": lambda: transport._spec_group(GroupSpec([8, 8])),
+    # 3^4 padded slots for 16 elements: the noise extension composes
+    "(Z/2)^4": lambda: transport._spec_group(GroupSpec([2] * 4)),
+    # H = {0, 2} x {0, 3} inside Z/4 x Z/6, boxed as H x Z/4 x Z/2
+    "H-box": lambda: transport._box_group(GroupSpec([4, 6]), ((0, 0), (0, 3), (2, 0), (2, 3)), (4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_GROUPS)
 def test_left_to_right_matches_right_to_left_on_seeded_laws(monkeypatch, name):
-    if name == "Z/2xZ/4":
-        ad = transport._spec_group(GroupSpec([2, 4]))
-    else:  # H = {0, 2} x {0, 3} inside Z/4 x Z/6, boxed as H x Z/4 x Z/2
-        ad = transport._box_group(GroupSpec([4, 6]), ((0, 0), (0, 3), (2, 0), (2, 3)), (4, 2))
+    ad = SEEDED_GROUPS[name]()
     depths = _count_kernel_splits(monkeypatch)
     rng = random.Random(f"left to right:{name}")
     laws = [_seeded_law(rng, ad.size, i % 2 == 1) for i in range(40)]
