@@ -348,20 +348,7 @@ def _run_instances(cfg: FuzzConfig, check: str, lo: int, hi: int) -> dict:
         except CapExceededError:
             skipped += 1
             continue
-        for rep in reports:
-            rows.append(
-                {
-                    "check": check,
-                    "index": index,
-                    "child_seed": child,
-                    "name": rep.name,
-                    "lhs": rep.lhs,
-                    "rhs": rep.rhs,
-                    "slack": rep.slack,
-                    "kind": rep.kind,
-                    "witness": rep.witness,
-                }
-            )
+        rows += [{"check": check, "index": index, "child_seed": child, **rep.to_json()} for rep in reports]
     return {"rows": rows, "skipped": skipped}
 
 

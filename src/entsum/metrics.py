@@ -243,7 +243,7 @@ def jensen_level_sets(
     size = len(ambient_set)
     log_k = math.log(k_bound)
     ent = entropy(p)
-    if ent < math.log(size) - log_k - 1e-12:
+    if not ent >= math.log(size) - log_k - 1e-12:  # negated, so that a NaN K is refused
         raise PreconditionError(
             f"entropy {ent:.6f} below log|A| - log K = {math.log(size) - log_k:.6f}"
         )

@@ -58,17 +58,19 @@ class CosetProgression:
         return out
 
     def _walk(self, lengths: Sequence[int]) -> Iterator[tuple[tuple, Element]]:
-        """((h, ns), element) over the box H x prod [0, lengths[i]), in box order."""
+        """((h, ns), element) over the box H x prod [0, lengths[i]), in box order.
+
+        The box size is checked against ENUM_CAP before the first element.
+        """
+        size = len(self.subgroup) * math.prod(lengths)
+        if size > ENUM_CAP:
+            raise CapExceededError(f"box walk needs {size} points, cap {ENUM_CAP}")
         for h in self.subgroup:
             for ns in itertools.product(*(range(n) for n in lengths)):
                 yield (h, ns), self._element(h, ns)
 
     def enumerate(self) -> frozenset[Element]:
         """Exact element set, with collisions collapsed."""
-        if self.nominal_size() > ENUM_CAP:
-            raise CapExceededError(
-                f"progression size {self.nominal_size()} exceeds cap {ENUM_CAP}"
-            )
         return frozenset(el for _, el in self._walk(self.lengths))
 
     def is_proper(self) -> bool:
@@ -81,9 +83,6 @@ def is_t_proper(cp: CosetProgression, t) -> bool:
     if t <= 0:
         raise ValueError("t must be positive")
     counts = [math.ceil(t * n) for n in cp.lengths]  # the integers in [0, t*n); ceil is exact
-    total = len(cp.subgroup) * math.prod(counts)
-    if total > ENUM_CAP:
-        raise CapExceededError(f"t-proper check needs {total} sums, cap {ENUM_CAP}")
     seen = set()
     for _, el in cp._walk(counts):
         if el in seen:
@@ -100,8 +99,9 @@ def uniform_on(cp: CosetProgression) -> Dist:
 class BoxEmbedding:
     """Bijection tables between a proper H+P and the box H x prod [0, Ni).
 
-    Box points are pairs (h, ns); the guard against wraparound lives in the
-    transport pushforward, which only ever needs differences inside B - B.
+    Box points are pairs (h, ns), and `forward` is the one map from the box
+    to the ambient group: the transport pushforward sends a box difference
+    y - x to forward[y] - forward[x], which cannot wrap.
     """
 
     progression: CosetProgression
@@ -119,26 +119,14 @@ class BoxEmbedding:
             out[self.backward[e]] = n
         return out
 
-    def push_shift(self, dh: Element, dns: tuple[int, ...]) -> Element:
-        """Ambient image of a box difference (dh, dns) with dns in prod (-Ni, Ni)."""
-        cp = self.progression
-        g = cp.group
-        out = dh
-        for n, r in zip(dns, cp.steps):
-            out = g.add(out, g.scalar(n, r))
-        return out
-
 
 def box_embedding(cp: CosetProgression, proper_required: bool = True) -> BoxEmbedding:
     """Tables between H + P and its box, built in one walk of the box.
 
-    The box size is checked against ENUM_CAP before the walk.  With
+    The walk checks the box size against ENUM_CAP first.  With
     proper_required the first collision raises NonProperError; without it, a
     colliding element maps back to the last box point that reached it.
     """
-    size = cp.nominal_size()
-    if size > ENUM_CAP:
-        raise CapExceededError(f"box embedding needs {size} points, cap {ENUM_CAP}")
     forward = {}
     backward = {}
     for key, el in cp._walk(cp.lengths):

@@ -35,7 +35,6 @@ from .errors import (
     CertificateError,
     IncompatibleGroupError,
     PreconditionError,
-    WraparoundError,
 )
 from .fileio import _num_den, dump_dist
 from .groups import Element, GroupSpec
@@ -175,6 +174,8 @@ def transport_split(
     weights = [Fraction(w) for w, _ in pieces]
     if sum(weights, Fraction(0)) != 1:
         raise CertificateError("piece weights must sum to exactly 1")
+    if min(weights) < 0:
+        raise CertificateError("piece weights must not be negative")
     g = pieces[0][1].target.group
     if any(cert.target.group != g for _, cert in pieces):
         raise CertificateError("pieces live in different groups")
@@ -944,7 +945,7 @@ def _check_deficit(p: Dist, size: int, k_bound: float) -> None:
     """Refuse p unless Ent(p) >= log size - log K, with K below 10 taken as 10."""
     log_k = math.log(max(float(k_bound), 10.0))
     deficit = math.log(size) - entropy(p)
-    if deficit > log_k + 1e-9:
+    if not deficit <= log_k + 1e-9:  # negated, so that a NaN K is refused
         raise PreconditionError(f"entropy deficit {deficit:.6f} exceeds log K = {log_k:.6f}")
 
 
@@ -969,9 +970,10 @@ def uniformise_coset_progression(
 ) -> TransportCertificate:
     """Certificate transporting p to the uniform law on a proper H + P.
 
-    Pulls p back to the box H x prod [0, Ni), embeds it in H x prod Z/2NiZ,
-    uniformises there, and pushes the composed transport forward; every shift
-    used must come from a box difference (no wraparound), which is checked.
+    Pulls p back to the box H x prod [0, Ni), embeds it in H x prod Z/2NiZ and
+    uniformises there.  The composed transport moves box points to box points,
+    so it leaves the box by subtraction: an atom (x, z) becomes (x', y' - x')
+    for the ambient images x', y' of x and y = x + z, and no shift can wrap.
     With k_bound, p is refused as `uniformise_group` refuses it, on |H + P|.
     """
     emb = box_embedding(cp, proper_required=True)
@@ -982,31 +984,17 @@ def uniformise_coset_progression(
         _check_deficit(p, len(hp), k_bound)
     if p == target:
         return identity_certificate(p)
-    lengths = cp.lengths
-    ad = _box_group(g, cp.subgroup, tuple(2 * n for n in lengths))
+    ad = _box_group(g, cp.subgroup, tuple(2 * n for n in cp.lengths))
     box_mass = _index_law(ad, p.den, emb.pull(p))  # raises if support leaves H+P
     box_uniform = (len(hp), {ad.index[key]: 1 for key in emb.forward})
     c1 = _raw_uniformise(ad, box_mass)
     c2 = _raw_uniformise(ad, box_uniform)
     raw = _raw_compose(ad, c1, _raw_reverse(ad, c2))
-    _check_coupling(ad.add, (raw.den, raw.coupling), (raw.den, raw.target), box_mass)
-
-    atoms: dict = {}
-    for (x, z), n in raw.coupling.items():
-        y = ad.add(x, z)
-        if y not in raw.target:
-            raise WraparoundError(f"composed atom leaves the box at {ad.elems[y]}")
-        xs, ys = ad.elems[x][1], ad.elems[y][1]
-        dns = []
-        for xi, yi, m in zip(xs, ys, lengths):
-            di = yi - xi
-            if not -m < di < m:
-                raise WraparoundError(f"shift coordinate {di} outside (-{m}, {m})")
-            dns.append(di)
-        dh = ad.elems[z][0]
-        shift = emb.push_shift(dh, tuple(dns))
-        key = (emb.forward[ad.elems[x]], shift)
-        atoms[key] = atoms.get(key, 0) + n
+    # raw moves box_mass to box_uniform, so x and x + z are box points and each
+    # atom leaves the box as the ambient difference of their images
+    _check_coupling(ad.add, (raw.den, raw.coupling), box_uniform, box_mass)
+    amb = [emb.forward.get(e) for e in ad.elems]
+    atoms = {(amb[x], g.sub(amb[ad.add(x, z)], amb[x])): n for (x, z), n in raw.coupling.items()}
     cert = TransportCertificate(JointDist._with_counts((g, g), raw.den, atoms), target)
     cert.validate(p)
     return cert

@@ -191,6 +191,12 @@ def test_jensen_precondition():
         jensen_level_sets(p, [(i,) for i in range(16)], 2.0)
 
 
+def test_jensen_refuses_nan_k():
+    p = Dist.point(GroupSpec([64]), (0,))
+    with pytest.raises(PreconditionError, match="nan"):
+        jensen_level_sets(p, [(i,) for i in range(64)], float("nan"))
+
+
 def test_jensen_fuzz_zero_violations():
     rng = random.Random(12)
     for _ in range(150):

@@ -154,3 +154,13 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(progressions, "ENUM_CAP", 5)
     with pytest.raises(CapExceededError):
         cp.enumerate()
+
+
+def test_t_proper_cap(monkeypatch):
+    from entsum import progressions
+
+    cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [4])
+    monkeypatch.setattr(progressions, "ENUM_CAP", 5)
+    assert is_t_proper(cp, 1)
+    with pytest.raises(CapExceededError):
+        is_t_proper(cp, 2)  # 8 sums

@@ -177,6 +177,16 @@ def test_split_weight_check():
         transport_split([(F(1, 2), identity_certificate(p))], selector_entropy=0.0)
 
 
+def test_split_refuses_negative_weights():
+    c0 = identity_certificate(Dist.point(Z, (0,)))
+    c1 = identity_certificate(Dist.point(Z, (10,)), (2,))
+    for pieces in ([(F(3, 2), c0), (F(-1, 2), c0)], [(F(3, 2), c0), (F(-1, 2), c1)]):
+        with pytest.raises(CertificateError, match="negative"):
+            transport_split(pieces, selector_entropy=0.0)
+    # a zero weight is still a piece of the split
+    assert transport_split([(F(1), c0), (F(0), c1)], selector_entropy=0.0).target == c0.target
+
+
 # ---------------------------------------------------------------------------
 # flattening
 
@@ -201,6 +211,25 @@ def test_flatten_halving_invariant():
     out, trace, cert = flatten(p, 2)
     trace.verify()
     assert trace.sq_dists[2] <= trace.sq_dists[0] / 4
+    cert.validate(p)
+    assert cert.target == out
+
+
+def test_flatten_exact_scan_fallback(monkeypatch):
+    # a zero shift never halves the distance, so every round falls back to
+    # the exact scan, which must still halve it
+    from entsum import transport
+
+    exact_scans = []
+    pick_exact = transport._pick_shift_exact
+    monkeypatch.setattr(transport, "_pick_shift", lambda ad, q: ad.zero())
+    monkeypatch.setattr(
+        transport, "_pick_shift_exact", lambda ad, q: exact_scans.append(q) or pick_exact(ad, q)
+    )
+    p = Dist(GroupSpec([8]), {(0,): F(5, 8), (1,): F(1, 4), (5,): F(1, 8)})
+    out, trace, cert = flatten(p, 3)
+    assert len(trace.shifts) == len(exact_scans) == 3
+    trace.verify()
     cert.validate(p)
     assert cert.target == out
 
@@ -291,6 +320,21 @@ def test_uniformise_k_below_ten_counts_as_ten(entry):
             run(four, k)
         run(eight, k).validate(eight)
     run(four, 16).validate(four)
+
+
+@pytest.mark.parametrize("entry", ["group", "progression"])
+def test_uniformise_refuses_nan_k(entry):
+    g = GroupSpec([64]) if entry == "group" else Z
+    cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [64])
+
+    def run(p, k):
+        return uniformise_group(p, k) if entry == "group" else uniformise_coset_progression(p, cp, k)
+
+    point = Dist.point(g, (0,))
+    with pytest.raises(PreconditionError, match="nan"):
+        run(point, float("nan"))
+    # +inf still means no bound
+    run(point, float("inf")).validate(point)
 
 
 def test_uniformise_corpus_z64():

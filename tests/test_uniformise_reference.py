@@ -473,8 +473,9 @@ def _uniformise_coset_progression_reference(
             if not -n < di < n:
                 raise WraparoundError(f"shift coordinate {di} outside (-{n}, {n})")
             dns.append(di)
-        dh = g.sub(y[0], x[0])
-        shift = emb.push_shift(dh, tuple(dns))
+        shift = g.sub(y[0], x[0])
+        for d, r in zip(dns, cp.steps):
+            shift = g.add(shift, g.scalar(d, r))
         key = (emb.forward[x], shift)
         atoms[key] = atoms.get(key, Fraction(0)) + v
     cert = TransportCertificate(JointDist([g, g], atoms), target)
@@ -491,6 +492,12 @@ CP_SHAPES = [
     CosetProgression(Z, [(0,)], (5,), [(2,)], [12]),
     CosetProgression(GroupSpec([0, 0]), [(0, 0)], (0, 0), [(1, 0), (0, 1)], [4, 4]),
     CosetProgression(GroupSpec([8, 0]), [(0, 0), (4, 0)], (1, 0), [(0, 1)], [6]),
+]
+# steps that wrap in a finite ambient factor, and a rank-2 box with a nontrivial H
+WRAP_SHAPES = [
+    CosetProgression(GroupSpec([10]), [(0,)], (7,), [(3,)], [3]),
+    CosetProgression(GroupSpec([12]), [(0,), (6,)], (1,), [(5,)], [3]),
+    CosetProgression(GroupSpec([4, 6]), [(0, 0), (2, 3)], (1, 1), [(1, 0), (0, 1)], [2, 3]),
 ]
 
 
@@ -534,9 +541,9 @@ def test_uniformise_group_matches_reference(monkeypatch):
 def test_uniformise_coset_progression_matches_reference(monkeypatch):
     depths, fallbacks = _count_splits(monkeypatch)
     rng = random.Random(3)
-    for cp in CP_SHAPES * 2:
+    for cp in CP_SHAPES * 2 + WRAP_SHAPES:
         elements = sorted(cp.enumerate())
-        size = rng.randrange(max(4, len(elements) // 3), len(elements) + 1)
+        size = rng.randrange(min(max(4, len(elements) // 3), len(elements)), len(elements) + 1)
         support = sorted(rng.sample(elements, size))
         den = rng.randrange(size, 257)
         edges = [0] + sorted(rng.sample(range(1, den), size - 1)) + [den]
