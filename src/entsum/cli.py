@@ -179,8 +179,6 @@ def _cmd_experiment(args) -> int:
             }
         )
     elif args.what == "entxx":
-        if args.n < 1:
-            raise PreconditionError(f"--n must be >= 1, got {args.n}")
         _emit({"n": args.n, "k": args.k, "gap": entxx_explore(args.n, args.k)})
     return 0
 

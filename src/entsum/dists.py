@@ -436,7 +436,8 @@ class JointDist(_CountLaw):
         return JointDist._with_counts(groups, self.den, push_masses(self.counts, lambda a: reduce(fn(a))))
 
     def sum_dist(self, coords: Sequence[int], signs: Sequence[int] | None = None) -> Dist:
-        """Law of the signed sum of the selected coordinates (dependence kept)."""
+        """Law of the signed sum of the selected coordinates (dependence kept);
+        `signs` gives one +1 or -1 per coordinate, all +1 by default."""
         coords = self._check_coords(coords)
         g = self.groups[coords[0]]
         for c in coords:
@@ -444,6 +445,8 @@ class JointDist(_CountLaw):
                 raise IncompatibleGroupError("summed coordinates must share a group")
         if signs is None:
             signs = [1] * len(coords)
+        if len(signs) != len(coords) or any(sg not in (1, -1) for sg in signs):
+            raise ValueError(f"signs must be one +1 or -1 per coordinate, got {list(signs)}")
 
         def signed_sum(atom):
             s = g.zero()

@@ -115,49 +115,44 @@ def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
     return [b - a for a, b in zip(edges, edges[1:])]
 
 
-def _rand_elements(rng: random.Random, g: GroupSpec, count: int) -> list:
-    seen = set()
+def _random_counts(rng: random.Random, draw, support_cap: int, den_cap: int) -> tuple[int, dict]:
+    """A seeded law's (den, counts): up to `support_cap` distinct atoms from
+    `draw()` (at most 400 tries), sorted, with positive counts summing to a den
+    drawn from [size, max(den_cap, size)].  `draw` must give reduced atoms,
+    since the counts go to `_with_counts` unchecked."""
+    size = rng.randrange(1, support_cap + 1)
+    atoms = set()
     tries = 0
-    while len(seen) < count and tries < 400:
-        coord = tuple(
-            rng.randrange(m) if m > 0 else rng.randrange(-8, 9) for m in g.moduli
-        )
-        seen.add(coord)
+    while len(atoms) < size and tries < 400:
+        atoms.add(draw())
         tries += 1
-    return sorted(seen)
+    atoms = sorted(atoms)
+    den = rng.randrange(len(atoms), max(den_cap, len(atoms)) + 1)
+    return den, dict(zip(atoms, _composition(rng, den, len(atoms))))
 
 
 def random_dist(rng: random.Random, g: GroupSpec, support_cap: int, den_cap: int) -> Dist:
-    size = rng.randrange(1, support_cap + 1)
-    els = _rand_elements(rng, g, size)
-    size = len(els)
-    den = rng.randrange(size, max(den_cap, size) + 1)
-    parts = _composition(rng, den, size)
-    # the elements are reduced and distinct and the parts sum to den
-    return Dist._with_counts(g, den, dict(zip(els, parts)))
+    draw = lambda: tuple(rng.randrange(m) if m > 0 else rng.randrange(-8, 9) for m in g.moduli)
+    return Dist._with_counts(g, *_random_counts(rng, draw, support_cap, den_cap))
 
 
 def random_joint(
     rng: random.Random, g: GroupSpec, support_cap: int, den_cap: int, coords: int = 2
 ) -> JointDist:
-    size = rng.randrange(1, support_cap + 1)
-    atoms = set()
-    tries = 0
-    while len(atoms) < size and tries < 400:
-        atom = tuple(
-            tuple(rng.randrange(m) if m > 0 else rng.randrange(-4, 5) for m in g.moduli)
-            for _ in range(coords)
-        )
-        atoms.add(atom)
-        tries += 1
-    atoms = sorted(atoms)
-    den = rng.randrange(len(atoms), max(den_cap, len(atoms)) + 1)
-    parts = _composition(rng, den, len(atoms))
-    return JointDist._with_counts((g,) * coords, den, dict(zip(atoms, parts)))
+    coord = lambda: tuple(rng.randrange(m) if m > 0 else rng.randrange(-4, 5) for m in g.moduli)
+    draw = lambda: tuple(coord() for _ in range(coords))
+    return JointDist._with_counts((g,) * coords, *_random_counts(rng, draw, support_cap, den_cap))
 
 
 def _pick_group(rng: random.Random, cfg: FuzzConfig) -> GroupSpec:
     return GroupSpec(cfg.groups[rng.randrange(len(cfg.groups))])
+
+
+def _laws(rng: random.Random, cfg: FuzzConfig, k: int, g: GroupSpec | None = None) -> list[Dist]:
+    """k laws drawn on g, or on one configured group picked first."""
+    if g is None:
+        g = _pick_group(rng, cfg)
+    return [random_dist(rng, g, cfg.support_cap, cfg.denominator_cap) for _ in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +170,7 @@ def _check_ento(rng, cfg):
     g = _pick_group(rng, cfg)
     independent = rng.randrange(2) == 0
     if independent:
-        p = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
-        q = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
-        j = independent_joint(p, q)
+        j = independent_joint(*_laws(rng, cfg, 2, g))
     else:
         j = random_joint(rng, g, cfg.support_cap, cfg.denominator_cap)
     hx = joint_entropy(j, [0])
@@ -198,9 +191,7 @@ def _check_ento(rng, cfg):
 
 
 def _check_triv(rng, cfg):
-    g = _pick_group(rng, cfg)
-    p = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
-    q = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
+    p, q = _laws(rng, cfg, 2)
     reports = [MetricReport("ruzsa_nonnegative", 0.0, ruzsa_distance(p, q), {})]
     s = convolve(p, q, "+")
     reports.append(
@@ -213,10 +204,7 @@ def _check_triv(rng, cfg):
 
 
 def _check_ese(rng, cfg):
-    g = _pick_group(rng, cfg)
-    p = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
-    q = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
-    r = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
+    p, q, r = _laws(rng, cfg, 3)
     n = 1 + rng.randrange(3)
     return check_ese_suite(p, q, r, n)
 
@@ -238,9 +226,7 @@ def _check_submodularity(rng, cfg):
 
 
 def _check_xysim(rng, cfg):
-    g = _pick_group(rng, cfg)
-    p = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
-    q = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
+    p, q = _laws(rng, cfg, 2)
     return [sumset_increase_report(p, q)]
 
 
@@ -261,10 +247,7 @@ def _check_bsg(rng, cfg):
 
 
 def _check_mmt(rng, cfg):
-    g = _pick_group(rng, cfg)
-    x = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
-    y = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
-    z = random_dist(rng, g, cfg.support_cap, cfg.denominator_cap)
+    x, y, z = _laws(rng, cfg, 3)
     return [three_sum_bound(x, y, z)]
 
 

@@ -59,8 +59,8 @@ def effective_support(p: Dist, c: float = 2.0) -> CoreReport:
     too small; callers typically double C and retry (see
     effective_support_search).
     """
-    if c < 1:
-        raise ValueError("C must be >= 1")
+    if not c >= 1:  # negated, so that a NaN C is refused
+        raise ValueError(f"C must be >= 1, got {c}")
     h = entropy(p)
     lo, hi = math.exp(-h) / c, math.exp(-h) * c
     den = p.den

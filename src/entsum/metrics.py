@@ -241,9 +241,11 @@ def jensen_level_sets(
     if not set(p.counts) <= ambient_set:
         raise PreconditionError("distribution must be supported inside the ambient set")
     size = len(ambient_set)
+    if not k_bound > 0:  # negated, so that a NaN K is refused
+        raise PreconditionError(f"K must be > 0, got {k_bound}")
     log_k = math.log(k_bound)
     ent = entropy(p)
-    if not ent >= math.log(size) - log_k - 1e-12:  # negated, so that a NaN K is refused
+    if ent < math.log(size) - log_k - 1e-12:
         raise PreconditionError(
             f"entropy {ent:.6f} below log|A| - log K = {math.log(size) - log_k:.6f}"
         )

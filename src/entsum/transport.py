@@ -228,7 +228,8 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     g = p.group
     xs = list(p.support())
     ys = list(q.support())
-    zset = {g.sub(y, x) for y in ys for x in xs}
+    zs = [[g.sub(y, x) for y in ys] for x in xs]
+    zset = {z for row in zs for z in row}
     nvars = len(xs) * len(zset)
     if nvars > cap:
         raise CapExceededError(
@@ -238,7 +239,6 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     den = math.lcm(p.den, q.den)
     pm = [p.counts[x] * (den // p.den) for x in xs]
     qm = [q.counts[y] * (den // q.den) for y in ys]
-    zs = [[g.sub(y, x) for y in ys] for x in xs]
     zindex = {z: n for n, z in enumerate(sorted(zset))}
 
     # lines are the atoms of the larger support, partners those of the smaller

@@ -144,6 +144,14 @@ def test_conditional_entropy_overlap_rejected():
         conditional_entropy(j, [0], [0])
 
 
+@pytest.mark.parametrize("signs", [[1], [1, -1, 1], [1, 0], [1, 2]], ids=["short", "long", "zero", "two"])
+def test_sum_dist_refuses_bad_signs(signs):
+    j = JointDist([Z, Z], {((0,), (1,)): F(1, 2), ((1,), (5,)): F(1, 2)})
+    assert j.sum_dist([0, 1], signs=[1, -1]) == Dist.uniform(Z, [(-1,), (-4,)])
+    with pytest.raises(ValueError, match="signs"):
+        j.sum_dist([0, 1], signs=signs)
+
+
 def test_condition_on_event():
     u = Dist.uniform(Z, [(i,) for i in range(4)])
     evens = u.condition(lambda e: e[0] % 2 == 0)

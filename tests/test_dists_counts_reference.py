@@ -47,7 +47,7 @@ from entsum.dists import (
 )
 from entsum.errors import CertificateError, PreconditionError, SchemaError, SearchExhaustedError
 from entsum.fileio import dump_dist, dump_joint
-from entsum.fuzz import _composition, _rand_elements, random_dist, random_joint
+from entsum.fuzz import _composition, random_dist, random_joint
 from entsum.groups import GroupSpec
 from entsum.inverse import CoreReport, additive_energy, effective_support
 from entsum.progressions import CosetProgression, box_embedding
@@ -224,6 +224,18 @@ def _validates(cert, source):
     if _push(mass, lambda a: add(*a)) != cert.target.mass:
         return False
     return source.group == cert.target.group and _push(mass, lambda a: a[0]) == source.mass
+
+
+def _rand_elements(rng, g, count):
+    seen = set()
+    tries = 0
+    while len(seen) < count and tries < 400:
+        coord = tuple(
+            rng.randrange(m) if m > 0 else rng.randrange(-8, 9) for m in g.moduli
+        )
+        seen.add(coord)
+        tries += 1
+    return sorted(seen)
 
 
 def _random_dist(rng, g, support_cap, den_cap):

@@ -108,6 +108,13 @@ def test_effective_support_mixture_needs_search():
     assert rep.mass >= F(1, 2)
 
 
+def test_effective_support_refuses_nan_c():
+    p = binomial_dist(4)
+    for search in (effective_support, effective_support_search):
+        with pytest.raises(ValueError, match="got nan"):
+            search(p, float("nan"))
+
+
 def test_additive_energy_examples():
     assert additive_energy({(0,), (1,), (2,)}, Z) == 19
     for m in (2, 3, 5):

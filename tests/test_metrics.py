@@ -191,10 +191,11 @@ def test_jensen_precondition():
         jensen_level_sets(p, [(i,) for i in range(16)], 2.0)
 
 
-def test_jensen_refuses_nan_k():
+@pytest.mark.parametrize("k", [float("nan"), 0, -1])
+def test_jensen_refuses_nan_k(k):
     p = Dist.point(GroupSpec([64]), (0,))
-    with pytest.raises(PreconditionError, match="nan"):
-        jensen_level_sets(p, [(i,) for i in range(64)], float("nan"))
+    with pytest.raises(PreconditionError, match=f"got {k}"):
+        jensen_level_sets(p, [(i,) for i in range(64)], k)
 
 
 def test_jensen_fuzz_zero_violations():
