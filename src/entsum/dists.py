@@ -309,7 +309,15 @@ def _packed_sum(mods: Sequence[int], laws: Sequence[Mapping], lows: list, sides:
     return {x: n for x, n in zip(points, box.read(packed ** k)) if n}
 
 
-_DENSE_SLOTS_PER_PAIR = 4  # the packed product runs while its slots <= this * |p| * |q|
+_PACK_PAIRS = 64  # fixed cost of a packed product in pair-loop products; scripts/fit_pack_rule.py
+
+
+def _packs(pairs: int, slots: int, fixed: bool = True) -> bool:
+    """Whether a packed product beats a loop over `pairs` atom pairs: it pays
+    a fixed cost (layout, masks, a to_bytes per atom), unless it stands for a
+    loop of calls that pay as much between them (fixed=False), and about one
+    product per padded slot, so a refusal at 0 slots refuses every layout."""
+    return pairs >= _PACK_PAIRS * fixed + slots
 
 
 def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
@@ -318,30 +326,27 @@ def convolve(p: Dist, q: Dist, sign: str = "+") -> Dist:
     Raises CapExceededError, before any sum is formed, when the support bound
     min(|p|·|q|, box of possible sums) exceeds SUPPORT_CAP.  `_packed_sum`
     forms all sums at once on any group, one slot per digit tuple: quadratic
-    work for a wide sparse law, 2m - 1 digits on each Z/m.  Beyond
-    _DENSE_SLOTS_PER_PAIR slots per atom pair, the pairs are summed one by one.
+    work for a wide sparse law, 2m - 1 digits on each Z/m.  Unless `_packs`
+    finds that worth its cost, the pairs are summed one by one.
     """
     if p.group != q.group:
         raise IncompatibleGroupError("convolution needs a common ambient group")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     g = p.group
-    nq = q.counts
-    if sign == "-":
-        nq = {g.neg(e): n for e, n in nq.items()}
-    lows, sides, box = _layout(g.moduli, (p.counts, nq))
-    pairs = len(p) * len(q)
-    if min(pairs, box) > SUPPORT_CAP:
-        raise CapExceededError(f"convolution support may reach {min(pairs, box)}, cap {SUPPORT_CAP}")
-    den = p.den * q.den
-    if math.prod(sides) <= _DENSE_SLOTS_PER_PAIR * pairs:
-        acc = _packed_sum(g.moduli, (p.counts, nq), lows, sides, den)
-    else:
-        acc: dict[Element, int] = {}
-        for ex, nx in p.counts.items():
-            for ey, ny in nq.items():
-                s = g.add(ex, ey)
-                acc[s] = acc.get(s, 0) + nx * ny
+    nq = {g.neg(e): n for e, n in q.counts.items()} if sign == "-" else q.counts
+    pairs, den = len(p) * len(q), p.den * q.den
+    if pairs > SUPPORT_CAP or _packs(pairs, 0):  # otherwise the cap holds and nothing packs
+        lows, sides, box = _layout(g.moduli, (p.counts, nq))
+        if min(pairs, box) > SUPPORT_CAP:
+            raise CapExceededError(f"convolution support may reach {min(pairs, box)}, cap {SUPPORT_CAP}")
+        if _packs(pairs, math.prod(sides)):
+            return Dist._with_counts(g, den, _packed_sum(g.moduli, (p.counts, nq), lows, sides, den))
+    acc: dict[Element, int] = {}
+    for ex, nx in p.counts.items():
+        for ey, ny in nq.items():
+            s = g.add(ex, ey)
+            acc[s] = acc.get(s, 0) + nx * ny
     return Dist._with_counts(g, den, acc)
 
 
@@ -350,19 +355,18 @@ def iterated_convolve(p: Dist, k: int) -> Dist:
 
     A law is packed once and raised to the k-th power while the power's
     slots are within SUPPORT_CAP, so that no step of the loop of k - 1
-    `convolve`s could raise, `convolve` would pack p * p, the first step, and
-    the slots are at most _DENSE_SLOTS_PER_PAIR per pair of the loop: at most
-    n·(C(n + k - 1, k - 1) - 1) for n atoms, as the j-fold sum has at most
-    C(n + j - 1, j).  Any other law runs the loop.
+    `convolve`s could raise, and `_packs` finds them worth that loop's pairs:
+    at most n·min(C(n + j - 1, j), box) at step j for n atoms, a bound on the
+    j-fold sum.  Any other law runs the loop.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     g = p.group
     if k > 1:
-        lows, sides, _ = _layout(g.moduli, (p.counts,), k)
-        n, slots, square = len(p), math.prod(sides), _layout(g.moduli, (p.counts, p.counts))[1]
-        if (slots <= SUPPORT_CAP and math.prod(square) <= _DENSE_SLOTS_PER_PAIR * n * n
-                and slots <= _DENSE_SLOTS_PER_PAIR * n * (math.comb(n + k - 1, k - 1) - 1)):
+        lows, sides, box = _layout(g.moduli, (p.counts,), k)
+        n, slots = len(p), math.prod(sides)
+        pairs = n * sum(min(math.comb(n + j - 1, j), box) for j in range(1, k))
+        if slots <= SUPPORT_CAP and _packs(pairs, slots, fixed=False):
             den = p.den ** k
             return Dist._with_counts(g, den, _packed_sum(g.moduli, (p.counts,), lows, sides, den, k))
     out = p

@@ -29,10 +29,6 @@ class NonProperError(EntsumError):
     """A coset progression required to be proper has colliding sums."""
 
 
-class WraparoundError(EntsumError):
-    """Internal invariant failure: a transport shift left the embedding box."""
-
-
 class SearchExhaustedError(EntsumError):
     """An exhaustive search ran out of candidates within its radius."""
 

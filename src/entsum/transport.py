@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dists import (_DENSE_SLOTS_PER_PAIR, Dist, JointDist, _f_count, _Kronecker, _lowest_terms, entropy,
-                    push_masses)
+from .dists import Dist, JointDist, _f_count, _Kronecker, _lowest_terms, _packs, entropy, push_masses
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -46,9 +45,6 @@ _MAX_FLATTEN_ROUNDS = 400
 # largest group order whose addition table is built: 2048^2 int64 entries are
 # 32 MiB, and the float shift scan adds two temporaries of the same size
 MAX_TABLE_ORDER = 2048
-# a compose is formed packed once the pair loop's estimated atom pairs exceed
-# this many per unit of packed work (one slot packed or read back)
-_PAIRS_PER_PACKED_SLOT = 1
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +453,10 @@ def translate_shift(p: Dist, q: Dist) -> Element | None:
 # noise z, as the product coupling q ⊗ z of `_raw_noise`, whose target is the
 # pushforward of its atoms, or as an extension of the certificate so far.  As
 # z is the conditional law on every row, `_raw_extend` convolves each row with
-# z on `dists._Kronecker`, the kernel of `convolve`, when H is trivial and the
-# padded box dense enough; otherwise it composes with q ⊗ z, since placing a
-# row in a box with a nontrivial H needs H's table.  An identity is
-# `_raw_noise` with the point law at zero, and touches no group law.
+# z on `dists._Kronecker`, the kernel of `convolve`, when H is trivial and
+# `dists._packs` finds the padded slots worth it; otherwise it composes with
+# q ⊗ z, since placing a row in a box with a nontrivial H needs H's table.
+# An identity is `_raw_noise` with the point law at zero, and touches no group law.
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -618,10 +614,10 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
 
     The composed count at (x, y - x) is sum_w A[x, w] B[w, y], with A[x, w]
     c1's count at (x, w - x) and B[w, y] the count of Z2 = y - w given W = w
-    over a common denominator m.  A dense product is formed packed (see
-    `_packed_rows`); a sparse one, whose estimated pairs |c1| |c2| / |supp W|
-    are at most _PAIRS_PER_PACKED_SLOT times the packed work
-    |c2| + |supp W| |supp Y|, sums the pairs one by one.
+    over a common denominator m.  The product is formed packed (see
+    `_packed_rows`) if `_packs` finds its slots, |c2| + |supp W| |supp Y|
+    packed or read back, worth the estimated pairs |c1| |c2| / |supp W|;
+    otherwise the pairs are summed one by one.
     """
     by_w: dict = {}
     for (w, z2), n in c2.coupling.items():
@@ -640,7 +636,7 @@ def _raw_compose(ad, c1: _RawCert, c2: _RawCert) -> _RawCert:
         f = m // (src[w] // g)
         cond[w] = [(z2, n // g * f) for z2, n in row]
     n1s, n2s, nw = len(c1.coupling), len(c2.coupling), len(by_w)
-    if n1s * n2s <= _PAIRS_PER_PACKED_SLOT * nw * (n2s + nw * len(c2.target)):
+    if not _packs(n1s * n2s // nw, n2s + nw * len(c2.target)):
         atoms: dict = {}
         add = ad.add
         for (x, z1), n1 in c1.coupling.items():
@@ -658,13 +654,17 @@ def _raw_extend(ad, c: _RawCert, z: _Law) -> _RawCert:
 
     Z2 is z whatever W is, so the composed count at (x, z1 + z2) is
     sum c[x, z1] z[z2] over den * dz, at most den * dz: each row of c and c's
-    target convolve with z, one packed product each (`dists._Kronecker`), if
-    H is trivial, so that indices run row-major over the moduli, and the
-    2m - 1 digits on each Z/m give at most _DENSE_SLOTS_PER_PAIR slots per
-    element, as in `dists.convolve`.  Otherwise c composes with q ⊗ z.
+    target convolve with z, one packed product each (`dists._Kronecker`) with
+    2m - 1 digits on each Z/m, if H is trivial, so that indices run row-major
+    over the moduli, and `_packs` finds the padded slots worth the atom pairs.
+    Otherwise c composes with q ⊗ z.
     """
+    rows: dict = {}
+    for (x, z1), k in c.coupling.items():
+        rows.setdefault(x, {})[z1] = k
     sides = [2 * m - 1 for m in ad._mods]
-    if len(ad._h_table) > 1 or math.prod(sides) > _DENSE_SLOTS_PER_PAIR * ad.size:
+    if len(ad._h_table) > 1 or not _packs((len(c.coupling) + len(c.target)) * len(z[1]),
+                                           (len(rows) + 1) * math.prod(sides)):
         return _raw_compose(ad, c, _raw_noise(ad, (c.den, c.target), z))
     bound = c.den * z[0]
     box = _Kronecker(ad._mods, sides, bound)
@@ -677,9 +677,6 @@ def _raw_extend(ad, c: _RawCert, z: _Law) -> _RawCert:
         packed = box.pack({cells[e]: n for e, n in counts.items()}) * packed_z
         return {index[i]: n for i, n in enumerate(box.read(packed)) if n}
 
-    rows: dict = {}
-    for (x, z1), k in c.coupling.items():
-        rows.setdefault(x, {})[z1] = k
     atoms = {(x, zz): k for x, row in rows.items() for zz, k in conv(row).items()}
     return _RawCert(bound, atoms, conv(c.target))
 
@@ -822,7 +819,8 @@ def _raw_stage(
     ad, c: _RawCert | None, q: _Law | None, max_rounds: int, stop
 ) -> tuple[_RawCert, _Law, list[int], list[tuple[int, int]]]:
     """One flatten stage: flatten q, or c's target when c is given, and add the
-    independent sum z of the chosen shifts, as q ⊗ z or as c extended by z.
+    independent sum z of the chosen shifts, as q ⊗ z or as c extended by z;
+    with no shift chosen, c is returned as it is, and no group law is used.
 
     Returns (certificate, flattened law, chosen shifts, squared distances).
     """
@@ -830,7 +828,7 @@ def _raw_stage(
         q = (c.den, c.target)
     final, shifts, sqs = _raw_flatten(ad, q, max_rounds, stop)
     z = _shift_noise(ad, shifts)
-    cert = _raw_noise(ad, q, z) if c is None else _raw_extend(ad, c, z)
+    cert = _raw_noise(ad, q, z) if c is None else _raw_extend(ad, c, z) if shifts else c
     if not _same_law((cert.den, cert.target), final):
         raise CertificateError("flatten certificate does not reach the flattened law")
     return cert, final, shifts, sqs

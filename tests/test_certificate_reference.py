@@ -8,14 +8,14 @@ coupling atom by atom over `TransportCertificate` and `Dist`.
 
 `_raw_compose_reference` is the integer kernel's compose as it was before
 dense products were packed into ints: it sums every atom pair.  The kernel
-tests run `transport._raw_compose` on both sides of its gate, forced by
-`_PAIRS_PER_PACKED_SLOT`, and compare the raw certificates; their pairs
-include flatten stages started from a law (`_raw_stage`).  On a product of
-cyclic factors whose padded box is dense enough, `_raw_extend` composes a
-certificate with independent noise by convolution instead, one packed
-product per row; the noise tests compare it with the generic compose with
-the product coupling q ⊗ z that `_raw_noise` builds, whose target is the
-pushforward of its atoms, and with the pair loop.
+tests run `transport._raw_compose` and `transport._raw_extend` on both sides
+of their gates, forced through the cost rule `_packs`, and compare the raw
+certificates; their pairs include flatten stages started from a law
+(`_raw_stage`).  On a product of cyclic factors, when it packs,
+`_raw_extend` composes a certificate with independent noise by convolution
+instead, one packed product per row; the noise tests compare it with the
+generic compose with the product coupling q ⊗ z that `_raw_noise` builds,
+whose target is the pushforward of its atoms, and with the pair loop.
 """
 
 import math
@@ -238,8 +238,9 @@ def _validate(ad, c, source=None):
 
 @pytest.fixture(params=["pairs", "packed"])
 def gate(request, monkeypatch):
-    """Force one side of the compose gate; yields a list that counts packed products."""
-    monkeypatch.setattr(transport, "_PAIRS_PER_PACKED_SLOT", 10**18 if request.param == "pairs" else 0)
+    """Force one side of the compose and extend gates; yields whether they pack."""
+    packs = request.param == "packed"
+    monkeypatch.setattr(transport, "_packs", lambda *args, **kw: packs)
     calls = []
     packed_rows = transport._packed_rows
 
@@ -248,8 +249,8 @@ def gate(request, monkeypatch):
         return packed_rows(*args)
 
     monkeypatch.setattr(transport, "_packed_rows", counted)
-    yield calls
-    assert bool(calls) == (request.param == "packed")
+    yield packs
+    assert bool(calls) == packs
 
 
 def _random_law(rng, size, den_cap):
@@ -302,7 +303,7 @@ def test_raw_compose_matches_pair_loop(gate, name):
         assert transport._raw_compose(ad, up, back) == _raw_compose_reference(ad, up, back)
 
 
-# name -> (group, whether a noise compose on it is a convolution)
+# name -> (group, whether H is trivial, so that an extension that packs convolves)
 NOISE_GROUPS = {
     **{f"Z/{n}": (lambda n=n: transport._spec_group(GroupSpec([n])), True) for n in (1, 2, 8, 12, 64)},
     # the one-dimensional box Z/10 of a progression with a trivial H
@@ -310,8 +311,8 @@ NOISE_GROUPS = {
     "Z/2xZ/4": (KERNEL_GROUPS["Z/2xZ/4"], True),
     "Z/8xZ/8": (lambda: transport._spec_group(GroupSpec([8, 8])), True),
     "Z/2xZ/2xZ/3": (lambda: transport._spec_group(GroupSpec([2, 2, 3])), True),
-    # 3^4 padded slots for 16 elements: too sparse to pack, so the generic compose
-    "(Z/2)^4": (lambda: transport._spec_group(GroupSpec([2] * 4)), False),
+    # 3^4 padded slots for 16 elements, packed only when forced
+    "(Z/2)^4": (lambda: transport._spec_group(GroupSpec([2] * 4)), True),
     "box": (KERNEL_GROUPS["box"], False),
 }
 
@@ -354,7 +355,7 @@ def test_compose_with_noise_matches_generic(gate, monkeypatch, name):
         assert out == raw_compose(ad, c1, noise)
         assert out == _raw_compose_reference(ad, c1, noise)
         _validate(ad, out, (c1.den, transport._raw_source(c1)))
-    assert extended_by_compose == {not convolves}
+    assert extended_by_compose == {not (gate and convolves)}
 
 
 def test_compose_on_z_matches_reference(gate):

@@ -23,6 +23,7 @@ import pytest
 from entsum import dists
 from entsum.dists import Dist, convolve, entropy
 from entsum.errors import CapExceededError, IncompatibleGroupError
+from entsum.fuzz import random_dist
 from entsum.groups import GroupSpec
 
 
@@ -124,14 +125,41 @@ def test_corpus_covers_every_group_sign_and_denominator():
     assert max(dens) > 2**60
 
 
-@pytest.mark.parametrize("dense_slots", [0, None, 10**9], ids=["pair-loop", "default", "dense"])
-def test_seeded_laws_match_reference(monkeypatch, dense_slots):
-    # 0 sends every pair of laws through the pair loop, 10**9 through the
-    # packed product on every group; None keeps the dense/sparse rule
-    if dense_slots is not None:
-        monkeypatch.setattr(dists, "_DENSE_SLOTS_PER_PAIR", dense_slots)
+@pytest.mark.parametrize("packs", [False, None, True], ids=["pair-loop", "default", "dense"])
+def test_seeded_laws_match_reference(monkeypatch, packs):
+    # False sends every pair of laws through the pair loop, True through the
+    # packed product on every group; None keeps the cost rule
+    if packs is not None:
+        monkeypatch.setattr(dists, "_packs", lambda *args, **kw: packs)
     for _, p, q, sign in _corpus(1, 400):
         _assert_same(p, q, sign)
+
+
+def test_fuzz_like_laws_take_the_pair_loop(monkeypatch):
+    # laws of at most 6 atoms, as the fuzz checks draw them, have at most 36
+    # atom pairs, too few to pay for a packed product on Z or Z/8
+    def never(*args):
+        raise AssertionError("packed a fuzz-like product")
+
+    monkeypatch.setattr(dists, "_Kronecker", never)
+    rng = random.Random(3)
+    groups = (Z, GroupSpec([8]))
+    for i in range(600):
+        g = groups[i % 2]
+        p, q = random_dist(rng, g, 6, 64), random_dist(rng, g, 6, 64)
+        _assert_same(p, q, "+")
+
+
+def test_dense_pair_on_z64_packs(monkeypatch):
+    # 16 x 16 atom pairs on Z/64 fill 127 padded slots: packed
+    built = []
+    kronecker = dists._Kronecker
+    monkeypatch.setattr(dists, "_Kronecker", lambda *args: built.append(args) or kronecker(*args))
+    rng = random.Random(16)
+    g = GroupSpec([64])
+    p, q = (Dist.uniform(g, [(e,) for e in rng.sample(range(64), 16)]) for _ in range(2))
+    _assert_same(p, q, "+")
+    assert [sides for _, sides, _ in built] == [[127]]
 
 
 def test_iterated_powers_match_reference():

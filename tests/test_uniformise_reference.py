@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from entsum import transport
 from entsum.dists import Dist, JointDist, entropy
-from entsum.errors import CertificateError, PreconditionError, WraparoundError
+from entsum.errors import CertificateError, EntsumError, PreconditionError
 from entsum.fuzz import random_dist
 from entsum.groups import Element, GroupSpec
 from entsum.metrics import density_level
@@ -48,6 +48,10 @@ from entsum.transport import (
 
 SIGMA_MIN = Fraction(1, 2**20)
 _MAX_FLATTEN_ROUNDS = 400
+
+
+class WraparoundError(EntsumError):
+    """Internal invariant failure: a transport shift left the embedding box."""
 
 
 def _cert(g: GroupSpec, raw: "_RawCert") -> TransportCertificate:
