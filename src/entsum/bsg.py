@@ -13,7 +13,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .dists import JointDist, ci_trials, conditional_entropy, fibre_entropy, joint_entropy, push_masses
+from .dists import (
+    JointDist,
+    ci_trials,
+    conditional_entropy,
+    fibre_entropy,
+    is_independent,
+    joint_entropy,
+    push_masses,
+)
 from .errors import CapExceededError, PreconditionError
 from .fileio import dump_joint
 from .metrics import MetricReport
@@ -75,23 +83,7 @@ def build_path_joint(inst: BsgInstance) -> JointDist:
 
 def factorization_exact(path: JointDist) -> bool:
     """Exact check that X2 and Y' are conditionally independent given (X1, Y)."""
-    # all counts share the path's denominator, so the check runs on them
-    cond: dict = {}
-    for (x1, x2, y, yp), v in path.counts.items():
-        cell = cond.setdefault((x1, y), {"w": 0, "x2": {}, "yp": {}, "atoms": {}})
-        cell["w"] += v
-        cell["x2"][x2] = cell["x2"].get(x2, 0) + v
-        cell["yp"][yp] = cell["yp"].get(yp, 0) + v
-        cell["atoms"][(x2, yp)] = cell["atoms"].get((x2, yp), 0) + v
-    for cell in cond.values():
-        # every path atom has positive mass, so every (x2, y') pair must be present
-        if len(cell["atoms"]) != len(cell["x2"]) * len(cell["yp"]):
-            return False
-        w = cell["w"]
-        for (x2, yp), v in cell["atoms"].items():
-            if v * w != cell["x2"][x2] * cell["yp"][yp]:
-                return False
-    return True
+    return is_independent(path, [X2], [YP], given=[X1, Y])
 
 
 def verify_bsg(inst: BsgInstance) -> list[MetricReport]:

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import EntsumError, IncompatibleGroupError, PreconditionError, SchemaError
+from .errors import EntsumError, IncompatibleGroupError, SchemaError
 from .fileio import load_dist, load_joint, read_jsonl
 
 def _emit(obj) -> None:
@@ -156,8 +156,6 @@ def _cmd_experiment(args) -> int:
     )
 
     if args.what == "binomial-doubling":
-        if args.n < 2:
-            raise PreconditionError(f"--n must be >= 2, got {args.n}")
         _emit({"n": args.n, "doubling": doubling_experiment(args.n),
                "entropy_gap": binomial_entropy_gap(args.n)})
     elif args.what == "bridge":
@@ -165,8 +163,6 @@ def _cmd_experiment(args) -> int:
         _, ent = bridge_entropy(p)
         _emit({"discrete_entropy": entropy(p), "continuous_entropy": ent})
     elif args.what == "smooth-shift":
-        if not 0 < args.mu < 1:
-            raise PreconditionError(f"--mu must be in (0, 1), got {args.mu}")
         p = load_dist(args.dist)
         rep = smooth_shift_search(p, args.mu)
         _emit(

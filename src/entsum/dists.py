@@ -550,15 +550,22 @@ def ci_trials(j: JointDist, pivot: int) -> JointDist:
     return JointDist._with_counts(groups, j.den * lcm, out)
 
 
-def is_independent(j: JointDist, coords_a: Sequence[int], coords_b: Sequence[int]) -> bool:
-    """Exact integer test that two coordinate blocks are independent."""
-    a = j.marginal(coords_a)
-    b = j.marginal(coords_b)
-    ab = j.marginal(tuple(coords_a) + tuple(coords_b))
-    ka = len(tuple(coords_a))
-    # every product atom has positive mass, so all of them must be in the support
-    if len(ab) != len(a) * len(b):
-        return False
-    scale = a.den * b.den
-    return all(n * scale == a.counts[atom[:ka]] * b.counts[atom[ka:]] * ab.den
-               for atom, n in ab.counts.items())
+def is_independent(j: JointDist, coords_a: Sequence[int], coords_b: Sequence[int],
+                   given: Sequence[int] = ()) -> bool:
+    """Exact test that two coordinate blocks are independent, given a third when
+    `given` is not empty: n(g, a, b) n(g) == n(g, a) n(g, b) on the int counts."""
+    ca, cb, cg = j._check_coords(coords_a), j._check_coords(coords_b), tuple(given)
+    j._check_coords(ca + cb + cg)  # the blocks are disjoint
+    fibres: dict = {}
+    for x, n in j.counts.items():
+        a, b = tuple(x[c] for c in ca), tuple(x[c] for c in cb)
+        na, nb, nab = fibres.setdefault(tuple(x[c] for c in cg), ({}, {}, {}))
+        na[a] = na.get(a, 0) + n
+        nb[b] = nb.get(b, 0) + n
+        nab[a, b] = nab.get((a, b), 0) + n
+    for na, nb, nab in fibres.values():
+        w = sum(na.values())
+        # every product atom has positive mass, so each fibre's support must be a full product
+        if len(nab) != len(na) * len(nb) or any(n * w != na[a] * nb[b] for (a, b), n in nab.items()):
+            return False
+    return True

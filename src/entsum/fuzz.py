@@ -217,12 +217,7 @@ def _check_submodularity(rng, cfg):
         lambda a: (a[1], a[0] + a[1], a[1] + a[2], a[0] + a[1] + a[2]),
         [g, GroupSpec([4, 4]), GroupSpec([4, 4]), GroupSpec([4, 4, 4])],
     )
-
-    def determinations(atom):
-        x0, x1, x2, x12 = atom
-        return x1[1:] == x0 and x2[:1] == x0 and x12 == x1 + x2[1:]
-
-    return [submodularity_check(j, determinations)]
+    return [submodularity_check(j)]
 
 
 def _check_xysim(rng, cfg):
@@ -287,29 +282,25 @@ CHECKS = {
 DEFAULT_CHECKS = tuple(CHECKS)  # taken at import, so later registrations are opt-in
 
 
-def submodularity_check(j: JointDist, determinations=None) -> MetricReport:
+def submodularity_check(j: JointDist) -> MetricReport:
     """Ent(X12) + Ent(X0) <= Ent(X1) + Ent(X2) for a joint (X0, X1, X2, X12).
 
     The determination premise (X1 and X2 each determine X0, and (X1, X2)
     determines X12) is verified from the joint support before the bound is
     evaluated; a violated premise is an input error, not a counterexample.
-    An optional per-atom predicate adds an explicit functional check.
     """
     if j.k != 4:
         raise PremiseError("joint must carry (X0, X1, X2, X12)")
     maps_10: dict = {}
     maps_20: dict = {}
     maps_12: dict = {}
-    for atom in j.counts:
-        x0, x1, x2, x12 = atom
+    for x0, x1, x2, x12 in j.counts:
         if maps_10.setdefault(x1, x0) != x0:
             raise PremiseError("X1 does not determine X0")
         if maps_20.setdefault(x2, x0) != x0:
             raise PremiseError("X2 does not determine X0")
         if maps_12.setdefault((x1, x2), x12) != x12:
             raise PremiseError("(X1, X2) does not determine X12")
-        if determinations is not None and not determinations(atom):
-            raise PremiseError("explicit determination tables violated")
     lhs = joint_entropy(j, [3]) + joint_entropy(j, [0])
     rhs = joint_entropy(j, [1]) + joint_entropy(j, [2])
     return MetricReport("submodularity", lhs, rhs, {"atoms": len(j)})

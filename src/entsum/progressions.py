@@ -120,17 +120,16 @@ class BoxEmbedding:
         return out
 
 
-def box_embedding(cp: CosetProgression, proper_required: bool = True) -> BoxEmbedding:
+def box_embedding(cp: CosetProgression) -> BoxEmbedding:
     """Tables between H + P and its box, built in one walk of the box.
 
-    The walk checks the box size against ENUM_CAP first.  With
-    proper_required the first collision raises NonProperError; without it, a
-    colliding element maps back to the last box point that reached it.
+    The walk checks the box size against ENUM_CAP first, and the first
+    collision raises NonProperError.
     """
     forward = {}
     backward = {}
     for key, el in cp._walk(cp.lengths):
-        if proper_required and el in backward:
+        if el in backward:
             raise NonProperError(f"progression is not proper (collision at {el}); embedding refused")
         forward[key] = el
         backward[el] = key

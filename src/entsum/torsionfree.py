@@ -65,7 +65,7 @@ def binomial_entropy_gap(n: int) -> float:
     O(1/n).
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise PreconditionError(f"n must be >= 2, got {n}")
     if n > BINOMIAL_CAP:
         raise CapExceededError(f"binomial cap {BINOMIAL_CAP} exceeded: n={n}")
     reference = 0.5 * math.log(2.0 * math.pi * math.e * n / 4.0)
@@ -75,7 +75,7 @@ def binomial_entropy_gap(n: int) -> float:
 def doubling_experiment(n: int) -> float:
     """Doubling constant of the n-step walk via the identity X_n + X'_n ≡ X_2n."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError(f"n must be >= 1, got {n}")
     if n > 2048:
         raise CapExceededError(f"doubling experiment cap 2048 exceeded: n={n}")
     return math.exp(_binomial_entropy(2 * n) - _binomial_entropy(n))
@@ -310,27 +310,9 @@ def _unit_knots(f: _UnitSteps, g: _UnitSteps) -> tuple[int, int, list[int]]:
     return f0 + g0, den, knots
 
 
-def _unit_grid_convolve(f: _UnitSteps, g: _UnitSteps) -> _PiecewisePoly:
-    """Convolution of two unit step densities from `_unit_steps`, over Q."""
-    lo, den, knots = _unit_knots(f, g)
-    polys = []
-    for k, (u, v) in enumerate(zip(knots, knots[1:])):
-        # (u + (v - u)(t - lo - k)) / den on [lo + k, lo + k + 1]
-        polys.append((Fraction(u - (v - u) * (lo + k), den), Fraction(v - u, den)))
-    return _PiecewisePoly(tuple(Fraction(lo + k) for k in range(len(knots))), tuple(polys))
-
-
 def convolve_densities(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePoly:
-    """Exact convolution density of two independent piecewise-affine laws.
-
-    Two step densities with positive heights on unit intervals go through
-    `_unit_grid_convolve`, which checks its integral in ints; every other pair,
-    zero-height pieces included, takes the closed form `_closed_form_convolve`,
-    whose integral is checked to be exactly 1 over Q.
-    """
-    steps = (_unit_steps(f), _unit_steps(g))
-    if None not in steps:
-        return _unit_grid_convolve(*steps)
+    """Exact convolution density of two independent piecewise-affine laws by
+    `_closed_form_convolve`, with its integral checked to be exactly 1 over Q."""
     out = _closed_form_convolve(f, g)
     if out.integral() != 1:
         raise ArithmeticError(f"convolution integral is {out.integral()}, expected 1")
@@ -476,7 +458,7 @@ def smooth_shift_search(
     support after translating its minimum to the origin.
     """
     if not 0 < mu < 1:
-        raise ValueError("mu must be in (0, 1)")
+        raise PreconditionError(f"mu must be in (0, 1), got {mu}")
     if not p.group.torsion_free() or p.group.dim < 1:
         raise PreconditionError("search needs a law on a torsion-free box")
     d = p.group.dim
@@ -526,31 +508,20 @@ def smooth_shift_search(
         return worst
 
     radius = min(max(s - 1 for s in sizes), math.ceil(d * mu**-3))
-    best_r: tuple[int, ...] | None = None
-    best_m = math.inf
+    shells = (r for rho in range(1, radius + 1)
+              for r in itertools.product(*(range(min(n, rho + 1)) for n in sizes)) if max(r) == rho)
+    # the first shift within mu^2 is below every earlier one, so it is the running best
     chosen: tuple[int, ...] | None = None
     chosen_m = math.inf
-    for rho in range(1, radius + 1):
-        for r in itertools.product(*(range(min(n, rho + 1)) for n in sizes)):
-            if max(r) != rho:
-                continue
-            m = char_dist(r)
-            if m < best_m:
-                best_m, best_r = m, r
-            if m <= mu * mu:
-                chosen, chosen_m = r, m
-                break
-        if chosen is not None:
+    for r in shells:
+        m = char_dist(r)
+        if m < chosen_m:
+            chosen, chosen_m = r, m
+        if m <= mu * mu:
             break
-
     if chosen is None:
-        if best_r is None:
-            raise SearchExhaustedError(
-                f"no nonzero shift exists within radius {radius}", spectrum
-            )
-        chosen, chosen_m, relaxed = best_r, best_m, True
-    else:
-        relaxed = False
+        raise SearchExhaustedError(f"no nonzero shift exists within radius {radius}", spectrum)
+    relaxed = chosen_m > mu * mu
 
     conv = convolve(p0, p0, "+")
     realized_tv = tv_distance(conv, conv.translate(chosen))

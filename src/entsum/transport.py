@@ -974,7 +974,7 @@ def uniformise_coset_progression(
     for the ambient images x', y' of x and y = x + z, and no shift can wrap.
     With k_bound, p is refused as `uniformise_group` refuses it, on |H + P|.
     """
-    emb = box_embedding(cp, proper_required=True)
+    emb = box_embedding(cp)
     g = cp.group
     hp = frozenset(emb.backward)
     target = Dist.uniform(g, hp)

@@ -80,19 +80,60 @@ def test_factorization_is_exact_rational():
         assert factorization_exact(path)
 
 
-def test_factorization_detects_dependence():
-    # hand-built path joints in which X2 and Y' are dependent given (X1, Y) = (0, 0)
+def _hand_built_paths():
+    # path joints in which X2 and Y' are dependent given (X1, Y) = (0, 0), and one where they are not
     def path(masses):
         return JointDist(
             [Z2] * 4, {((0,), (x2,), (0,), (yp,)): v for (x2, yp), v in masses.items()}
         )
 
     # (X2, Y') in {(0, 0), (1, 1)}: the product atoms (0, 1) and (1, 0) are missing
-    assert not factorization_exact(path({(0, 0): F(1, 2), (1, 1): F(1, 2)}))
+    missing = path({(0, 0): F(1, 2), (1, 1): F(1, 2)})
     # every product atom is present, but the masses do not factor
-    unequal = {(0, 0): F(1, 2), (0, 1): F(1, 6), (1, 0): F(1, 6), (1, 1): F(1, 6)}
-    assert not factorization_exact(path(unequal))
-    assert factorization_exact(path({(a, b): F(1, 4) for a in range(2) for b in range(2)}))
+    unequal = path({(0, 0): F(1, 2), (0, 1): F(1, 6), (1, 0): F(1, 6), (1, 1): F(1, 6)})
+    return [missing, unequal, path({(a, b): F(1, 4) for a in range(2) for b in range(2)})]
+
+
+def test_factorization_detects_dependence():
+    assert [factorization_exact(p) for p in _hand_built_paths()] == [False, False, True]
+
+
+def _factorization_exact_reference(path: JointDist) -> bool:
+    """`factorization_exact` as it was before it called `dists.is_independent`."""
+    # all counts share the path's denominator, so the check runs on them
+    cond: dict = {}
+    for (x1, x2, y, yp), v in path.counts.items():
+        cell = cond.setdefault((x1, y), {"w": 0, "x2": {}, "yp": {}, "atoms": {}})
+        cell["w"] += v
+        cell["x2"][x2] = cell["x2"].get(x2, 0) + v
+        cell["yp"][yp] = cell["yp"].get(yp, 0) + v
+        cell["atoms"][(x2, yp)] = cell["atoms"].get((x2, yp), 0) + v
+    for cell in cond.values():
+        # every path atom has positive mass, so every (x2, y') pair must be present
+        if len(cell["atoms"]) != len(cell["x2"]) * len(cell["yp"]):
+            return False
+        w = cell["w"]
+        for (x2, yp), v in cell["atoms"].items():
+            if v * w != cell["x2"][x2] * cell["yp"][yp]:
+                return False
+    return True
+
+
+def test_factorization_matches_reference():
+    # 100 path joints on each group, each beside a 4-coordinate joint that is
+    # no path joint and most often fails the factorization
+    rng = random.Random(2201)
+    outcomes = set()
+    for g in (Z4, Z, GroupSpec([8])):
+        for _ in range(100):
+            path = build_path_joint(BsgInstance.from_joint(random_joint(rng, g, 6, 64)))
+            assert factorization_exact(path) and _factorization_exact_reference(path)
+            other = random_joint(rng, g, 6, 64, coords=4)
+            outcomes.add(factorization_exact(other))
+            assert factorization_exact(other) == _factorization_exact_reference(other)
+    assert outcomes == {True, False}
+    for path in _hand_built_paths():
+        assert factorization_exact(path) == _factorization_exact_reference(path)
 
 
 def test_trial_entropies_match_conditionals():

@@ -749,6 +749,8 @@ def test_mod_fibres_and_bridge_match_reference():
 
 
 def test_smooth_shift_search_matches_reference():
+    # the reference keeps the search's best/chosen loop with its double break, which
+    # one running best replaced; the laws reach the strict, relaxed and radius-0 outcomes
     outcomes = set()
     for rng, _ in _corpus(12, 100):
         g = READ_GROUPS[rng.choice(("Z", "Z^2"))]

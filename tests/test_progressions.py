@@ -89,7 +89,7 @@ def test_box_embedding_rank2_sums_distinct():
 def test_box_embedding_rejects_nonproper():
     cp = CosetProgression(Z4, [(0,)], (0,), [(2,)], [3])
     with pytest.raises(NonProperError):
-        box_embedding(cp, proper_required=True)
+        box_embedding(cp)
 
 
 def test_box_embedding_walks_the_box_once(monkeypatch):
@@ -98,19 +98,11 @@ def test_box_embedding_walks_the_box_once(monkeypatch):
     element = CosetProgression._element
     monkeypatch.setattr(CosetProgression, "_element",
                         lambda self, h, ns: calls.append(ns) or element(self, h, ns))
-    emb = box_embedding(cp, proper_required=True)
+    emb = box_embedding(cp)
     assert len(calls) == cp.nominal_size() == len(emb.forward) == len(emb.backward)
 
 
-def test_box_embedding_nonproper_without_check():
-    cp = CosetProgression(Z4, [(0,)], (0,), [(2,)], [3])
-    emb = box_embedding(cp, proper_required=False)
-    assert emb.forward == {((0,), (0,)): (0,), ((0,), (1,)): (2,), ((0,), (2,)): (0,)}
-    assert emb.backward == {(0,): ((0,), (2,)), (2,): ((0,), (1,))}
-
-
-@pytest.mark.parametrize("proper_required", [True, False])
-def test_box_embedding_cap_before_walk(monkeypatch, proper_required):
+def test_box_embedding_cap_before_walk(monkeypatch):
     from entsum import progressions
 
     def never(*_):
@@ -120,7 +112,7 @@ def test_box_embedding_cap_before_walk(monkeypatch, proper_required):
     monkeypatch.setattr(progressions, "ENUM_CAP", 5)
     monkeypatch.setattr(CosetProgression, "_element", never)
     with pytest.raises(CapExceededError):
-        box_embedding(cp, proper_required=proper_required)
+        box_embedding(cp)
 
 
 def test_pull_mass():

@@ -1,6 +1,5 @@
 """Binomial experiments, continuous entropy, the bridge, Fourier smoothness."""
 
-import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -16,7 +15,6 @@ from entsum.errors import (
 )
 from entsum.fuzz import random_dist
 from entsum.groups import GroupSpec
-from entsum import torsionfree
 from entsum.metrics import doubling_constant
 from entsum.torsionfree import (
     PiecewiseDensity,
@@ -97,6 +95,20 @@ def test_entxx_caps():
         entxx_explore(10, 9)
     with pytest.raises(PreconditionError):
         entxx_explore(5000, 2)
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: binomial_entropy_gap(1), "got 1"),
+    (lambda: binomial_entropy_gap(-4), "got -4"),
+    (lambda: doubling_experiment(0), "got 0"),
+    (lambda: smooth_shift_search(Dist.uniform(Z, [(0,), (1,)]), 2.0), "got 2.0"),
+    (lambda: smooth_shift_search(Dist.uniform(Z, [(0,), (1,)]), 0.0), "got 0.0"),
+    (lambda: smooth_shift_search(Dist.uniform(Z, [(0,), (1,)]), math.nan), "got nan"),
+], ids=["gap-n=1", "gap-n=-4", "doubling-n=0", "mu=2", "mu=0", "mu=nan"])
+def test_experiment_preconditions_name_the_value(call, shown):
+    # the library refuses these arguments itself, so the CLI needs no checks of its own
+    with pytest.raises(PreconditionError, match=shown):
+        call()
 
 
 def test_mod_fiber_identity():
@@ -191,55 +203,6 @@ def test_abbn_fuzz_step_densities():
             )
 
         assert not abbn_check(rand_step(), rand_step()).violated(1e-6)
-
-
-def _unit_step(rng, pieces, den_cap):
-    # positive heights on the unit intervals from a random integer start
-    den = rng.randrange(pieces, den_cap + pieces)
-    cuts = sorted(rng.sample(range(1, den), pieces - 1))
-    edges = [0] + cuts + [den]
-    lo = rng.randrange(-6, 7)
-    return PiecewiseDensity(
-        range(lo, lo + pieces + 1), [(F(b - a, den), 0) for a, b in zip(edges, edges[1:])]
-    )
-
-
-def test_unit_grid_matches_closed_form():
-    rng = random.Random(23)
-    for _ in range(300):
-        f = _unit_step(rng, rng.randrange(1, 9), rng.choice([2, 64, 2**40]))
-        g = _unit_step(rng, rng.randrange(1, 9), rng.choice([2, 64, 2**40]))
-        grid = convolve_densities(f, g)
-        closed = torsionfree._closed_form_convolve(f, g)
-        assert grid.breakpoints == closed.breakpoints
-        assert grid.polys == closed.polys
-        assert all(isinstance(c, F) for poly in grid.polys for c in poly)
-        assert grid.entropy().hex() == closed.entropy().hex()
-
-
-def test_unit_grid_routing(monkeypatch):
-    def never(*args):
-        raise AssertionError("wrong convolution route")
-
-    rng = random.Random(29)
-    unit = [_unit_step(rng, n, 64) for n in (1, 2, 5)]
-    off_grid = [
-        PiecewiseDensity([0, 1, 2, 3], [(F(1, 2), 0), (0, 0), (F(1, 2), 0)]),  # zero height inside
-        PiecewiseDensity([0, 1, 2], [(1, 0), (0, 0)]),  # zero height at the end
-        PiecewiseDensity([F(1, 2), F(3, 2)], [(1, 0)]),  # half-integer breaks
-        PiecewiseDensity([0, 1, 2], [(0, 1), (2, -1)]),  # affine pieces
-        PiecewiseDensity([0, 2], [(F(1, 2), 0)]),  # a width-2 piece
-        PiecewiseDensity([0, 1, 3], [(F(1, 2), 0), (F(1, 4), 0)]),  # mixed widths
-    ]
-    monkeypatch.setattr(torsionfree, "_closed_form_convolve", never)
-    for f, g in itertools.product(unit, unit):
-        assert convolve_densities(f, g).integral() == 1
-    monkeypatch.undo()
-    monkeypatch.setattr(torsionfree, "_unit_grid_convolve", never)
-    for f in off_grid:
-        for g in off_grid[:1] + unit[:1]:
-            for a, b in ((f, g), (g, f)):
-                assert convolve_densities(a, b).integral() == 1
 
 
 # ---------------------------------------------------------------------------

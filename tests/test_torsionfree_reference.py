@@ -15,8 +15,8 @@ bitwise equal.  The unit-step kernel checks its integral in ints, which a
 corrupted knot must fail.
 
 `_abbn_check_reference` is `abbn_check` as it was before unit steps were read
-in ints: `PiecewiseDensity` -> `convolve_densities` (`_unit_grid_convolve` on
-unit steps) -> `_PiecewisePoly.entropy`.  Both sides must be bitwise equal,
+in ints: `PiecewiseDensity` -> `convolve_densities` (the closed form) ->
+`_PiecewisePoly.entropy`.  Both sides must be bitwise equal,
 by `.hex()`, and the witnesses equal.
 """
 
@@ -300,8 +300,8 @@ def test_binomial_walk_matches_reference(n):
 
 
 def test_unit_step_integral_check_catches_corrupted_knots(monkeypatch):
-    f, g = _fuzz_step_pairs(5, 1)[0]
-    assert convolve_densities(f, g).integral() == 1
+    f, g = (torsionfree._unit_steps(h) for h in _fuzz_step_pairs(5, 1)[0])
+    torsionfree._unit_abbn(f, g)
     kronecker = torsionfree._Kronecker
 
     for corrupt in (lambda c: c[:-1] + [c[-1] + 1], lambda c: [c[0] - 1] + c[1:]):
@@ -311,7 +311,7 @@ def test_unit_step_integral_check_catches_corrupted_knots(monkeypatch):
 
         monkeypatch.setattr(torsionfree, "_Kronecker", Corrupted)
         with pytest.raises(ArithmeticError, match="integral"):
-            convolve_densities(f, g)
+            torsionfree._unit_abbn(f, g)
 
 
 def _assert_abbn_matches(rep, f: PiecewiseDensity, g: PiecewiseDensity) -> None:

@@ -443,7 +443,7 @@ def _uniformise_coset_progression_reference(
     uniformises there, and pushes the composed transport forward; every shift
     used must come from a box difference (no wraparound), which is checked.
     """
-    emb = box_embedding(cp, proper_required=True)
+    emb = box_embedding(cp)
     g = cp.group
     hp = frozenset(emb.backward)
     target = Dist.uniform(g, hp)
@@ -731,7 +731,7 @@ def _criterion_5_kernel_laws():
             ad = transport._spec_group(p.group)
             out.append((ad, transport._index_law(ad, p.den, p.counts)))
             continue
-        emb = box_embedding(cp, proper_required=True)
+        emb = box_embedding(cp)
         ad = transport._box_group(cp.group, cp.subgroup, tuple(2 * n for n in cp.lengths))
         out.append((ad, transport._index_law(ad, p.den, emb.pull(p))))
         if cp not in box_uniform:
