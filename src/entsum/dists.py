@@ -132,10 +132,15 @@ class _CountLaw:
             total += n
         if total != den:
             raise ValueError(f"counts sum to {total}, expected {den}")
+        den, counts = _lowest_terms(den, counts)
+        return cls._canonical(ambient, den, dict(sorted(counts.items())))
+
+    @classmethod
+    def _canonical(cls, ambient, den: int, counts: dict):
+        """`_with_counts` for counts that the caller guarantees positive, summing
+        to den, in lowest terms with it and sorted by key; nothing is checked."""
         out = cls.__new__(cls)
-        out.den, counts = _lowest_terms(den, counts)
-        out.counts = dict(sorted(counts.items()))
-        out._mass = None
+        out.den, out.counts, out._mass = den, counts, None
         setattr(out, cls._AMBIENT, ambient)
         return out
 
@@ -355,19 +360,18 @@ def iterated_convolve(p: Dist, k: int) -> Dist:
 
     A law is packed once and raised to the k-th power while the power's
     slots are within SUPPORT_CAP, so that no step of the loop of k - 1
-    `convolve`s could raise, and `_packs` finds them worth that loop's pairs:
-    at most n·min(C(n + j - 1, j), box) at step j for n atoms, a bound on the
-    j-fold sum.  Any other law runs the loop.
+    `convolve`s could raise, and `_packs` finds them, weighed by their width
+    in 64-bit words, worth that loop's pairs: at most n·min(C(n + j - 1, j),
+    box) at step j for n atoms, a bound on the j-fold sum.  Others loop.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     g = p.group
     if k > 1:
         lows, sides, box = _layout(g.moduli, (p.counts,), k)
-        n, slots = len(p), math.prod(sides)
+        n, slots, den = len(p), math.prod(sides), p.den ** k
         pairs = n * sum(min(math.comb(n + j - 1, j), box) for j in range(1, k))
-        if slots <= SUPPORT_CAP and _packs(pairs, slots, fixed=False):
-            den = p.den ** k
+        if slots <= SUPPORT_CAP and _packs(pairs, slots * -(-den.bit_length() // 64), fixed=False):
             return Dist._with_counts(g, den, _packed_sum(g.moduli, (p.counts,), lows, sides, den, k))
     out = p
     for _ in range(k - 1):

@@ -45,7 +45,7 @@ def _binomial_atoms(n: int) -> dict:
 def binomial_dist(n: int) -> Dist:
     """Law of the sum of n independent fair +-1 signs, on Z with spacing 2."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError(f"n must be >= 1, got {n}")
     if n > BINOMIAL_CAP:
         raise CapExceededError(f"binomial cap {BINOMIAL_CAP} exceeded: n={n}")
     return Dist._with_counts(GroupSpec([0]), 2**n, _binomial_atoms(n))
@@ -106,7 +106,7 @@ def mod_fiber_decomposition(p: Dist, m: int) -> tuple[Dist, dict[int, Dist]]:
     if p.group.moduli != (0,):
         raise PreconditionError("fibering needs a rank-1 Z-valued law")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise PreconditionError(f"m must be >= 1, got {m}")
     z = GroupSpec([0])
     zm = GroupSpec([m])
     w_counts: dict = {}

@@ -94,15 +94,10 @@ class TransportCertificate:
         }
 
 
-def _cert(g: GroupSpec, raw: "_RawCert", elems: Sequence | None = None) -> TransportCertificate:
-    """Wrap a kernel certificate; `elems` decodes index-encoded elements."""
-    den, coupling, target = raw.den, raw.coupling, raw.target
-    if elems is not None:
-        coupling = {(elems[x], elems[z]): n for (x, z), n in coupling.items()}
-        target = {elems[y]: n for y, n in target.items()}
-    return TransportCertificate(
-        JointDist._with_counts((g, g), den, coupling), Dist._with_counts(g, den, target)
-    )
+def _cert(g: GroupSpec, raw: "_RawCert") -> TransportCertificate:
+    """Wrap a kernel certificate over the GroupSpec g."""
+    cp, t = JointDist._with_counts((g, g), raw.den, raw.coupling), Dist._with_counts(g, raw.den, raw.target)
+    return TransportCertificate(cp, t)
 
 
 def _raw(c: TransportCertificate) -> "_RawCert":
@@ -444,11 +439,12 @@ def translate_shift(p: Dist, q: Dist) -> Element | None:
 # to den, as a `Dist` holds them, and a `_RawCert` keeps one denominator for
 # its coupling and its target.  A law enters as (p.den, p.counts), keyed by
 # element index for an `_IndexedGroup`, and a certificate leaves through
-# `_cert`, which builds its laws from the counts.  Composition is a matrix
-# product of counts: a dense one packs each row of the second factor into
-# one int, keyed by target position rather than element index, so it serves
-# a GroupSpec too; a sparse one sums its atom pairs one by one
-# (`_raw_compose`).  The uniformisation composes left to right, one flatten
+# `_emit`, which checks it in index arithmetic before it decodes it, or, kept
+# on a GroupSpec, through `_cert`, which builds its laws from the counts.
+# Composition is a matrix product of counts: a dense one packs each row of the
+# second factor into one int, keyed by target position rather than element
+# index, so it serves a GroupSpec too; a sparse one sums its atom pairs one by
+# one (`_raw_compose`).  The uniformisation composes left to right, one flatten
 # stage per `_raw_stage` call: it flattens a law q and adds independent shift
 # noise z, as the product coupling q ⊗ z of `_raw_noise`, whose target is the
 # pushforward of its atoms, or as an extension of the certificate so far.  As
@@ -534,6 +530,23 @@ def _index_law(ad: _IndexedGroup, den: int, counts: dict) -> _Law:
     return den, dict(sorted((index[e], n) for e, n in counts.items()))
 
 
+def _index_add(ad: _IndexedGroup) -> Callable[[int, int], int]:
+    """The group law of `ad` in digit arithmetic on the row-major index, (a + b) % m
+    on each cyclic axis and H by its own table, reading neither `table` nor `_rows`."""
+    h, mods = ad._h_table, ad._mods[::-1]
+    if len(h) == 1 and len(mods) == 1:
+        return lambda a, b, m=mods[0]: (a + b) % m
+
+    def add(a: int, b: int) -> int:
+        out, place = 0, 1
+        for m in mods:
+            (a, da), (b, db) = divmod(a, m), divmod(b, m)
+            out, place = out + (da + db) % m * place, place * m
+        return h[a][b] * place + out
+
+    return add
+
+
 def _scaled(counts: dict, k: int) -> dict:
     return counts if k == 1 else {e: n * k for e, n in counts.items()}
 
@@ -547,9 +560,13 @@ def _check_coupling(add, coupling: _Law, target: _Law, source: _Law | None = Non
     """Raise unless `coupling` pushes forward by `add` to `target` and, when
     given, has X-marginal `source`; the three may have different denominators."""
     den, counts = coupling
-    if not _same_law((den, push_masses(counts, lambda a: add(*a))), target):
+    push, marginal = {}, {}
+    for (x, z), n in counts.items():
+        y = add(x, z)
+        push[y], marginal[x] = push.get(y, 0) + n, marginal.get(x, 0) + n
+    if not _same_law((den, push), target):
         raise CertificateError("pushforward of coupling differs from target")
-    if source is not None and not _same_law((den, push_masses(counts, lambda a: a[0])), source):
+    if source is not None and not _same_law((den, marginal), source):
         raise CertificateError("X-marginal of coupling differs from source")
 
 
@@ -758,13 +775,7 @@ def _pick_shift_exact(ad, q: _Law) -> int:
     n = ad.size
     d = [n * mass.get(e, 0) - den for e in range(n)]  # (mass - 1/n) * n * den
     sub = ad.sub
-    best_h = None
-    best = None
-    for h in range(n):
-        s = sum(d[x] * d[sub(x, h)] for x in range(n))
-        if best is None or s < best:
-            best, best_h = s, h
-    return best_h
+    return min(range(n), key=lambda h: sum(d[x] * d[sub(x, h)] for x in range(n)))  # the first on ties
 
 
 def _shift_mix(ad, q: _Law, h) -> _Law:
@@ -875,8 +886,7 @@ def flatten(p: Dist, k: int) -> tuple[Dist, FlattenTrace, TransportCertificate]:
     raw, _, shifts, sqs = _raw_stage(ad, None, _index_law(ad, p.den, p.counts), k, lambda q, sq: False)
     trace = FlattenTrace([ad.elems[h] for h in shifts], [Fraction(*sq) for sq in sqs])
     trace.verify()
-    cert = _cert(p.group, raw, ad.elems)
-    cert.validate(p)
+    cert = _emit(p, ad, raw)
     return cert.target, trace, cert
 
 
@@ -939,6 +949,23 @@ def _raw_uniformise(ad, q: _Law) -> _RawCert:
     return out
 
 
+def _emit(p: Dist, ad: _IndexedGroup, raw: _RawCert) -> TransportCertificate:
+    """The certificate `raw` from p, checked in indices, then decoded by `elems`.
+
+    Element i has the digits of i as coordinates, so decoding maps `_index_add`
+    to `GroupSpec.add`: these are the checks of `validate`.  Target counts sum
+    coupling counts, so the coupling keeps the lowest terms of `raw`; index
+    order is element order, so one sort of index pairs makes it canonical.
+    """
+    den, coupling, elems, g = raw.den, raw.coupling, ad.elems, p.group
+    if min(coupling.values()) <= 0:
+        raise CertificateError("coupling has a non-positive count")
+    _check_coupling(_index_add(ad), (den, coupling), (den, raw.target), _index_law(ad, p.den, p.counts))
+    atoms = {(elems[x], elems[z]): coupling[x, z] for x, z in sorted(coupling)}
+    tden, target = _lowest_terms(den, {elems[y]: n for y, n in sorted(raw.target.items())})
+    return TransportCertificate(JointDist._canonical((g, g), den, atoms), Dist._canonical(g, tden, target))
+
+
 def _check_deficit(p: Dist, size: int, k_bound: float) -> None:
     """Refuse p unless Ent(p) >= log size - log K, with K below 10 taken as 10."""
     log_k = math.log(max(float(k_bound), 10.0))
@@ -958,9 +985,7 @@ def uniformise_group(p: Dist, k_bound: float) -> TransportCertificate:
         raise PreconditionError("uniformisation needs a finite group")
     _check_deficit(p, p.group.order(), k_bound)
     ad = _spec_group(p.group)
-    cert = _cert(p.group, _raw_uniformise(ad, _index_law(ad, p.den, p.counts)), ad.elems)
-    cert.validate(p)
-    return cert
+    return _emit(p, ad, _raw_uniformise(ad, _index_law(ad, p.den, p.counts)))
 
 
 def uniformise_coset_progression(
@@ -990,7 +1015,7 @@ def uniformise_coset_progression(
     raw = _raw_compose(ad, c1, _raw_reverse(ad, c2))
     # raw moves box_mass to box_uniform, so x and x + z are box points and each
     # atom leaves the box as the ambient difference of their images
-    _check_coupling(ad.add, (raw.den, raw.coupling), box_uniform, box_mass)
+    _check_coupling(_index_add(ad), (raw.den, raw.coupling), box_uniform, box_mass)
     amb = [emb.forward.get(e) for e in ad.elems]
     atoms = {(amb[x], g.sub(amb[ad.add(x, z)], amb[x])): n for (x, z), n in raw.coupling.items()}
     cert = TransportCertificate(JointDist._with_counts((g, g), raw.den, atoms), target)

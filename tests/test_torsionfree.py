@@ -104,7 +104,12 @@ def test_entxx_caps():
     (lambda: smooth_shift_search(Dist.uniform(Z, [(0,), (1,)]), 2.0), "got 2.0"),
     (lambda: smooth_shift_search(Dist.uniform(Z, [(0,), (1,)]), 0.0), "got 0.0"),
     (lambda: smooth_shift_search(Dist.uniform(Z, [(0,), (1,)]), math.nan), "got nan"),
-], ids=["gap-n=1", "gap-n=-4", "doubling-n=0", "mu=2", "mu=0", "mu=nan"])
+    (lambda: binomial_dist(0), "got 0"),
+    (lambda: binomial_dist(-3), "got -3"),
+    (lambda: mod_fiber_decomposition(Dist.uniform(Z, [(0,), (1,)]), 0), "got 0"),
+    (lambda: mod_fiber_decomposition(Dist.uniform(Z, [(0,), (1,)]), -3), "got -3"),
+], ids=["gap-n=1", "gap-n=-4", "doubling-n=0", "mu=2", "mu=0", "mu=nan",
+        "binomial-n=0", "binomial-n=-3", "fiber-m=0", "fiber-m=-3"])
 def test_experiment_preconditions_name_the_value(call, shown):
     # the library refuses these arguments itself, so the CLI needs no checks of its own
     with pytest.raises(PreconditionError, match=shown):

@@ -16,8 +16,17 @@ pipeline ended in glued ∘ tail.  The kernel now extends the certificate
 built so far stage by stage, (glued ∘ flat) ∘ split.  Composition multiplies
 Markov kernels, so it is associative, and every `_RawCert` is in lowest
 terms, so both orders must give equal raw certificates.
+
+`_cert_with_elems` is the exit of `uniformise_group` and `flatten` as it was
+before `transport._emit`: it decoded each atom by `elems`, built the laws
+through `_with_counts`, which sorts the decoded tuples, and ran the public
+`validate`.  `_emit` checks in index arithmetic first and sorts index pairs
+once; the tests below compare the two exits, check `_index_add` against the
+addition table, and show that the check refuses tampered kernel output
+without reading that table.
 """
 
+import copy
 import itertools
 import math
 import random
@@ -794,3 +803,129 @@ def test_identity_certificate_matches_kernel_reference(mods):
             new = identity_certificate(p, shift)
             assert transport._raw(new) == ref
             assert new.to_json() == transport._cert(g, ref).to_json()
+
+
+# -- the checked exit ----------------------------------------------------------
+
+
+def _cert_with_elems(p: Dist, ad, raw: transport._RawCert) -> TransportCertificate:
+    """The exit as it was: decode by `elems`, build through `_with_counts`, and
+    check the decoded certificate with the public `validate`."""
+    g, elems = p.group, ad.elems
+    coupling = {(elems[x], elems[z]): n for (x, z), n in raw.coupling.items()}
+    target = {elems[y]: n for y, n in raw.target.items()}
+    cert = TransportCertificate(
+        JointDist._with_counts((g, g), raw.den, coupling), Dist._with_counts(g, raw.den, target)
+    )
+    cert.validate(p)
+    return cert
+
+
+INDEX_ADD_GROUPS = {
+    "Z/64": lambda: transport._spec_group(GroupSpec([64])),
+    "Z/4xZ/6": lambda: transport._spec_group(GroupSpec([4, 6])),
+    "Z/2xZ/2xZ/8": lambda: transport._spec_group(GroupSpec([2, 2, 8])),
+    "H-box": SEEDED_GROUPS["H-box"],
+    # criterion 5's box with H = {0, 4} x {0} inside Z/8 x Z
+    "H-box Z/8xZ": lambda: transport._box_group(GroupSpec([8, 0]), ((0, 0), (4, 0)), (12,)),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_ADD_GROUPS)
+def test_index_add_matches_the_table(name):
+    ad = INDEX_ADD_GROUPS[name]()
+    add = transport._index_add(ad)
+    n = ad.size
+    assert all(add(a, b) == ad.add(a, b) for a in range(n) for b in range(n))
+
+
+def _uniformise_route(p: Dist):
+    ad = transport._spec_group(p.group)
+    return ad, transport._raw_uniformise(ad, transport._index_law(ad, p.den, p.counts))
+
+
+def _flatten_route(p: Dist, k: int):
+    ad = transport._spec_group(p.group)
+    law = transport._index_law(ad, p.den, p.counts)
+    return ad, transport._raw_stage(ad, None, law, k, lambda q, sq: False)[0]
+
+
+def _exit_laws():
+    """Criterion 5's 60 laws on Z/64 and 30 seeded laws on Z/4 x Z/6 and Z/2 x Z/2 x Z/8."""
+    from test_acceptance import _uniformise_corpus
+
+    laws = [p for _, kind, p, _ in _uniformise_corpus() if kind == "group"]
+    assert len(laws) == 60
+    rng = random.Random("checked exit")
+    for g in (GroupSpec([4, 6]), GroupSpec([2, 2, 8])):
+        laws += [random_dist(rng, g, rng.randrange(1, g.order() + 1), 256) for _ in range(15)]
+    return laws
+
+
+def test_emit_matches_the_decode_and_validate_exit():
+    for p in _exit_laws():
+        routes = [(uniformise_group(p, 1e9), _uniformise_route(p))]
+        routes += [(flatten(p, k)[2], _flatten_route(p, k)) for k in (0, 3)]
+        for cert, (ad, raw) in routes:
+            ref = _cert_with_elems(p, ad, raw)
+            assert cert.to_json() == ref.to_json()
+            assert (cert.coupling, cert.target) == (ref.coupling, ref.target)
+            cert.validate(p)
+
+
+def test_emit_reads_no_addition_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the exit read the addition table")
+
+    for g in (GroupSpec([64]), GroupSpec([4, 6])):
+        p = random_dist(random.Random(f"no table:{g.moduli}"), g, 12, 128)
+        ad, raw = _uniformise_route(p)  # the kernel builds and reads the table
+        fresh = transport._IndexedGroup(ad.elems, ad._h_table, ad._mods, g.zero())
+        with monkeypatch.context() as m:
+            m.setattr(transport._IndexedGroup, "table", property(refuse))
+            m.setattr(transport._IndexedGroup, "_rows", property(refuse))
+            cert = transport._emit(p, fresh, raw)
+        assert cert.to_json() == _cert_with_elems(p, ad, raw).to_json()
+
+
+def _tampered(raw: transport._RawCert, how: str, ad) -> transport._RawCert:
+    """raw with one count moved between atoms of different sums, a target atom
+    dropped, or an extra atom of count 0 that changes no sum, set on a copy
+    so that `_RawCert` takes out no common factor."""
+    coupling, target = dict(raw.coupling), dict(raw.target)
+    if how == "moved":
+        (x, z), n = next(iter(coupling.items()))
+        other = next(a for a in coupling if ad.add(*a) != ad.add(x, z))
+        coupling[x, z] -= 1
+        coupling[other] += 1
+        if n == 1:
+            del coupling[x, z]
+    elif how == "dropped":
+        del target[next(iter(target))]
+    else:
+        rows = [x for x, _ in coupling] + list(range(ad.size))  # a source row, if one has room
+        coupling[next((x, z) for x in rows for z in range(ad.size) if (x, z) not in coupling)] = 0
+    out = copy.copy(raw)
+    out.coupling, out.target = coupling, target
+    return out
+
+
+@pytest.mark.parametrize("how", ["moved", "dropped", "zero"])
+def test_tampered_kernel_output_is_refused(monkeypatch, how):
+    rng = random.Random(f"tamper:{how}")
+    for g in (GroupSpec([16]), GroupSpec([2, 4])):
+        p = random_dist(rng, g, 6, 64)
+        uniformise, stage = transport._raw_uniformise, transport._raw_stage
+
+        def tampered_stage(ad, *args):
+            cert, *rest = stage(ad, *args)
+            return (_tampered(cert, how, ad), *rest)
+
+        with monkeypatch.context() as m:
+            m.setattr(transport, "_raw_uniformise", lambda ad, q: _tampered(uniformise(ad, q), how, ad))
+            with pytest.raises(CertificateError):
+                uniformise_group(p, 1e9)
+        with monkeypatch.context() as m:
+            m.setattr(transport, "_raw_stage", tampered_stage)
+            with pytest.raises(CertificateError):
+                flatten(p, 3)
