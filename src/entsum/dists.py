@@ -300,15 +300,11 @@ def _packed_sum(mods: Sequence[int], laws: Sequence[Mapping], lows: list, sides:
     """Counts of the sum of k independent draws from each law, each count at
     most `cap`, from one product of packed ints, laid out by `_layout`."""
     box = _Kronecker(mods, sides, cap)
-    strides, w = box.strides, box.w
+    strides = box.strides
     packed = 1
     for counts, low in zip(laws, lows):
         base = sum(map(operator.mul, low, strides))
-        buf = bytearray(w * math.prod(sides))
-        for x, n in counts.items():
-            i = (sum(map(operator.mul, x, strides)) - base) * w
-            buf[i:i + w] = n.to_bytes(w, "little")
-        packed *= int.from_bytes(buf, "little")
+        packed *= box.pack({sum(map(operator.mul, x, strides)) - base: n for x, n in counts.items()})
     starts = [k * sum(axis) for axis in zip(*lows)]  # where the sums start on each axis
     points = itertools.product(*map(range, starts, map(operator.add, starts, sides)))
     return {x: n for x, n in zip(points, box.read(packed ** k)) if n}

@@ -9,6 +9,7 @@ Python ints (arbitrary precision), reduced into [0, m) on finite coordinates.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -19,6 +20,15 @@ Element = tuple[int, ...]
 ENUM_CAP = 100_000  # largest group or progression that is enumerated element by element
 
 
+def _ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints by `operator.index`; ValueError names them otherwise."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values}") from None
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Ambient abelian group: one non-negative modulus per coordinate (0 = Z)."""
@@ -26,7 +36,7 @@ class GroupSpec:
     moduli: tuple[int, ...]
 
     def __init__(self, moduli: Iterable[int]):
-        mods = tuple(int(m) for m in moduli)
+        mods = _ints(moduli, "moduli")
         if any(m < 0 for m in mods):
             raise ValueError(f"moduli must be non-negative, got {mods}")
         object.__setattr__(self, "moduli", mods)

@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 from .dists import Dist
 from .errors import CapExceededError, NonProperError, PreconditionError
-from .groups import ENUM_CAP, Element, GroupSpec, is_subgroup
+from .groups import ENUM_CAP, Element, GroupSpec, _ints, is_subgroup
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class CosetProgression:
         subgroup = tuple(sorted(group.reduce(h) for h in subgroup))
         base = group.reduce(base)
         steps = tuple(group.reduce(s) for s in steps)
-        lengths = tuple(int(n) for n in lengths)
+        lengths = _ints(lengths, "progression lengths")
         if len(steps) != len(lengths):
             raise ValueError("steps and lengths must have equal rank")
         if any(n < 1 for n in lengths):

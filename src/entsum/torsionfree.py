@@ -292,35 +292,9 @@ def _unit_steps(f: PiecewiseDensity) -> _UnitSteps | None:
     return t0.numerator, den, counts
 
 
-def _unit_knots(f: _UnitSteps, g: _UnitSteps) -> tuple[int, int, list[int]]:
-    """(lo, den, knots) for two unit step densities from `_unit_steps`: their
-    convolution is linear between the integers and is knots[k] / den at lo + k.
-
-    Two unit boxes convolve to the hat on [0, 2] with peak 1, so the value at
-    f0 + g0 + k is the discrete convolution of the heights at k - 1 (the
-    box-spline identity).  That convolution is the integer kernel's.
-    """
-    (f0, df, nf), (g0, dg, ng) = f, g
-    den = df * dg
-    box = _Kronecker((0,), (len(nf) + len(ng) - 1,), den)  # the indices are the slots
-    knots = [0, *box.read(box.pack(nf) * box.pack(ng)), 0]
-    # the piece over [lo + k, lo + k + 1] integrates to (knots[k] + knots[k + 1]) / (2 den)
-    if sum(knots) != den:
-        raise ArithmeticError(f"convolution integral is {Fraction(sum(knots), den)}, expected 1")
-    return f0 + g0, den, knots
-
-
 def convolve_densities(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePoly:
-    """Exact convolution density of two independent piecewise-affine laws by
-    `_closed_form_convolve`, with its integral checked to be exactly 1 over Q."""
-    out = _closed_form_convolve(f, g)
-    if out.integral() != 1:
-        raise ArithmeticError(f"convolution integral is {out.integral()}, expected 1")
-    return out
-
-
-def _closed_form_convolve(f: PiecewiseDensity, g: PiecewiseDensity) -> _PiecewisePoly:
-    """Convolution density by a closed-form binomial expansion over Q.
+    """Exact convolution density of two independent piecewise-affine laws by a
+    closed-form binomial expansion over Q, its integral checked to be exactly 1.
 
     For pieces fp on [p0, p1) and gp on [q0, q1), the binomial theorem gives
     fp(s) gp(t - s) = sum_k s^k c_k(t).  Between consecutive breakpoint sums
@@ -363,7 +337,10 @@ def _closed_form_convolve(f: PiecewiseDensity, g: PiecewiseDensity) -> _Piecewis
             if clo <= lo and hi <= chi:
                 acc = _poly_add(acc, poly)
         polys.append(acc)
-    return _PiecewisePoly(tuple(breaks), tuple(polys))
+    out = _PiecewisePoly(tuple(breaks), tuple(polys))
+    if out.integral() != 1:
+        raise ArithmeticError(f"convolution integral is {out.integral()}, expected 1")
+    return out
 
 
 def _unit_abbn(f: _UnitSteps, g: _UnitSteps) -> MetricReport:
@@ -379,7 +356,15 @@ def _unit_abbn(f: _UnitSteps, g: _UnitSteps) -> MetricReport:
         reduced = [(n // math.gcd(n, den), den // math.gcd(n, den)) for n in counts.values()]
         witness[name] = {"breaks": [str(first + i) for i in range(len(counts) + 1)],
                          "pieces": [[f"{n}/{d}" if d > 1 else str(n), "0"] for n, d in reduced]}
-    _, den, knots = _unit_knots(f, g)
+    # two unit boxes convolve to the hat on [0, 2] with peak 1, so the density
+    # of the sum is knots[k] / den at f0 + g0 + k, the discrete convolution of
+    # the heights at k - 1 (box-spline identity), and linear between integers;
+    # the piece over [k, k + 1] integrates to (knots[k] + knots[k + 1]) / (2 den)
+    den, nf, ng = f[1] * g[1], f[2], g[2]
+    box = _Kronecker((0,), (len(nf) + len(ng) - 1,), den)  # the indices are the slots
+    knots = [0, *box.read(box.pack(nf) * box.pack(ng)), 0]
+    if sum(knots) != den:
+        raise ArithmeticError(f"convolution integral is {Fraction(sum(knots), den)}, expected 1")
     rhs = math.fsum(_f_count(u, den) if u == v else (_anti(v / den) - _anti(u / den)) / ((v - u) / den)
                     for u, v in zip(knots, knots[1:]))
     lhs = 0.5 * (ents[0] + ents[1]) + 0.5 * math.log(2)

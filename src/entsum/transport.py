@@ -175,7 +175,7 @@ def transport_split(
     out = _cert(g, _raw_mix(wden, [
         (w.numerator * (wden // w.denominator), _raw(c)) for w, (_, c) in zip(weights, pieces)
     ]))
-    if out.cost > bound + 1e-9:
+    if not out.cost <= bound + 1e-9:
         raise CertificateError(
             f"glued cost {out.cost} exceeds split bound {bound}"
         )
@@ -206,13 +206,11 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     * a complete forest is solved by integer leaf elimination, and only
       forests with every edge positive count, so each vertex is met once.
 
-    Vertices are ranked by the float score sum_z n_z log n_z over their
-    integer Z-counts, since Ent(Z) = log D - score / D.  Vertices within a
-    small tolerance of the best score are settled by their exact-rational
-    entropy, so the cost reported is the least vertex entropy as
-    `entropy(cert.noise())` computes it; among equal costs the first support
-    in `_support_order` wins.  Refuses instances with more than `cap`
-    coupling variables (|supp p| * |difference set|).
+    Each vertex is ranked by the entropy of its Z-counts as
+    `entropy(cert.noise())` computes it, so the least is the cost reported;
+    among equal costs the first support in `_support_order` wins.  Refuses
+    instances with more than `cap` coupling variables (|supp p| * |difference
+    set|).
     """
     if p.group != q.group:
         raise IncompatibleGroupError("endpoints must share a group")
@@ -222,7 +220,7 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     zs = [[g.sub(y, x) for y in ys] for x in xs]
     zset = {z for row in zs for z in row}
     nvars = len(xs) * len(zset)
-    if nvars > cap:
+    if not nvars <= cap:
         raise CapExceededError(
             f"exact oracle refused: {nvars} coupling variables exceed cap {cap}; "
             "use the constructive bounds instead"
@@ -242,11 +240,8 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     zid = [[zindex[zs[i][j]] for i, j in row] for row in cells]
     n_lines, n_parts = len(lines), len(parts)
     singles = [[s] for s in range(n_parts)]
-    multis = [
-        [s for s in range(n_parts) if mask >> s & 1]
-        for mask in range(1, 1 << n_parts)
-        if mask & (mask - 1)
-    ]
+    multis = [[s for s in range(n_parts) if mask >> s & 1]
+              for mask in range(1, 1 << n_parts) if mask & (mask - 1)]
 
     resid = parts[:]  # partner mass not yet taken by single-partner lines
     need = [0] * n_parts  # multi-partner edges at each partner, one unit each at least
@@ -255,16 +250,13 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     # lines; those lines give mass only inside the component, so it stays >= 0
     free = parts + [0] * n_lines
     picked: list[list[int]] = [[] for _ in range(n_lines)]
-    best = -math.inf
-    tol = 1e-9 * den  # a score slack worth 1e-9 nats of entropy
-    near: list[tuple[float, tuple[int, ...], list[tuple[int, int, int]]]] = []
+    best = math.inf
+    ties: list[list[tuple[int, int, int]]] = []  # the edge lists of cost `best`
+    costs: dict[tuple[int, ...], float] = {}  # Ent(Z) by its sorted nonzero Z-counts
 
     def solve() -> list[tuple[int, int, int]] | None:
         # unique edge masses of the picked forest, all positive, by leaf elimination
-        edges = []
-        open_edges = []
-        rem_line = {}
-        deg_line = {}
+        edges, open_edges, rem_line, deg_line = [], [], {}, {}
         for k, sub in enumerate(picked):
             if len(sub) == 1:
                 edges.append((k, sub[0], lines[k]))
@@ -272,8 +264,7 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
                 rem_line[k] = lines[k]
                 deg_line[k] = len(sub)
                 open_edges.extend((k, s) for s in sub)
-        rem_part = resid[:]
-        deg_part = need[:]
+        rem_part, deg_part = resid[:], need[:]
         while open_edges:
             for n, (k, s) in enumerate(open_edges):
                 if deg_line[k] == 1:
@@ -282,8 +273,7 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
                 if deg_part[s] == 1:
                     m = rem_part[s]
                     break
-            else:
-                return None
+            # the open edges form a forest, so one of them ends in a leaf
             if m <= 0:
                 return None
             del open_edges[n]
@@ -292,25 +282,26 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
             deg_line[k] -= 1
             deg_part[s] -= 1
             edges.append((k, s, m))
-        if any(rem_line.values()) or any(rem_part):
-            return None
+        # the free residuals are >= 0 and sum to sum(parts) - sum(lines) = 0,
+        # so every component balances and the elimination ends at zero
         return edges
 
     def consider() -> None:
-        nonlocal best, near
+        nonlocal best, ties
         edges = solve()
         if edges is None:
             return
         counts = [0] * len(zindex)
         for k, s, m in edges:
             counts[zid[k][s]] += m
-        score = math.fsum(n * math.log(n) for n in counts if n)
-        if score < best - tol:
-            return
-        if score > best + tol:
-            near = [c for c in near if c[0] >= score - tol]
-        best = max(best, score)
-        near.append((score, tuple(sorted(n for n in counts if n)), edges))
+        key = tuple(sorted(n for n in counts if n))
+        ent = costs.get(key)
+        if ent is None:
+            ent = costs[key] = math.fsum(_f_count(n, den) for n in key)
+        if ent < best:
+            best, ties = ent, [edges]
+        elif ent == best:
+            ties.append(edges)
 
     def rows_of(edges: list[tuple[int, int, int]]) -> list[int]:
         rows = [0] * len(xs)
@@ -357,18 +348,9 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
 
     rec(0)
     rec = None  # break the closure's self-reference so the search state is freed at once
-    if not near:
+    if not ties:
         raise CertificateError("coupling polytope unexpectedly empty")
-    ents = {
-        key: math.fsum(_f_count(n, den) for n in key)
-        for score, key, _ in near
-        if score >= best - tol
-    }
-    low = min(ents.values())
-    edges = min(
-        (e for _, key, e in near if ents.get(key) == low),
-        key=lambda e: _support_order(rows_of(e), len(ys)),
-    )
+    edges = min(ties, key=lambda e: _support_order(rows_of(e), len(ys)))
     atoms = {}
     for k, s, m in edges:
         i, j = cells[k][s]

@@ -77,6 +77,12 @@ def test_exhaustive_group_axioms(moduli):
     assert sums == set(els)
 
 
+@pytest.mark.parametrize("moduli", [[8.9], ["4"]])
+def test_refuses_non_integer_moduli(moduli):
+    with pytest.raises(ValueError, match=f"moduli must be integers, got .*{moduli[0]!r}"):
+        GroupSpec(moduli)
+
+
 def test_torsion_free_flag():
     assert GroupSpec([0, 0]).torsion_free()
     assert not GroupSpec([0, 2]).torsion_free()

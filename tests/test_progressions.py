@@ -28,6 +28,12 @@ def test_enumerate_interval():
     assert cp.enumerate() == frozenset({(0,), (1,), (2,), (3,), (4,)})
 
 
+@pytest.mark.parametrize("length", [2.7, "3"])
+def test_refuses_non_integer_lengths(length):
+    with pytest.raises(ValueError, match=f"lengths must be integers, got .*{length!r}"):
+        CosetProgression(Z, [(0,)], (0,), [(1,)], [length])
+
+
 def test_enumerate_pure_coset():
     cp = CosetProgression(Z4, [(0,), (2,)], (1,))
     assert cp.enumerate() == frozenset({(1,), (3,)})

@@ -72,6 +72,15 @@ def test_oracle_cap():
         transport_exact(big, big.translate((1,)), cap=24)
 
 
+def test_oracle_refuses_nan_cap():
+    # NaN compares false either way, so the refusal must not read `nvars > cap`
+    p = Dist.uniform(GroupSpec([8]), [(0,), (1,)])
+    q = Dist.uniform(GroupSpec([8]), [(i,) for i in range(8)])
+    for cap in (3, math.nan):
+        with pytest.raises(CapExceededError, match="16 coupling variables"):
+            transport_exact(p, q, cap=cap)
+
+
 def test_oracle_lower_bound_and_validation():
     rng = random.Random(5)
     for _ in range(60):
@@ -185,6 +194,12 @@ def test_split_refuses_negative_weights():
             transport_split(pieces, selector_entropy=0.0)
     # a zero weight is still a piece of the split
     assert transport_split([(F(1), c0), (F(0), c1)], selector_entropy=0.0).target == c0.target
+
+
+def test_split_refuses_nan_selector_entropy():
+    cert = identity_certificate(Dist.point(Z, (0,)))
+    with pytest.raises(CertificateError, match="split bound nan"):
+        transport_split([(F(1), cert)], selector_entropy=math.nan)
 
 
 # ---------------------------------------------------------------------------
