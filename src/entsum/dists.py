@@ -554,12 +554,17 @@ def is_independent(j: JointDist, coords_a: Sequence[int], coords_b: Sequence[int
                    given: Sequence[int] = ()) -> bool:
     """Exact test that two coordinate blocks are independent, given a third when
     `given` is not empty: n(g, a, b) n(g) == n(g, a) n(g, b) on the int counts."""
-    ca, cb, cg = j._check_coords(coords_a), j._check_coords(coords_b), tuple(given)
-    j._check_coords(ca + cb + cg)  # the blocks are disjoint
+    ca, cb, cg = tuple(coords_a), tuple(coords_b), tuple(given)
+    cs = ca + cb + cg
+    if not (ca and cb and len(set(cs)) == len(cs) and all(0 <= c < j.k for c in cs)):
+        j._check_coords(ca), j._check_coords(cb), j._check_coords(cs)  # raises the first fault
+    # the blocks as itemgetters; slice(0) reads the empty block () of no `given`
+    get = operator.itemgetter
+    pa, pb, pg = get(*ca), get(*cb), get(*cg or [slice(0)])
     fibres: dict = {}
     for x, n in j.counts.items():
-        a, b = tuple(x[c] for c in ca), tuple(x[c] for c in cb)
-        na, nb, nab = fibres.setdefault(tuple(x[c] for c in cg), ({}, {}, {}))
+        a, b = pa(x), pb(x)
+        na, nb, nab = fibres.setdefault(pg(x), ({}, {}, {}))
         na[a] = na.get(a, 0) + n
         nb[b] = nb.get(b, 0) + n
         nab[a, b] = nab.get((a, b), 0) + n

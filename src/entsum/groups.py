@@ -65,9 +65,11 @@ class GroupSpec:
             raise IncompatibleGroupError(
                 f"element has {len(coords)} coordinates, group has {self.dim}"
             )
-        return tuple(
-            int(c) % m if m > 0 else int(c) for c, m in zip(coords, self.moduli)
-        )
+        index = operator.index
+        try:
+            return tuple([index(c) % m if m else index(c) for c, m in zip(coords, self.moduli)])
+        except TypeError:
+            raise ValueError(f"coordinates must be integers, got {tuple(coords)}") from None
 
     def contains(self, el: Element) -> bool:
         if len(el) != self.dim:

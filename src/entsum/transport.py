@@ -6,16 +6,19 @@ of the Z-marginal over the vertices of the coupling polytope, the couplings
 with acyclic support.  With both margins scaled to integers over a common
 denominator every vertex is integral, so the vertex search runs in Python
 ints: it grows forests one atom of the larger support at a time and drops a
-branch as soon as a single-partner atom overdraws its partner.  The
-constructive side builds certificates by flattening with two-point shifts,
-density-level splitting, and sigma-splits.  It runs in the int counts that
-`Dist` and `JointDist` hold, with the elements of a finite group encoded as
-indices into one addition table.  The certificate is built left to right,
-one flatten stage at a time: each couples a law with independent shift
-noise, or extends the certificate so far by it, a convolution of each row
-with the noise law, formed on a product of cyclic factors as one product of
-packed ints.  Each sigma-split half starts from its law.  Validity is always
-exact and checked in ints; only costs are floating point.
+branch as soon as a single-partner atom overdraws its partner.  When those
+atoms are the target's, it visits one vertex per orbit of the translations
+that fix the target, and expands its least-cost vertices by them before the
+tie-break.  The constructive side builds certificates by flattening with
+two-point shifts, density-level splitting, and sigma-splits.  It runs in the
+int counts that `Dist` and `JointDist` hold, with the elements of a finite
+group encoded as indices into one addition table.  The certificate is built
+left to right, one flatten stage at a time: each couples a law with
+independent shift noise, or extends the certificate so far by it, a
+convolution of each row with the noise law, formed on a product of cyclic
+factors as one product of packed ints.  Each sigma-split half starts from
+its law.  Validity is always exact and checked in ints; only costs are
+floating point.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ _MAX_FLATTEN_ROUNDS = 400
 # largest group order whose addition table is built: 2048^2 int64 entries are
 # 32 MiB, and the float shift scan adds two temporaries of the same size
 MAX_TABLE_ORDER = 2048
+# groups up to this order keep their table in lists and scan shifts in Python
+# floats, which beats numpy there (on Z/8 about 10 µs a scan against 13), so
+# that uniformising on them never imports numpy
+_LIST_TABLE_ORDER = 8
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +211,18 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
       other edges, or a component's partners can no longer absorb the mass
       of the multi-partner lines inside it;
     * a complete forest is solved by integer leaf elimination, and only
-      forests with every edge positive count, so each vertex is met once.
+      forests with every edge positive count, so each vertex is met once;
+    * when the lines are q's atoms, each translation c with q + c = q
+      permutes them and maps a vertex to one of equal cost (its Z-values
+      move by c).  One vertex per orbit is kept: the other lines of line 0's
+      orbit take no option after line 0's, in loop order, and translating
+      the line with the latest option onto line 0 puts every orbit there.
 
     Each vertex is ranked by the entropy of its Z-counts as
     `entropy(cert.noise())` computes it, so the least is the cost reported;
-    among equal costs the first support in `_support_order` wins.  Refuses
+    among equal costs the first support in `_support_order` wins.  It may
+    lie in any member of an orbit, so the least-cost vertices found are
+    first expanded by every translation fixing q.  Refuses
     instances with more than `cap` coupling variables (|supp p| * |difference
     set|).
     """
@@ -234,14 +248,22 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     if len(ys) >= len(xs):
         lines, parts = qm, pm
         cells = [[(i, j) for i in range(len(xs))] for j in range(len(ys))]
+        perms = _translation_perms(g, ys, qm) if len(xs) > 1 else []
     else:
         lines, parts = pm, qm
         cells = [[(i, j) for j in range(len(ys))] for i in range(len(xs))]
+        perms = []
     zid = [[zindex[zs[i][j]] for i, j in row] for row in cells]
     n_lines, n_parts = len(lines), len(parts)
-    singles = [[s] for s in range(n_parts)]
-    multis = [[s for s in range(n_parts) if mask >> s & 1]
+    singles = [(s,) for s in range(n_parts)]
+    multis = [tuple([s for s in range(n_parts) if mask >> s & 1])
               for mask in range(1, 1 << n_parts) if mask & (mask - 1)]
+    # the other lines of line 0's orbit take no option after line 0's;
+    # heads[o] holds the options up to o in loop order
+    capped = {perm[0] for perm in perms}
+    every = range(n_parts), multis
+    heads = {sub: (range(min(n + 1, n_parts)), multis[:max(n + 1 - n_parts, 0)])
+             for n, sub in enumerate(singles + multis)} if capped else None
 
     resid = parts[:]  # partner mass not yet taken by single-partner lines
     need = [0] * n_parts  # multi-partner edges at each partner, one unit each at least
@@ -249,7 +271,7 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     # residual of each component's partners not yet owed to its multi-partner
     # lines; those lines give mass only inside the component, so it stays >= 0
     free = parts + [0] * n_lines
-    picked: list[list[int]] = [[] for _ in range(n_lines)]
+    picked: list[tuple[int, ...]] = [() for _ in range(n_lines)]
     best = math.inf
     ties: list[list[tuple[int, int, int]]] = []  # the edge lists of cost `best`
     costs: dict[tuple[int, ...], float] = {}  # Ent(Z) by its sorted nonzero Z-counts
@@ -315,7 +337,8 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
             consider()
             return
         m = lines[k]
-        for s in range(n_parts):
+        ss, ms = heads[picked[0]] if k in capped else every
+        for s in ss:
             r = resid[s] - m
             c = comp[s]
             if r < need[s] or free[c] < m:
@@ -326,7 +349,7 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
             rec(k + 1)
             resid[s] = r + m
             free[c] += m
-        for sub in multis:
+        for sub in ms:
             touched = {comp[s] for s in sub}
             if len(sub) > m or len(touched) < len(sub):
                 continue
@@ -350,6 +373,8 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     rec = None  # break the closure's self-reference so the search state is freed at once
     if not ties:
         raise CertificateError("coupling polytope unexpectedly empty")
+    # every vertex of cost `best` is the image of a tie
+    ties += [[(perm[k], s, m) for k, s, m in e] for perm in perms for e in ties]
     edges = min(ties, key=lambda e: _support_order(rows_of(e), len(ys)))
     atoms = {}
     for k, s, m in edges:
@@ -358,6 +383,21 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     cert = TransportCertificate(JointDist._with_counts((g, g), den, atoms), q)
     cert.validate(p)
     return cert
+
+
+def _translation_perms(g: GroupSpec, ys: list[Element], qm: list[int]) -> list[list[int]]:
+    """The permutations of q's atoms ys (counts qm) by the translations c != 0
+    with q + c = q: c sends ys[j] to ys[perm[j]], and c = ys[perm[0]] - ys[0].
+    """
+    at = {y: j for j, y in enumerate(ys)}
+    out = []
+    for y, n in zip(ys[1:], qm[1:]):
+        if n == qm[0]:
+            c = g.sub(y, ys[0])
+            perm = [at.get(g.add(u, c)) for u in ys]
+            if all(t is not None and qm[t] == m for t, m in zip(perm, qm)):
+                out.append(perm)
+    return out
 
 
 def _support_order(rows: list[int], n_cols: int) -> tuple:
@@ -471,12 +511,19 @@ class _IndexedGroup:
 
     @functools.cached_property
     def _rows(self) -> list:
-        # views into `table` whose items read as Python ints, with no second copy
-        return [memoryview(row) for row in self.table]
+        if self.size > _LIST_TABLE_ORDER:
+            # views into `table` whose items read as Python ints, with no second copy
+            return [memoryview(row) for row in self.table]
+        rows = self._h_table
+        for m in self._mods:  # the composition `table` makes
+            rows = [[x * m + (i + j) % m for x in row for j in range(m)] for row in rows for i in range(m)]
+        return rows
 
     @functools.cached_property
     def _neg(self) -> list[int]:
-        return (self.table == self._zero).argmax(axis=1).tolist()
+        if self.size > _LIST_TABLE_ORDER:
+            return (self.table == self._zero).argmax(axis=1).tolist()
+        return [row.index(self._zero) for row in self._rows]
 
     def zero(self) -> int:
         return self._zero
@@ -742,12 +789,25 @@ def _pick_shift(ad, q: _Law) -> int:
     Scans with floats for speed; the caller re-verifies the halving invariant
     exactly and falls back to an exact scan if rounding misled the choice.
     Each d[x] is the correctly rounded mass minus 1/|G|, summed over x in
-    element order, so the choice does not depend on the denominator.
+    element order, so the choice does not depend on the denominator.  numpy
+    sums each column of the products row after row, so the loop on small
+    groups adds in the same order and makes the same floats.
     """
+    den, mass = q
+    n = ad.size
+    if n <= _LIST_TABLE_ORDER:
+        rows = ad._rows
+        d = [mass.get(e, 0) / den - 1.0 / n for e in range(n)]
+        shifted = []
+        for h in ad._neg:
+            s = 0.0  # added one by one: `sum` may compensate, numpy does not
+            for x in range(n):
+                s += d[x] * d[rows[x][h]]
+            shifted.append(s)
+        return shifted.index(min(shifted))
     import numpy as np
 
-    den, mass = q
-    d = np.array([mass.get(e, 0) / den for e in range(ad.size)]) - 1.0 / ad.size
+    d = np.array([mass.get(e, 0) / den for e in range(n)]) - 1.0 / n
     shifted = (d[:, None] * d[ad.table]).sum(axis=0)  # sum_x d[x] d[x + h]
     return int(np.argmin(shifted[ad._neg]))  # the autocorrelation at h is shifted[-h]
 

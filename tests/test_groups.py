@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from entsum.dists import Dist
 from entsum.errors import IncompatibleGroupError
 from entsum.groups import GroupSpec, is_subgroup
 
@@ -81,6 +83,16 @@ def test_exhaustive_group_axioms(moduli):
 def test_refuses_non_integer_moduli(moduli):
     with pytest.raises(ValueError, match=f"moduli must be integers, got .*{moduli[0]!r}"):
         GroupSpec(moduli)
+
+
+@pytest.mark.parametrize("coord", [2.7, "3"])
+def test_reduce_refuses_non_integer_coordinates(coord):
+    # truncating would move an atom: 2.7 and 2.2 both to 2
+    for g in (GroupSpec([0]), GroupSpec([4])):
+        with pytest.raises(ValueError, match=f"coordinates must be integers, got .*{coord!r}"):
+            g.reduce([coord])
+        with pytest.raises(ValueError, match=f"coordinates must be integers, got .*{coord!r}"):
+            Dist(g, {(coord,): Fraction(1, 2), (2,): Fraction(1, 2)})
 
 
 def test_torsion_free_flag():

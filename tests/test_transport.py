@@ -1,8 +1,12 @@
 """Transport oracle, certificates, flattening, and uniformisation."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,41 @@ def test_flatten_exact_scan_fallback(monkeypatch):
     trace.verify()
     cert.validate(p)
     assert cert.target == out
+
+
+def test_small_group_scan_matches_numpy():
+    # groups up to _LIST_TABLE_ORDER take list tables and a Python scan; the
+    # numpy table and column sums they replace are the reference
+    import numpy as np
+
+    from entsum import transport
+
+    rng = random.Random(8)
+    z4 = GroupSpec([4])
+    groups = [transport._spec_group(GroupSpec(m)) for m in ([2], [5], [8], [2, 2], [2, 4])]
+    groups.append(transport._box_group(z4, ((0,), (2,)), (2,)))  # H = {0, 2} in Z/4, times Z/2
+    for ad in groups:
+        assert ad.size <= transport._LIST_TABLE_ORDER
+        assert [list(row) for row in ad._rows] == ad.table.tolist()
+        assert ad._neg == (ad.table == ad.zero()).argmax(axis=1).tolist()
+        for _ in range(300):
+            den = rng.choice([8, 64, 1000])
+            mass = {e: rng.randrange(den) for e in range(ad.size)}
+            d = np.array([mass[e] / den for e in range(ad.size)]) - 1.0 / ad.size
+            shifted = (d[:, None] * d[ad.table]).sum(axis=0)
+            assert transport._pick_shift(ad, (den, mass)) == int(np.argmin(shifted[ad._neg]))
+
+
+def test_uniformise_on_small_groups_imports_no_numpy():
+    code = (
+        "import sys; from fractions import Fraction as F; from entsum.dists import Dist; "
+        "from entsum.groups import GroupSpec; from entsum.transport import uniformise_group; "
+        "p = Dist(GroupSpec([8]), {(0,): F(5, 8), (1,): F(1, 4), (5,): F(1, 8)}); "
+        "uniformise_group(p, 1e9).validate(p); assert 'numpy' not in sys.modules"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_flatten_needs_finite_group():
