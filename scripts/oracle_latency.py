@@ -34,12 +34,12 @@ Z8 = GroupSpec([8])
 ROWS = ((3, 20, 24, "24 (default cap)"), (4, 8, 32, "32 (`--cap 32`)"))
 
 
-def sources(atoms: int, count: int, g: GroupSpec = Z8, seed: int = 7) -> list[Dist]:
-    """The first `count` draws of `random_dist(Random(seed), g, atoms, 64)` with `atoms` atoms."""
-    rng = random.Random(seed)
+def sources(atoms: int, count: int) -> list[Dist]:
+    """The first `count` draws of `random_dist(Random(7), Z/8, atoms, 64)` with `atoms` atoms."""
+    rng = random.Random(7)
     out = []
     while len(out) < count:
-        p = random_dist(rng, g, atoms, 64)
+        p = random_dist(rng, Z8, atoms, 64)
         if len(p) == atoms:
             out.append(p)
     return out

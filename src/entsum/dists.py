@@ -556,6 +556,8 @@ def is_independent(j: JointDist, coords_a: Sequence[int], coords_b: Sequence[int
     `given` is not empty: n(g, a, b) n(g) == n(g, a) n(g, b) on the int counts."""
     ca, cb, cg = tuple(coords_a), tuple(coords_b), tuple(given)
     cs = ca + cb + cg
+    # the rules of `_check_coords`, inline as it costs more than the test on
+    # small joints; it must accept exactly what the three calls below accept
     if not (ca and cb and len(set(cs)) == len(cs) and all(0 <= c < j.k for c in cs)):
         j._check_coords(ca), j._check_coords(cb), j._check_coords(cs)  # raises the first fault
     # the blocks as itemgetters; slice(0) reads the empty block () of no `given`

@@ -521,9 +521,12 @@ class _IndexedGroup:
 
     @functools.cached_property
     def _neg(self) -> list[int]:
-        if self.size > _LIST_TABLE_ORDER:
-            return (self.table == self._zero).argmax(axis=1).tolist()
-        return [row.index(self._zero) for row in self._rows]
+        # -(h, i) = (-h, -i % m), composed as `_rows` composes the table
+        h_zero = self._zero // (self.size // len(self._h_table))
+        neg = [row.index(h_zero) for row in self._h_table]
+        for m in self._mods:
+            neg = [x * m + -i % m for x in neg for i in range(m)]
+        return neg
 
     def zero(self) -> int:
         return self._zero

@@ -186,6 +186,28 @@ def test_ci_trials_independent_case():
     assert is_independent(t, [1], [2])
 
 
+def test_is_independent_refuses_what_check_coords_refuses():
+    # is_independent tests the blocks inline and calls _check_coords only to
+    # raise, so both must accept the same blocks and raise the same errors
+    j = random_joint(random.Random(3), Z4, 6, 32, coords=3)
+    blocks = [(), (0,), (1,), (2,), (3,), (-1,), (0, 0), (0, 1), (1, 2)]
+    for a in blocks:
+        for b in blocks:
+            for given in ((), (0,), (2,), (5,), (2, 2)):
+                try:
+                    for block in (a, b, a + b + given):
+                        j._check_coords(block)
+                    want = None
+                except ValueError as exc:
+                    want = str(exc)
+                try:
+                    is_independent(j, a, b, given)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want, (a, b, given)
+
+
 def test_ci_trials_entropy_identity_random():
     rng = random.Random(11)
     for _ in range(30):

@@ -46,11 +46,11 @@ def _periodic(rng: random.Random, g: GroupSpec, support: int) -> Dist:
     return convolve(random_dist(rng, g, support, 64), Dist.uniform(g, orbit))
 
 
-def corpus(count: int = 1500, seed: int = 25) -> list[tuple[Dist, Dist]]:
-    """`count` seeded (p, q) pairs within the oracle's default cap of 24 variables."""
-    rng = random.Random(seed)
+def corpus() -> list[tuple[Dist, Dist]]:
+    """1,500 seeded (p, q) pairs within the oracle's default cap of 24 variables."""
+    rng = random.Random(25)
     out = []
-    while len(out) < count:
+    while len(out) < 1500:
         g = GROUPS[rng.randrange(len(GROUPS))]
         p = random_dist(rng, g, rng.randint(1, 4), 64)
         kind = rng.randrange(3) if g.is_finite() else 0
@@ -118,10 +118,10 @@ def test_oracle_matches_reference_on_periodic_targets():
         _assert_matches_reference("periodic", p, q, 24)
 
 
-def test_oracle_certificates_digest_pinned(pin: Path = PIN):
+def test_oracle_certificates_digest_pinned():
     # a missing pin fails rather than passing or being rewritten
-    assert pin.exists(), f"pin file {pin} missing"
+    assert PIN.exists(), f"pin file {PIN} missing"
     h = hashlib.sha256()
     for p, q in corpus():
         h.update(json.dumps(transport_exact(p, q).to_json(), sort_keys=True).encode() + b"\n")
-    assert h.hexdigest() == pin.read_text().strip()
+    assert h.hexdigest() == PIN.read_text().strip()

@@ -255,7 +255,7 @@ def test_flatten_exact_scan_fallback(monkeypatch):
 
 def test_small_group_scan_matches_numpy():
     # groups up to _LIST_TABLE_ORDER take list tables and a Python scan; the
-    # numpy table and column sums they replace are the reference
+    # numpy table and column sums of larger groups are the reference
     import numpy as np
 
     from entsum import transport
@@ -267,13 +267,24 @@ def test_small_group_scan_matches_numpy():
     for ad in groups:
         assert ad.size <= transport._LIST_TABLE_ORDER
         assert [list(row) for row in ad._rows] == ad.table.tolist()
-        assert ad._neg == (ad.table == ad.zero()).argmax(axis=1).tolist()
         for _ in range(300):
             den = rng.choice([8, 64, 1000])
             mass = {e: rng.randrange(den) for e in range(ad.size)}
             d = np.array([mass[e] / den for e in range(ad.size)]) - 1.0 / ad.size
             shifted = (d[:, None] * d[ad.table]).sum(axis=0)
             assert transport._pick_shift(ad, (den, mass)) == int(np.argmin(shifted[ad._neg]))
+
+
+def test_negation_matches_the_table():
+    # `_neg` composes the digits and reads no table, on either side of _LIST_TABLE_ORDER
+    from entsum import transport
+
+    z4 = GroupSpec([4])
+    groups = [transport._spec_group(GroupSpec(m)) for m in ([1], [2], [8], [12], [64], [2, 2, 3], [8, 8])]
+    groups.append(transport._box_group(z4, ((0,), (2,)), (2,)))
+    groups.append(transport._box_group(GroupSpec([2, 2]), tuple(GroupSpec([2, 2]).elements()), (3, 5)))
+    for ad in groups:
+        assert ad._neg == (ad.table == ad.zero()).argmax(axis=1).tolist()
 
 
 def test_uniformise_on_small_groups_imports_no_numpy():
