@@ -3,22 +3,23 @@
 The transport cost from p to q is the infimum of Ent(Z) over couplings with
 X + Z distributed exactly as q.  The oracle minimises the (concave) entropy
 of the Z-marginal over the vertices of the coupling polytope, the couplings
-with acyclic support.  With both margins scaled to integers over a common
-denominator every vertex is integral, so the vertex search runs in Python
-ints: it grows forests one atom of the larger support at a time and drops a
-branch as soon as a single-partner atom overdraws its partner.  When those
-atoms are the target's, it visits one vertex per orbit of the translations
-that fix the target, and expands its least-cost vertices by them before the
-tie-break.  The constructive side builds certificates by flattening with
-two-point shifts, density-level splitting, and sigma-splits.  It runs in the
-int counts that `Dist` and `JointDist` hold, with the elements of a finite
-group encoded as indices into one addition table.  The certificate is built
-left to right, one flatten stage at a time: each couples a law with
-independent shift noise, or extends the certificate so far by it, a
-convolution of each row with the noise law, formed on a product of cyclic
-factors as one product of packed ints.  Each sigma-split half starts from
-its law.  Validity is always exact and checked in ints; only costs are
-floating point.
+with acyclic support; a one-atom side leaves one, the product, which needs
+no search.  With both margins scaled to integers over a common denominator
+every vertex is integral, so the vertex search runs in Python ints: it
+grows forests one atom of the larger support at a time and drops a branch
+as soon as a single-partner atom overdraws its partner.  When those atoms
+are the target's, it visits one vertex per orbit of the translations that
+fix the target, and expands its least-cost vertices by them before the
+tie-break, which keys in full only the ties least in their leading rows.
+The constructive side builds certificates by flattening with two-point
+shifts, density-level splitting, and sigma-splits.  It runs in the int
+counts that `Dist` and `JointDist` hold, with the elements of a finite group
+encoded as indices into one addition table.  The certificate is built left
+to right, one flatten stage at a time: each couples a law with independent
+shift noise, or extends the certificate so far by it, a convolution of each
+row with the noise law, formed on a product of cyclic factors as one product
+of packed ints.  Each sigma-split half starts from its law.  Validity is
+always exact and checked in ints; only costs are floating point.
 """
 
 from __future__ import annotations
@@ -222,9 +223,10 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     `entropy(cert.noise())` computes it, so the least is the cost reported;
     among equal costs the first support in `_support_order` wins.  It may
     lie in any member of an orbit, so the least-cost vertices found are
-    first expanded by every translation fixing q.  Refuses
-    instances with more than `cap` coupling variables (|supp p| * |difference
-    set|).
+    first expanded by every translation fixing q; only those least in all
+    rows but the last, which that order compares first, get its full key.
+    Refuses instances with more than `cap` coupling variables (|supp p| *
+    |difference set|); a one-atom side has one coupling, returned unsearched.
     """
     if p.group != q.group:
         raise IncompatibleGroupError("endpoints must share a group")
@@ -239,6 +241,10 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
             f"exact oracle refused: {nvars} coupling variables exceed cap {cap}; "
             "use the constructive bounds instead"
         )
+    if len(xs) == 1 or len(ys) == 1:
+        cert = independent_pair_certificate(p, q)  # the polytope's one point
+        cert.validate(p)
+        return cert
     den = math.lcm(p.den, q.den)
     pm = [p.counts[x] * (den // p.den) for x in xs]
     qm = [q.counts[y] * (den // q.den) for y in ys]
@@ -248,7 +254,7 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     if len(ys) >= len(xs):
         lines, parts = qm, pm
         cells = [[(i, j) for i in range(len(xs))] for j in range(len(ys))]
-        perms = _translation_perms(g, ys, qm) if len(xs) > 1 else []
+        perms = _translation_perms(g, ys, qm)
     else:
         lines, parts = pm, qm
         cells = [[(i, j) for j in range(len(ys))] for i in range(len(xs))]
@@ -375,7 +381,10 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
         raise CertificateError("coupling polytope unexpectedly empty")
     # every vertex of cost `best` is the image of a tie
     ties += [[(perm[k], s, m) for k, s, m in e] for perm in perms for e in ties]
-    edges = min(ties, key=lambda e: _support_order(rows_of(e), len(ys)))
+    rows = [rows_of(e) for e in ties]
+    head = min(r[:-1] for r in rows)  # `_support_order` compares these first
+    edges, _ = min(((e, r) for e, r in zip(ties, rows) if r[:-1] == head),
+                   key=lambda er: _support_order(er[1], len(ys)))
     atoms = {}
     for k, s, m in edges:
         i, j = cells[k][s]

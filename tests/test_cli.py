@@ -137,9 +137,12 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
         ["report", write("noname.jsonl", '{"slack": 0.0}\n')],
         ["report", write("list.jsonl", "[1, 2]\n")],
         ["report", write("strslack.jsonl", '{"name": "a", "slack": "x"}\n')],
+        ["report", write("boolslack.jsonl", '{"name": "x", "slack": true}\n')],
+        ["report", write("nanslack.jsonl", '{"name": "x", "slack": NaN}\n')],
         ["replay", write("bad.json", "{not json")],
         ["replay", write("five.json", "5")],
         ["replay", write("strseed.json", json.dumps({**record, "child_seed": "1"}))],
+        ["replay", write("boolseed.json", json.dumps({**record, "child_seed": True}))],
         ["replay", write("listcheck.json", json.dumps({**record, "check": ["triv"]}))],
     ]
     for argv in cases:

@@ -6,7 +6,9 @@ every acyclic support with Fraction leaf elimination and keeps the first
 vertex of least entropy.
 """
 
+import concurrent.futures
 import math
+import os
 import random
 from fractions import Fraction
 from typing import Iterable
@@ -286,9 +288,11 @@ def test_corpus_covers_the_required_classes():
 
 
 def test_oracle_matches_reference():
-    for label, p, q, cap in _corpus():
-        if label != "z8-heavy":
-            _assert_matches_reference(label, p, q, cap)
+    cases = [c for c in _corpus() if c[0] != "z8-heavy"]
+    # the comparisons are independent, so a 2-process pool shares them, as
+    # `fuzz_run` shares its chunks; a failed assertion is raised here
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        list(pool.map(_assert_matches_reference, *zip(*cases), chunksize=10))
 
 
 def test_oracle_matches_reference_on_heavy_instance():

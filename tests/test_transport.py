@@ -74,15 +74,24 @@ def test_oracle_cap():
     big = Dist.uniform(Z, [(i,) for i in range(7)])
     with pytest.raises(CapExceededError):
         transport_exact(big, big.translate((1,)), cap=24)
+    # a one-atom side leaves one coupling, but the cap is checked first
+    wide, point = Dist.uniform(Z, [(i,) for i in range(25)]), Dist.point(Z, (0,))
+    for p, q, nvars in ((point, wide, 25), (wide, point, 625)):
+        with pytest.raises(CapExceededError, match=f"^exact oracle refused: {nvars} coupling "
+                           "variables exceed cap 24; use the constructive bounds instead$"):
+            transport_exact(p, q, cap=24)
 
 
 def test_oracle_refuses_nan_cap():
     # NaN compares false either way, so the refusal must not read `nvars > cap`
-    p = Dist.uniform(GroupSpec([8]), [(0,), (1,)])
-    q = Dist.uniform(GroupSpec([8]), [(i,) for i in range(8)])
-    for cap in (3, math.nan):
-        with pytest.raises(CapExceededError, match="16 coupling variables"):
-            transport_exact(p, q, cap=cap)
+    z8 = GroupSpec([8])
+    pair = Dist.uniform(z8, [(0,), (1,)])
+    uniform = Dist.uniform(z8, [(i,) for i in range(8)])
+    point = Dist.point(z8, (0,))
+    for p, q, nvars in ((pair, uniform, 16), (point, uniform, 8), (uniform, point, 64)):
+        for cap in (3, math.nan):
+            with pytest.raises(CapExceededError, match=f"^exact oracle refused: {nvars} coupling"):
+                transport_exact(p, q, cap=cap)
 
 
 def test_oracle_lower_bound_and_validation():
