@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dists import (
     JointDist,
@@ -31,8 +31,7 @@ X1, X2, Y, YP = 0, 1, 2, 3
 PATH_ATOM_CAP = 10_000
 
 
-@dataclass
-class BsgInstance:
+class BsgInstance(NamedTuple):
     """A two-coordinate joint (X, Y) with its dependence defect log K.
 
     log K is the larger of the mutual-information defect

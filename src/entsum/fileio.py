@@ -37,11 +37,13 @@ def read_jsonl(path) -> list:
 
 def require_object(obj, fields: dict, what: str) -> dict:
     """`obj` if it is a JSON object whose value at each key of `fields` has that
-    key's type; as in `_is_int`, true and false are no numbers, and NaN is none."""
+    key's type; as in `_is_int`, true and false are no numbers, and neither
+    are NaN and ±Infinity, which no check's slack can be."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be a JSON object, got {obj!r}")
     for key, kind in fields.items():
-        if not isinstance(v := obj.get(key), kind) or isinstance(v, bool) or v != v:
+        v = obj.get(key)
+        if not isinstance(v, kind) or isinstance(v, bool) or v != v or v in (math.inf, -math.inf):
             raise SchemaError(f"{what} needs {key!r} of type {kind}, got {v!r}")
     return obj
 

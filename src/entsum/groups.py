@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, IncompatibleGroupError
@@ -29,17 +28,31 @@ def _ints(values: Iterable, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {values}") from None
 
 
-@dataclass(frozen=True)
 class GroupSpec:
-    """Ambient abelian group: one non-negative modulus per coordinate (0 = Z)."""
+    """Ambient abelian group: one non-negative modulus per coordinate (0 = Z); immutable."""
 
-    moduli: tuple[int, ...]
+    __slots__ = ("moduli",)
 
     def __init__(self, moduli: Iterable[int]):
         mods = _ints(moduli, "moduli")
         if any(m < 0 for m in mods):
             raise ValueError(f"moduli must be non-negative, got {mods}")
         object.__setattr__(self, "moduli", mods)
+
+    def __eq__(self, other):
+        return self.moduli == other.moduli if other.__class__ is GroupSpec else NotImplemented
+
+    def __hash__(self):
+        return hash((self.moduli,))
+
+    def __repr__(self):
+        return f"GroupSpec(moduli={self.moduli!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return GroupSpec, (self.moduli,)
 
     @property
     def dim(self) -> int:

@@ -4,9 +4,8 @@ additive energy, and the curated fixture checks for the structural results."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dists import Dist, convolve, entropy
 from .errors import CapExceededError
@@ -17,8 +16,7 @@ ENERGY_CAP = 2000  # largest set additive_energy sums over, |A|^2 sums
 MAX_DOUBLINGS = 40  # effective_support_search tries c0 * 2**i for i < MAX_DOUBLINGS
 
 
-@dataclass
-class CosetReport:
+class CosetReport(NamedTuple):
     is_coset_uniform: bool
     subgroup: frozenset | None
     base: Element | None
@@ -42,14 +40,13 @@ def detect_coset_uniform(p: Dist) -> CosetReport:
     return CosetReport(True, frozenset(g.sub(s, base) for s in p.counts), base, doubling)
 
 
-@dataclass
-class CoreReport:
+class CoreReport(NamedTuple):
     core_set: tuple[Element, ...]
     mass: Fraction
     log_size_gap: float
     energy_ratio: float
     c_value: float
-    c_too_small: bool = field(default=False)
+    c_too_small: bool = False
 
 
 def effective_support(p: Dist, c: float = 2.0) -> CoreReport:
@@ -103,8 +100,7 @@ def additive_energy(a_set: Iterable[Element], group: GroupSpec) -> int:
 # curated fixtures for the structural conclusions
 
 
-@dataclass
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     kind: str
     ok: bool

@@ -8,8 +8,7 @@ is rhs - lhs; a report violates at tolerance tol when slack < -tol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dists import Dist, convolve, entropy, iterated_convolve
 from .errors import IncompatibleGroupError, PreconditionError
@@ -19,14 +18,13 @@ from .groups import Element
 DEFAULT_TOL = 1e-9
 
 
-@dataclass
-class MetricReport:
+class MetricReport(NamedTuple):
     """One inequality evaluation: lhs <= rhs expected, slack = rhs - lhs."""
 
     name: str
     lhs: float
     rhs: float
-    witness: dict = field(default_factory=dict)
+    witness: dict = {}  # one shared default, which nothing writes
     kind: str = "bound"  # "bound" reports can violate; "measured" never do
 
     @property
@@ -205,8 +203,7 @@ def sumset_increase_report(p: Dist, q: Dist) -> MetricReport:
     )
 
 
-@dataclass
-class LevelSetReport:
+class LevelSetReport(NamedTuple):
     """Doubly exponential density levels of a near-uniform distribution."""
 
     levels: dict[int, tuple[Element, ...]]

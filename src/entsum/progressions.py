@@ -4,22 +4,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dists import Dist
 from .errors import CapExceededError, NonProperError, PreconditionError
 from .groups import ENUM_CAP, Element, GroupSpec, _ints, is_subgroup
 
 
-@dataclass(frozen=True)
 class CosetProgression:
     """H + P with H a finite subgroup and P a generalised progression.
 
-    P = {base + n1 r1 + ... + nd rd : 0 <= ni < Ni}; d is the rank.
+    P = {base + n1 r1 + ... + nd rd : 0 <= ni < Ni}; d is the rank.  Immutable,
+    and equal, hashed and pickled by the five fields `__init__` takes.
     """
 
+    __slots__ = ("group", "subgroup", "base", "steps", "lengths")
     group: GroupSpec
     subgroup: tuple[Element, ...]
     base: Element
@@ -37,11 +37,27 @@ class CosetProgression:
             raise ValueError("progression lengths must be positive")
         if not is_subgroup(group, subgroup):
             raise ValueError("subgroup set fails the subgroup check")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "lengths", lengths)
+        for name, value in zip(self.__slots__, (group, subgroup, base, steps, lengths)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return self.group, self.subgroup, self.base, self.steps, self.lengths
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is CosetProgression else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"CosetProgression({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return CosetProgression, self._fields()
 
     @property
     def rank(self) -> int:
@@ -95,8 +111,7 @@ def uniform_on(cp: CosetProgression) -> Dist:
     return Dist.uniform(cp.group, cp.enumerate())
 
 
-@dataclass(frozen=True)
-class BoxEmbedding:
+class BoxEmbedding(NamedTuple):
     """Bijection tables between a proper H+P and the box H x prod [0, Ni).
 
     Box points are pairs (h, ns), and `forward` is the one map from the box

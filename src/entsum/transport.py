@@ -28,9 +28,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dists import Dist, JointDist, _f_count, _Kronecker, _lowest_terms, _packs, entropy, push_masses
 from .errors import (
@@ -41,8 +40,6 @@ from .errors import (
 )
 from .fileio import _num_den, dump_dist
 from .groups import Element, GroupSpec
-from .metrics import density_level
-from .progressions import CosetProgression, box_embedding
 
 SIGMA_MIN_BITS = 20  # the sigma-split floor is sigma_min = 2**-SIGMA_MIN_BITS
 _MAX_FLATTEN_ROUNDS = 400
@@ -616,20 +613,23 @@ def _is_uniform(ad, law: _Law) -> bool:
     return len(mass) == ad.size and all(ad.size * n == den for n in mass.values())
 
 
-@dataclass
 class _RawCert:
     """Coupling and target counts over one denominator, kept in lowest terms."""
 
-    den: int
-    coupling: dict  # (x, z) -> count
-    target: dict  # y -> count
+    __slots__ = ("den", "coupling", "target")  # coupling (x, z) -> count, target y -> count
 
-    def __post_init__(self):
-        g = math.gcd(self.den, *self.coupling.values(), *self.target.values())
+    def __init__(self, den: int, coupling: dict, target: dict):
+        g = math.gcd(den, *coupling.values(), *target.values())
         if g > 1:
-            self.den //= g
-            self.coupling = {k: n // g for k, n in self.coupling.items()}
-            self.target = {k: n // g for k, n in self.target.items()}
+            den //= g
+            coupling = {k: n // g for k, n in coupling.items()}
+            target = {k: n // g for k, n in target.items()}
+        self.den, self.coupling, self.target = den, coupling, target
+
+    def __eq__(self, other):
+        if other.__class__ is not _RawCert:
+            return NotImplemented
+        return (self.den, self.coupling, self.target) == (other.den, other.coupling, other.target)
 
 
 def _raw_source(c: _RawCert) -> dict:
@@ -906,8 +906,7 @@ def _sigma_excess(ad, q: _Law) -> int:
     return sum(n * v - den for v in mass.values() if n * v > den)
 
 
-@dataclass
-class FlattenTrace:
+class FlattenTrace(NamedTuple):
     """Shifts chosen per round and the squared distances they achieved."""
 
     shifts: list[Element]
@@ -981,6 +980,8 @@ def _raw_to_uniform(ad, c: _RawCert | None, q: _Law | None = None, depth: int = 
 
 def _raw_uniformise(ad, q: _Law) -> _RawCert:
     """Full pipeline: density-level partition, per-level flattening, sigma-splits."""
+    from .metrics import density_level
+
     den, mass = q
     size = ad.size
     levels: dict[int, dict] = {}
@@ -1053,6 +1054,8 @@ def uniformise_coset_progression(
     for the ambient images x', y' of x and y = x + z, and no shift can wrap.
     With k_bound, p is refused as `uniformise_group` refuses it, on |H + P|.
     """
+    from .progressions import box_embedding
+
     emb = box_embedding(cp)
     g = cp.group
     hp = frozenset(emb.backward)

@@ -139,10 +139,13 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
         ["report", write("strslack.jsonl", '{"name": "a", "slack": "x"}\n')],
         ["report", write("boolslack.jsonl", '{"name": "x", "slack": true}\n')],
         ["report", write("nanslack.jsonl", '{"name": "x", "slack": NaN}\n')],
+        ["report", write("infslack.jsonl", '{"name": "x", "slack": Infinity}\n')],
+        ["report", write("neginfslack.jsonl", '{"name": "x", "slack": -Infinity}\n')],
         ["replay", write("bad.json", "{not json")],
         ["replay", write("five.json", "5")],
         ["replay", write("strseed.json", json.dumps({**record, "child_seed": "1"}))],
         ["replay", write("boolseed.json", json.dumps({**record, "child_seed": True}))],
+        ["replay", write("infslack.json", json.dumps({**record, "slack": math.inf}))],
         ["replay", write("listcheck.json", json.dumps({**record, "check": ["triv"]}))],
     ]
     for argv in cases:

@@ -3,7 +3,8 @@
 `entsum/__init__.py` lists each public name once and resolves it on first
 access, and each CLI command imports only the modules it runs; the heavy ones
 (numpy, the transport kernel, the torsion-free experiments, the fuzzer) stay
-unloaded by the commands that do not need them.
+unloaded by the commands that do not need them, and no command loads
+`dataclasses`, which would pull in `inspect`, `ast`, `dis` and `tokenize`.
 """
 
 import json
@@ -24,6 +25,8 @@ from entsum.groups import GroupSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("numpy", "entsum.transport", "entsum.torsionfree", "entsum.fuzz")
+SLOW = ("dataclasses", "inspect")  # about 8 ms of a cold call, on no command's path
+WATCHED = HEAVY + ("entsum.metrics", "entsum.progressions") + SLOW
 
 # the public names before they moved into one table
 PUBLIC = frozenset({
@@ -51,14 +54,17 @@ PUBLIC = frozenset({
 
 def _loaded_in_fresh_interpreter(*argv) -> list[str]:
     """Run `entsum.cli.main(argv)` (or just `import entsum`) in a new process and
-    return which HEAVY modules it left in sys.modules."""
+    return which WATCHED modules it loaded that were not loaded before
+    `import entsum`, such as by a site hook."""
     code = (
         "import sys, json\n"
+        "before = set(sys.modules)\n"
         "import entsum\n"
         "if sys.argv[1:]:\n"
         "    from entsum.cli import main\n"
         "    assert main(sys.argv[1:]) == 0\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]), file=sys.stderr)\n"
+        f"new = [m for m in {WATCHED!r} if m in sys.modules and m not in before]\n"
+        "print(json.dumps(new), file=sys.stderr)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -79,11 +85,18 @@ def test_commands_load_only_their_modules(tmp_path):
     assert _loaded_in_fresh_interpreter() == []
     for argv in (["entropy", d], ["doubling", d], ["ruzsa", d, d], ["check", d, d, d],
                  ["bsg", str(joint)], ["inverse", d]):
-        assert _loaded_in_fresh_interpreter(*argv) == [], argv
-    # the exact oracle runs in Python ints: its cold path loads no numpy
+        loaded = _loaded_in_fresh_interpreter(*argv)
+        assert not set(loaded) & set(HEAVY + SLOW), (argv, loaded)
+    # the exact oracle runs in Python ints: its cold path loads no numpy; and
+    # transport loads metrics (for the density levels) only to uniformise
     point = tmp_path / "q.json"
     save_json(point, dump_dist(Dist.point(z8, (1,))))
-    assert _loaded_in_fresh_interpreter("transport", d, str(point), "--exact") == ["entsum.transport"]
+    uniform = tmp_path / "u.json"
+    save_json(uniform, dump_dist(Dist.uniform(z8, z8.elements())))
+    for flag in ("--exact", "--construct"):
+        assert _loaded_in_fresh_interpreter("transport", d, str(point), flag) == ["entsum.transport"], flag
+    assert _loaded_in_fresh_interpreter("transport", d, str(uniform), "--construct") == [
+        "entsum.transport", "entsum.metrics"]
 
 
 def test_public_names_listed_once():

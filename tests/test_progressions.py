@@ -1,6 +1,7 @@
 """Coset progressions: enumeration, properness, uniform laws, embeddings."""
 
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -26,6 +27,19 @@ ZZ = GroupSpec([0, 0])
 def test_enumerate_interval():
     cp = CosetProgression(Z, [(0,)], (0,), [(1,)], [5])
     assert cp.enumerate() == frozenset({(0,), (1,), (2,), (3,), (4,)})
+
+
+def test_group_and_progression_are_frozen_values():
+    # both are built by hand with __slots__; the process pools pickle them
+    cp = CosetProgression(Z8, [(0,), (4,)], (1,), [(2,)], [2])
+    for obj, twin, field in ((Z8, GroupSpec([8]), "moduli"),
+                             (cp, CosetProgression(Z8, [(4,), (0,)], (9,), [(2,)], [2]), "base")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj == twin and hash(back) == hash(obj) == hash(twin)
+        assert eval(repr(obj)) == obj
+    assert cp != CosetProgression(Z8, [(0,), (4,)], (1,), [(2,)], [3]) and Z8 != Z4 and Z8 != (8,)
 
 
 @pytest.mark.parametrize("length", [2.7, "3"])
