@@ -12,21 +12,19 @@ from .errors import CapExceededError, NonProperError, PreconditionError
 from .groups import ENUM_CAP, Element, GroupSpec, _ints, is_subgroup
 
 
-class CosetProgression:
+class CosetProgression(NamedTuple("CosetProgression", [
+        ("group", GroupSpec), ("subgroup", tuple[Element, ...]), ("base", Element),
+        ("steps", tuple[Element, ...]), ("lengths", tuple[int, ...])])):
     """H + P with H a finite subgroup and P a generalised progression.
 
     P = {base + n1 r1 + ... + nd rd : 0 <= ni < Ni}; d is the rank.  Immutable,
-    and equal, hashed and pickled by the five fields `__init__` takes.
+    and equal, hashed and pickled by its five fields; `__new__` sorts H,
+    reduces every element and checks the fields, also when unpickling.
     """
 
-    __slots__ = ("group", "subgroup", "base", "steps", "lengths")
-    group: GroupSpec
-    subgroup: tuple[Element, ...]
-    base: Element
-    steps: tuple[Element, ...]
-    lengths: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, group, subgroup, base, steps=(), lengths=()):
+    def __new__(cls, group, subgroup, base, steps=(), lengths=()):
         subgroup = tuple(sorted(group.reduce(h) for h in subgroup))
         base = group.reduce(base)
         steps = tuple(group.reduce(s) for s in steps)
@@ -37,27 +35,7 @@ class CosetProgression:
             raise ValueError("progression lengths must be positive")
         if not is_subgroup(group, subgroup):
             raise ValueError("subgroup set fails the subgroup check")
-        for name, value in zip(self.__slots__, (group, subgroup, base, steps, lengths)):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return self.group, self.subgroup, self.base, self.steps, self.lengths
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is CosetProgression else NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"CosetProgression({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return CosetProgression, self._fields()
+        return super().__new__(cls, group, subgroup, base, steps, lengths)
 
     @property
     def rank(self) -> int:

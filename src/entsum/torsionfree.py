@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dists import Dist, _f_count, _Kronecker, _normalise, convolve, entropy, f_nats, tv_distance
 from .errors import CapExceededError, PreconditionError, SearchExhaustedError
@@ -151,17 +150,19 @@ def _poly_integral(poly: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     return acc
 
 
-class PiecewiseDensity:
+class PiecewiseDensity(NamedTuple("PiecewiseDensity", [
+        ("breakpoints", tuple[Fraction, ...]), ("pieces", tuple[tuple[Fraction, Fraction], ...])])):
     """Probability density that is affine on each piece of a rational partition.
 
     Pieces are (a, b) meaning density a + b*t on [breakpoints[i],
     breakpoints[i+1]); the density is zero outside.  Non-negativity and unit
-    total integral are checked exactly.
+    total integral are checked exactly.  Immutable, and equal, hashed and
+    pickled by its two fields.
     """
 
-    __slots__ = ("breakpoints", "pieces")
+    __slots__ = ()
 
-    def __init__(self, breakpoints, pieces):
+    def __new__(cls, breakpoints, pieces):
         bps = tuple(Fraction(b) for b in breakpoints)
         pcs = tuple((Fraction(a), Fraction(b)) for a, b in pieces)
         if len(bps) != len(pcs) + 1:
@@ -175,8 +176,7 @@ class PiecewiseDensity:
             total += _poly_integral((a, b), t0, t1)
         if total != 1:
             raise ValueError(f"total integral is {total}, expected exactly 1")
-        self.breakpoints = bps
-        self.pieces = pcs
+        return super().__new__(cls, bps, pcs)
 
     @staticmethod
     def uniform(lo, hi) -> "PiecewiseDensity":
@@ -190,13 +190,6 @@ class PiecewiseDensity:
         return PiecewiseDensity(
             [t + c for t in self.breakpoints],
             [(a - b * c, b) for a, b in self.pieces],
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PiecewiseDensity)
-            and self.breakpoints == other.breakpoints
-            and self.pieces == other.pieces
         )
 
     def _polys(self) -> list[Poly]:
@@ -222,8 +215,7 @@ def continuous_entropy(f: PiecewiseDensity) -> float:
     return _PiecewisePoly(f.breakpoints, f._polys()).entropy()
 
 
-@dataclass
-class _PiecewisePoly:
+class _PiecewisePoly(NamedTuple):
     breakpoints: tuple[Fraction, ...]
     polys: tuple[Poly, ...]
 
@@ -411,8 +403,7 @@ def bridge_entropy(p: Dist) -> tuple[PiecewiseDensity, float]:
 # Fourier smoothness search
 
 
-@dataclass
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Large spectrum of a box-supported law and the shift it certifies."""
 
     mu: float

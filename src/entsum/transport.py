@@ -277,7 +277,7 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     picked: list[tuple[int, ...]] = [() for _ in range(n_lines)]
     best = math.inf
     ties: list[list[tuple[int, int, int]]] = []  # the edge lists of cost `best`
-    costs: dict[tuple[int, ...], float] = {}  # Ent(Z) by its sorted nonzero Z-counts
+    terms: dict[int, float] = {}  # F(n / D) by Z-count n
 
     def solve() -> list[tuple[int, int, int]] | None:
         # unique edge masses of the picked forest, all positive, by leaf elimination
@@ -319,10 +319,10 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
         counts = [0] * len(zindex)
         for k, s, m in edges:
             counts[zid[k][s]] += m
-        key = tuple(sorted(n for n in counts if n))
-        ent = costs.get(key)
-        if ent is None:
-            ent = costs[key] = math.fsum(_f_count(n, den) for n in key)
+        for n in counts:
+            if n not in terms:
+                terms[n] = _f_count(n, den)
+        ent = math.fsum([terms[n] for n in counts if n])  # correctly rounded in any order
         if ent < best:
             best, ties = ent, [edges]
         elif ent == best:
@@ -571,16 +571,18 @@ def _index_law(ad: _IndexedGroup, den: int, counts: dict) -> _Law:
 def _index_add(ad: _IndexedGroup) -> Callable[[int, int], int]:
     """The group law of `ad` in digit arithmetic on the row-major index, (a + b) % m
     on each cyclic axis and H by its own table, reading neither `table` nor `_rows`."""
-    h, mods = ad._h_table, ad._mods[::-1]
+    h, mods = ad._h_table, ad._mods
     if len(h) == 1 and len(mods) == 1:
         return lambda a, b, m=mods[0]: (a + b) % m
+    # the digits of every index, one column per factor, H's first
+    h_col, *cols = zip(*itertools.product(range(len(h)), *map(range, mods)))
+    factors = tuple(zip(mods, cols))
 
     def add(a: int, b: int) -> int:
-        out, place = 0, 1
-        for m in mods:
-            (a, da), (b, db) = divmod(a, m), divmod(b, m)
-            out, place = out + (da + db) % m * place, place * m
-        return h[a][b] * place + out
+        out = h[h_col[a]][h_col[b]]
+        for m, col in factors:
+            out = out * m + (col[a] + col[b]) % m
+        return out
 
     return add
 

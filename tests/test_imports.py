@@ -3,8 +3,9 @@
 `entsum/__init__.py` lists each public name once and resolves it on first
 access, and each CLI command imports only the modules it runs; the heavy ones
 (numpy, the transport kernel, the torsion-free experiments, the fuzzer) stay
-unloaded by the commands that do not need them, and no command loads
-`dataclasses`, which would pull in `inspect`, `ast`, `dis` and `tokenize`.
+unloaded by the commands that do not need them.  Only `fuzz`, `replay` and
+`report` load `dataclasses`, through `FuzzConfig` and `Counterexample`; it
+pulls in `inspect`, `ast`, `dis` and `tokenize`.
 """
 
 import json
@@ -25,7 +26,7 @@ from entsum.groups import GroupSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("numpy", "entsum.transport", "entsum.torsionfree", "entsum.fuzz")
-SLOW = ("dataclasses", "inspect")  # about 8 ms of a cold call, on no command's path
+SLOW = ("dataclasses", "inspect")  # about 8 ms of a cold call; of entsum, only fuzz imports them
 WATCHED = HEAVY + ("entsum.metrics", "entsum.progressions") + SLOW
 
 # the public names before they moved into one table
@@ -97,6 +98,15 @@ def test_commands_load_only_their_modules(tmp_path):
         assert _loaded_in_fresh_interpreter("transport", d, str(point), flag) == ["entsum.transport"], flag
     assert _loaded_in_fresh_interpreter("transport", d, str(uniform), "--construct") == [
         "entsum.transport", "entsum.metrics"]
+    # the experiments load no dataclasses either; smooth-shift's Fourier search
+    # loads numpy, which itself imports inspect
+    walk = tmp_path / "z.json"
+    save_json(walk, dump_dist(Dist(GroupSpec([0]), {(0,): F(1, 2), (3,): F(1, 3), (5,): F(1, 6)})))
+    for argv in (["binomial-doubling", "--n", "5"], ["bridge", str(walk)],
+                 ["smooth-shift", str(walk), "--mu", "0.5"], ["entxx", "--n", "4", "--k", "2"]):
+        loaded = set(_loaded_in_fresh_interpreter("experiment", *argv))
+        allowed = {"inspect"} if "numpy" in loaded else set()
+        assert not loaded & set(SLOW) - allowed, (argv, loaded)
 
 
 def test_public_names_listed_once():

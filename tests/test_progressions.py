@@ -17,6 +17,7 @@ from entsum.progressions import (
     is_t_proper,
     uniform_on,
 )
+from entsum.torsionfree import PiecewiseDensity
 
 Z = GroupSpec([0])
 Z4 = GroupSpec([4])
@@ -30,16 +31,21 @@ def test_enumerate_interval():
 
 
 def test_group_and_progression_are_frozen_values():
-    # both are built by hand with __slots__; the process pools pickle them
+    # named tuples whose __new__ checks the fields; the process pools pickle them
     cp = CosetProgression(Z8, [(0,), (4,)], (1,), [(2,)], [2])
+    f = PiecewiseDensity([0, 1, 2], [(F(1, 4), 0), ("1/2", "1/6")])
     for obj, twin, field in ((Z8, GroupSpec([8]), "moduli"),
-                             (cp, CosetProgression(Z8, [(4,), (0,)], (9,), [(2,)], [2]), "base")):
+                             (cp, CosetProgression(Z8, [(4,), (0,)], (9,), [(2,)], [2]), "base"),
+                             (f, PiecewiseDensity(["0", 1, F(2)], [(F(1, 4), F(0)), (F(1, 2), F(1, 6))]),
+                              "pieces")):
         with pytest.raises(AttributeError):
             setattr(obj, field, getattr(obj, field))
         back = pickle.loads(pickle.dumps(obj))
         assert back == obj == twin and hash(back) == hash(obj) == hash(twin)
-        assert eval(repr(obj)) == obj
+        again = eval(repr(obj), {**globals(), "Fraction": F})
+        assert again == obj and hash(again) == hash(obj)
     assert cp != CosetProgression(Z8, [(0,), (4,)], (1,), [(2,)], [3]) and Z8 != Z4 and Z8 != (8,)
+    assert f != PiecewiseDensity.uniform(0, 1)
 
 
 @pytest.mark.parametrize("length", [2.7, "3"])
