@@ -183,12 +183,8 @@ def _cmd_fuzz(args) -> int:
     from .fuzz import FuzzConfig, fuzz_run
 
     cfg = FuzzConfig.from_json(args.config) if args.config else FuzzConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.count is not None:
-        cfg.instance_count = args.count
-    if args.workers is not None:
-        cfg.workers = args.workers
+    given = {"seed": args.seed, "instance_count": args.count, "workers": args.workers}
+    cfg = cfg._replace(**{k: v for k, v in given.items() if v is not None})
     summary = fuzz_run(cfg, args.out)
     _emit(summary)
     return 1 if summary["violations"] else 0

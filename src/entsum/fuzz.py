@@ -15,8 +15,8 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from . import bsg as bsg_mod
@@ -33,6 +33,7 @@ from .dists import (
 from .errors import CapExceededError, PremiseError, SchemaError
 from .fileio import _group, _is_int, _read, require_object
 from .groups import GroupSpec
+from .metrics import DEFAULT_TOL as TOL
 from .metrics import (
     MetricReport,
     check_ese_suite,
@@ -44,47 +45,8 @@ from .metrics import (
 )
 from .torsionfree import _unit_abbn
 
-TOL = 1e-9
 
-
-@dataclass
-class FuzzConfig:
-    seed: int = 0
-    instance_count: int = 100
-    support_cap: int = 6
-    denominator_cap: int = 64
-    groups: list = field(default_factory=lambda: [[0], [8]])
-    inequality_set: list = field(default_factory=lambda: list(DEFAULT_CHECKS))
-    workers: int = 1
-
-    @staticmethod
-    def from_json(obj) -> "FuzzConfig":
-        """Config from a JSON object or file; SchemaError for unknown keys or bad values."""
-        obj = _read(obj)
-        if not isinstance(obj, dict):
-            raise SchemaError(f"fuzz config must be a JSON object, got {obj!r}")
-        known = {f for f in FuzzConfig.__dataclass_fields__}
-        extra = set(obj) - known
-        if extra:
-            raise SchemaError(f"unknown config keys: {sorted(extra)}")
-        for key in ("seed", "instance_count", "support_cap", "denominator_cap", "workers"):
-            if key in obj and not _is_int(obj[key]):
-                raise SchemaError(f"config {key!r} must be an int, got {obj[key]!r}")
-        if obj.get("support_cap", 1) < 1:
-            raise SchemaError(f"config 'support_cap' must be >= 1, got {obj['support_cap']}")
-        groups = obj.get("groups", [[0]])
-        if not isinstance(groups, list) or not groups:
-            raise SchemaError(f"config 'groups' must be a non-empty list of groups, got {groups!r}")
-        for g in groups:
-            _group(g)
-        checks = obj.get("inequality_set", [])
-        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-            raise SchemaError(f"config 'inequality_set' must be a list of names, got {checks!r}")
-        return FuzzConfig(**obj)
-
-
-@dataclass
-class Counterexample:
+class Counterexample(NamedTuple):
     check: str
     name: str
     index: int
@@ -282,6 +244,40 @@ CHECKS = {
 DEFAULT_CHECKS = tuple(CHECKS)  # taken at import, so later registrations are opt-in
 
 
+class FuzzConfig(NamedTuple):
+    seed: int = 0
+    instance_count: int = 100
+    support_cap: int = 6
+    denominator_cap: int = 64
+    groups: tuple = ((0,), (8,))
+    inequality_set: tuple = DEFAULT_CHECKS
+    workers: int = 1
+
+    @staticmethod
+    def from_json(obj) -> "FuzzConfig":
+        """Config from a JSON object or file; SchemaError for unknown keys or bad values."""
+        obj = _read(obj)
+        if not isinstance(obj, dict):
+            raise SchemaError(f"fuzz config must be a JSON object, got {obj!r}")
+        extra = set(obj) - set(FuzzConfig._fields)
+        if extra:
+            raise SchemaError(f"unknown config keys: {sorted(extra)}")
+        for key in ("seed", "instance_count", "support_cap", "denominator_cap", "workers"):
+            if key in obj and not _is_int(obj[key]):
+                raise SchemaError(f"config {key!r} must be an int, got {obj[key]!r}")
+        if obj.get("support_cap", 1) < 1:
+            raise SchemaError(f"config 'support_cap' must be >= 1, got {obj['support_cap']}")
+        groups = obj.get("groups", [[0]])
+        if not isinstance(groups, list) or not groups:
+            raise SchemaError(f"config 'groups' must be a non-empty list of groups, got {groups!r}")
+        for g in groups:
+            _group(g)
+        checks = obj.get("inequality_set", [])
+        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+            raise SchemaError(f"config 'inequality_set' must be a list of names, got {checks!r}")
+        return FuzzConfig(**obj)
+
+
 def submodularity_check(j: JointDist) -> MetricReport:
     """Ent(X12) + Ent(X0) <= Ent(X1) + Ent(X2) for a joint (X0, X1, X2, X12).
 
@@ -310,7 +306,9 @@ def submodularity_check(j: JointDist) -> MetricReport:
 # orchestration
 
 
-def _run_instances(cfg: FuzzConfig, check: str, lo: int, hi: int) -> dict:
+def _run_instances(task: tuple[FuzzConfig, str, int, int]) -> dict:
+    """Instances lo..hi-1 of one check under cfg, for task (cfg, check, lo, hi)."""
+    cfg, check, lo, hi = task
     fn = CHECKS[check]
     rows = []
     skipped = 0
@@ -324,11 +322,6 @@ def _run_instances(cfg: FuzzConfig, check: str, lo: int, hi: int) -> dict:
             continue
         rows += [{"check": check, "index": index, "child_seed": child, **rep.to_json()} for rep in reports]
     return {"rows": rows, "skipped": skipped}
-
-
-def _chunk_worker(args):
-    cfg_dict, check, lo, hi = args
-    return _run_instances(FuzzConfig(**cfg_dict), check, lo, hi)
 
 
 def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
@@ -352,16 +345,16 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
         n = cfg.instance_count
         step = max(1, math.ceil(n / workers))
         for lo in range(0, n, step):
-            tasks.append((asdict(cfg), check, lo, min(n, lo + step)))
+            tasks.append((cfg, check, lo, min(n, lo + step)))
 
     # a forked pool starts all of its processes at the first task, so it gets
     # no more than there are tasks or CPUs; chunking above still follows workers
     procs = min(workers, len(tasks), os.cpu_count() or 1)
     if procs <= 1:
-        chunks = [_chunk_worker(t) for t in tasks]
+        chunks = list(map(_run_instances, tasks))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
-            chunks = list(pool.map(_chunk_worker, tasks))
+            chunks = list(pool.map(_run_instances, tasks))
 
     rows = [row for chunk in chunks for row in chunk["rows"]]
     skips = dict.fromkeys(cfg.inequality_set, 0)  # per check, beside the total
@@ -384,9 +377,9 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
                 witness=row["witness"],
                 # workers does not affect generation; leaving it out keeps
                 # counterexample names equal across worker counts
-                config={k: v for k, v in asdict(cfg).items() if k != "workers"},
+                config={k: v for k, v in cfg._asdict().items() if k != "workers"},
             )
-            payload = json.dumps(asdict(ce), sort_keys=True)
+            payload = json.dumps(ce._asdict(), sort_keys=True)
             digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
             rel = f"counterexamples/{row['name']}-{digest}.json"  # relative to out_dir
             (out / rel).write_text(payload + "\n")

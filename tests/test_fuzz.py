@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict
+import pickle
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,6 +12,7 @@ import pytest
 from entsum.dists import Dist, JointDist, independent_joint
 from entsum.errors import PremiseError, SchemaError
 from entsum.fuzz import (
+    DEFAULT_CHECKS,
     Counterexample,
     FuzzConfig,
     fuzz_run,
@@ -23,6 +24,7 @@ from entsum.groups import GroupSpec
 
 Z2 = GroupSpec([2])
 SEED1_PIN = Path(__file__).parent / "data" / "fuzz_seed1_results.sha256"
+COUNTEREXAMPLES_PIN = Path(__file__).parent / "data" / "fuzz_counterexamples.sha256"
 
 
 def small_cfg(**kw):
@@ -71,6 +73,29 @@ def test_fuzz_seed1_missing_pin_fails(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_fuzz_counterexample_digest_pinned(tmp_path, monkeypatch, pin=COUNTEREXAMPLES_PIN):
+    # with the tolerance pushed past every slack, each bound row is written as
+    # a counterexample; the names and bytes of those files, then summary.json,
+    # must not move under a refactor, and a missing pin fails
+    from entsum import fuzz as fuzz_mod
+
+    assert pin.exists(), f"pin file {pin} missing"
+    monkeypatch.setattr(fuzz_mod, "TOL", -math.inf)
+    fuzz_run(FuzzConfig(seed=5, instance_count=2), tmp_path)
+    h = hashlib.sha256()
+    for path in sorted((tmp_path / "counterexamples").iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    h.update((tmp_path / "summary.json").read_bytes())
+    assert h.hexdigest() == pin.read_text().strip()
+
+
+def test_fuzz_counterexample_missing_pin_fails(tmp_path, monkeypatch):
+    with pytest.raises(AssertionError, match="missing"):
+        test_fuzz_counterexample_digest_pinned(tmp_path / "out", monkeypatch, pin=tmp_path / "absent.sha256")
+    assert not any(tmp_path.iterdir())
+
+
 def test_fuzz_workers_identical(tmp_path):
     fuzz_run(small_cfg(workers=1), tmp_path / "w1")
     fuzz_run(small_cfg(workers=4), tmp_path / "w4")
@@ -114,7 +139,7 @@ def test_fuzz_pool_never_exceeds_tasks_or_cpus(tmp_path, monkeypatch, workers, i
     monkeypatch.setattr(fuzz.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     cfg = small_cfg(instance_count=instances, inequality_set=checks)
-    fuzz_run(FuzzConfig(**{**asdict(cfg), "workers": workers}), tmp_path / "pool")
+    fuzz_run(FuzzConfig(**{**cfg._asdict(), "workers": workers}), tmp_path / "pool")
     assert _InlinePool.sizes == ([size] if size > 1 else [])
     fuzz_run(cfg, tmp_path / "serial")
     assert (tmp_path / "pool/results.jsonl").read_bytes() == (tmp_path / "serial/results.jsonl").read_bytes()
@@ -135,6 +160,29 @@ def test_config_from_json(tmp_path):
         FuzzConfig.from_json(path)
 
 
+def test_config_is_a_frozen_value():
+    cfg = small_cfg(groups=[[4]])
+    with pytest.raises(AttributeError):
+        cfg.seed = 12
+    assert pickle.loads(pickle.dumps(cfg)) == cfg and cfg.seed == 11
+    assert FuzzConfig().groups == ((0,), (8,)) and FuzzConfig().inequality_set == DEFAULT_CHECKS
+
+
+def test_cli_flags_override_config_file(capsys, tmp_path):
+    # --seed and --workers replace those fields of --config; the rest is kept
+    from entsum.cli import main
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "instance_count": 3, "inequality_set": ["eident", "triv"],
+                                "groups": [[4]], "workers": 1}))
+    argv = ["fuzz", "--config", str(path), "--seed", "7", "--workers", "2", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    fuzz_run(FuzzConfig.from_json(path)._replace(seed=7, workers=2), tmp_path / "api")
+    for name in ("results.jsonl", "summary.json"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "api" / name).read_bytes(), name
+
+
 def test_replay_roundtrip(tmp_path):
     # fabricate a counterexample file from a real (passing) instance, then
     # check replay reproduces it, and flags a tampered slack
@@ -152,14 +200,14 @@ def test_replay_roundtrip(tmp_path):
         slack=rep.slack,
         version="0.1.0",
         witness={},
-        config=asdict(cfg),
+        config=cfg._asdict(),
     )
     path = tmp_path / "ce.json"
-    path.write_text(json.dumps(ce.__dict__))
+    path.write_text(json.dumps(ce._asdict()))
     out = replay(path)
     assert out["reproduced"]
 
-    tampered = dict(ce.__dict__)
+    tampered = ce._asdict()
     tampered["slack"] = -0.1
     path.write_text(json.dumps(tampered))
     out = replay(path)

@@ -3,12 +3,13 @@
 `entsum/__init__.py` lists each public name once and resolves it on first
 access, and each CLI command imports only the modules it runs; the heavy ones
 (numpy, the transport kernel, the torsion-free experiments, the fuzzer) stay
-unloaded by the commands that do not need them.  Only `fuzz`, `replay` and
-`report` load `dataclasses`, through `FuzzConfig` and `Counterexample`; it
-pulls in `inspect`, `ast`, `dis` and `tokenize`.
+unloaded by the commands that do not need them.  Every record is a
+`NamedTuple`, so no command loads `dataclasses`, which would pull in
+`inspect`, `ast` and `dis`.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -26,7 +27,7 @@ from entsum.groups import GroupSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("numpy", "entsum.transport", "entsum.torsionfree", "entsum.fuzz")
-SLOW = ("dataclasses", "inspect")  # about 8 ms of a cold call; of entsum, only fuzz imports them
+SLOW = ("dataclasses", "inspect")  # 7-13 ms of a cold call; no entsum module imports them
 WATCHED = HEAVY + ("entsum.metrics", "entsum.progressions") + SLOW
 
 # the public names before they moved into one table
@@ -75,7 +76,7 @@ def _loaded_in_fresh_interpreter(*argv) -> list[str]:
     return json.loads(r.stderr.splitlines()[-1])
 
 
-def test_commands_load_only_their_modules(tmp_path):
+def test_commands_load_only_their_modules(tmp_path, monkeypatch):
     z8 = GroupSpec([8])
     dist = tmp_path / "p.json"
     save_json(dist, dump_dist(Dist(z8, {(0,): F(1, 2), (3,): F(1, 3), (5,): F(1, 6)})))
@@ -107,6 +108,17 @@ def test_commands_load_only_their_modules(tmp_path):
         loaded = set(_loaded_in_fresh_interpreter("experiment", *argv))
         allowed = {"inspect"} if "numpy" in loaded else set()
         assert not loaded & set(SLOW) - allowed, (argv, loaded)
+    # the fuzzer and the commands that read its output load neither
+    from entsum import fuzz
+
+    out = tmp_path / "fuzz-out"
+    monkeypatch.setattr(fuzz, "TOL", -math.inf)  # every bound row is written as a counterexample
+    fuzz.fuzz_run(fuzz.FuzzConfig(seed=1, instance_count=1, inequality_set=["triv"]), tmp_path / "forced")
+    witness = min((tmp_path / "forced" / "counterexamples").iterdir())
+    for argv in (["fuzz", "--count", "2", "--out", str(out)], ["report", str(out / "results.jsonl")],
+                 ["replay", str(witness)]):
+        loaded = _loaded_in_fresh_interpreter(*argv)
+        assert not set(loaded) & set(SLOW), (argv, loaded)
 
 
 def test_public_names_listed_once():
