@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -22,6 +23,9 @@ from .errors import CapExceededError, IncompatibleGroupError, PreconditionError
 from .groups import Element, GroupSpec
 
 SUPPORT_CAP = 200_000  # largest support bound of a sum law that convolve builds
+# `_Kronecker`'s native unsigned word of each size in bytes; none where the
+# machine's words are not laid out as the packed ints' little-endian bytes
+_WORDS = {memoryview(bytes(8)).cast(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
 
 # ---------------------------------------------------------------------------
 # the scalar building block F(x) = x log(1/x) and friends
@@ -244,12 +248,17 @@ class _Kronecker:
     int, the point with digits x in the w-byte slot sum_i x_i strides[i], so
     one product of packed ints forms every sum at once, and no slot carries
     into the next while no count exceeds `cap` (multivariate Kronecker
-    substitution; Harvey, J. Symbolic Comput. 2009).  `read` folds each
-    cyclic axis, adding digit d >= m onto d - m.
+    substitution; Harvey, J. Symbolic Comput. 2009).  w is the fewest bytes
+    that hold `cap`, rounded up to a word of `_WORDS` (1, 2, 4 or 8 bytes),
+    whose slots move by one memoryview cast; wider ones by byte slices.
+    `read` folds each cyclic axis, adding digit d >= m onto d - m.
     """
 
     def __init__(self, mods: Sequence[int], sides: Sequence[int], cap: int):
-        self.w = w = (cap.bit_length() + 7) // 8
+        w = (cap.bit_length() + 7) // 8
+        if w <= 8 and _WORDS:
+            w = 1 << (w - 1).bit_length()  # 3 bytes -> 4, 5 to 7 -> 8: headroom only
+        self.w, self._code = w, _WORDS.get(w)
         slots = t = math.prod(sides)
         self.strides = []
         self._folds = []  # (mask of the slots whose digit is m or more, shift by m digits)
@@ -264,8 +273,13 @@ class _Kronecker:
         """Counts keyed by slot as one int."""
         w = self.w
         buf = bytearray(w * (max(counts) + 1))
-        for i, n in counts.items():
-            buf[i * w:i * w + w] = n.to_bytes(w, "little")
+        if self._code:
+            words = memoryview(buf).cast(self._code)
+            for i, n in counts.items():
+                words[i] = n
+        else:
+            for i, n in counts.items():
+                buf[i * w:i * w + w] = n.to_bytes(w, "little")
         return int.from_bytes(buf, "little")
 
     def read(self, packed: int) -> list[int]:
@@ -276,6 +290,8 @@ class _Kronecker:
         w = self.w
         size = -(-packed.bit_length() // (8 * w)) * w
         buf = packed.to_bytes(size, "little")
+        if self._code:
+            return memoryview(buf).cast(self._code).tolist()
         return [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
 
 
@@ -315,7 +331,7 @@ _PACK_PAIRS = 64  # fixed cost of a packed product in pair-loop products; script
 
 def _packs(pairs: int, slots: int, fixed: bool = True) -> bool:
     """Whether a packed product beats a loop over `pairs` atom pairs: it pays
-    a fixed cost (layout, masks, a to_bytes per atom), unless it stands for a
+    a fixed cost (layout, masks, slot conversions), unless it stands for a
     loop of calls that pay as much between them (fixed=False), and about one
     product per padded slot, so a refusal at 0 slots refuses every layout."""
     return pairs >= _PACK_PAIRS * fixed + slots

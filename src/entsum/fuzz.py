@@ -9,7 +9,6 @@ counts: results are merged with a deterministic sort before serialisation.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -353,6 +352,7 @@ def fuzz_run(cfg: FuzzConfig, out_dir) -> dict:
     if procs <= 1:
         chunks = list(map(_run_instances, tasks))
     else:
+        import concurrent.futures  # loads logging and traceback: only a pool pays for it
         with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(_run_instances, tasks))
 

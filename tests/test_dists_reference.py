@@ -11,12 +11,19 @@ equal, atom order included, and their entropies bitwise equal.
 Kronecker power: k - 1 calls of `convolve`.  It is the reference for the
 power path, which must give equal laws and raise `CapExceededError` exactly
 where the loop does.
+
+`_KroneckerReference` is the packed-product kernel `dists._Kronecker` as it
+was before word-sized slots: each slot the fewest whole bytes that hold the
+cap, written by one `to_bytes` per count and read back by one `from_bytes`
+per slot.  The kernel must read every packed vector as it does.
 """
 
+import itertools
 import math
 import random
 import time
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -125,12 +132,16 @@ def test_corpus_covers_every_group_sign_and_denominator():
     assert max(dens) > 2**60
 
 
-@pytest.mark.parametrize("packs", [False, None, True], ids=["pair-loop", "default", "dense"])
-def test_seeded_laws_match_reference(monkeypatch, packs):
+@pytest.mark.parametrize("packs, words", [(False, True), (None, True), (True, True), (True, False)],
+                         ids=["pair-loop", "default", "dense", "dense-byte-slices"])
+def test_seeded_laws_match_reference(monkeypatch, packs, words):
     # False sends every pair of laws through the pair loop, True through the
-    # packed product on every group; None keeps the cost rule
+    # packed product on every group; None keeps the cost rule.  Without
+    # words, every packed slot moves by byte slices
     if packs is not None:
         monkeypatch.setattr(dists, "_packs", lambda *args, **kw: packs)
+    if not words:
+        monkeypatch.setattr(dists, "_WORDS", {})
     for _, p, q, sign in _corpus(1, 400):
         _assert_same(p, q, sign)
 
@@ -312,3 +323,92 @@ def test_padded_slots_gate_the_packed_product(monkeypatch):
     p, q = (Dist.uniform(g, rng.sample(list(g.elements()), 40)) for _ in range(2))
     monkeypatch.setattr(dists, "_Kronecker", _never)
     assert convolve(p, q) == _convolve_reference(p, q)
+
+
+# ---------------------------------------------------------------------------
+# slot I/O of the packed products
+
+
+class _KroneckerReference:
+    """`dists._Kronecker` before word-sized slots, unchanged."""
+
+    def __init__(self, mods: Sequence[int], sides: Sequence[int], cap: int):
+        self.w = w = (cap.bit_length() + 7) // 8
+        slots = t = math.prod(sides)
+        self.strides = []
+        self._folds = []  # (mask of the slots whose digit is m or more, shift by m digits)
+        for m, s in zip(mods, sides):
+            t //= s
+            self.strides.append(t)
+            if m and s > m:
+                run = bytes(w * m * t) + b"\xff" * (w * (s - m) * t)  # one run of the axis
+                self._folds.append((int.from_bytes(run * (slots // (s * t)), "little"), 8 * w * m * t))
+
+    def pack(self, counts: Mapping[int, int]) -> int:
+        """Counts keyed by slot as one int."""
+        w = self.w
+        buf = bytearray(w * (max(counts) + 1))
+        for i, n in counts.items():
+            buf[i * w:i * w + w] = n.to_bytes(w, "little")
+        return int.from_bytes(buf, "little")
+
+    def read(self, packed: int) -> list[int]:
+        """The folded slots up to the last nonzero one, at most `cap` each."""
+        for mask, shift in self._folds:
+            while high := packed & mask:  # a power's digits can pass m more than once
+                packed += (high >> shift) - high
+        w = self.w
+        size = -(-packed.bit_length() // (8 * w)) * w
+        buf = packed.to_bytes(size, "little")
+        return [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
+
+
+# Z; Z/5 with 13 digits, folded twice; Z/3 with 5 digits times Z
+SLOT_BOXES = [((0,), (12,)), ((5,), (13,)), ((3, 0), (5, 4))]
+
+
+def _folded_counts(rng: random.Random, mods, sides, cap: int) -> tuple[dict, list]:
+    """Counts keyed by every slot of the box, zeros and trailing zeros
+    included, and the folded vector up to its last nonzero slot: each folded
+    sum is 0, `cap` or drawn up to `cap`, and the one at slot 0 is `cap` in
+    a single slot."""
+    strides = [math.prod(sides[i + 1:]) for i in range(len(sides))]
+    preimages: dict = {}
+    for digits in itertools.product(*map(range, sides)):
+        slot = sum(map(int.__mul__, digits, strides))
+        folded = sum((d % m if m else d) * t for d, m, t in zip(digits, mods, strides))
+        preimages.setdefault(folded, []).append(slot)
+    counts = dict.fromkeys(range(math.prod(sides)), 0)
+    vector = [0] * math.prod(sides)
+    for folded, slots in preimages.items():
+        total = cap if folded == 0 else rng.choice([0, cap, rng.randrange(cap + 1)])
+        vector[folded] = total
+        cuts = sorted(rng.randrange(total + 1) for _ in slots[1:]) if folded else []
+        for slot, a, b in zip(slots, [0, *cuts], [*cuts, total]):
+            counts[slot] = b - a
+    while vector and not vector[-1]:
+        vector.pop()
+    return counts, vector
+
+
+@pytest.mark.parametrize("words", [True, False], ids=["words", "byte-slices"])
+def test_slot_io_matches_byte_slices(monkeypatch, words):
+    # caps of every bit length from 1 to 72: slots of 1 to 9 bytes, as words
+    # (rounded up to 1, 2, 4 or 8 bytes) up to 8 bytes and by byte slices above
+    if not words:
+        monkeypatch.setattr(dists, "_WORDS", {})
+    rng = random.Random(72)
+    widths = set()
+    for bits in range(1, 73):
+        for cap in (1 << bits) - 1, rng.randrange(1 << (bits - 1), 1 << bits):
+            for mods, sides in SLOT_BOXES:
+                new, old = dists._Kronecker(mods, sides, cap), _KroneckerReference(mods, sides, cap)
+                assert new.strides == old.strides
+                widths.add((new.w, new._code is not None))
+                for _ in range(3):
+                    counts, vector = _folded_counts(rng, mods, sides, cap)
+                    assert new.read(new.pack(counts)) == old.read(old.pack(counts)) == vector
+    if words and dists._WORDS:
+        assert widths == {(1, True), (2, True), (4, True), (8, True), (9, False)}
+    else:
+        assert widths == {(w, False) for w in range(1, 10)}

@@ -133,9 +133,11 @@ class _InlinePool:
     ],
 )
 def test_fuzz_pool_never_exceeds_tasks_or_cpus(tmp_path, monkeypatch, workers, instances, checks, cpus, size):
+    import concurrent.futures
+
     from entsum import fuzz
 
-    monkeypatch.setattr(fuzz.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(fuzz.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     cfg = small_cfg(instance_count=instances, inequality_set=checks)

@@ -28,7 +28,8 @@ from entsum.groups import GroupSpec
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("numpy", "entsum.transport", "entsum.torsionfree", "entsum.fuzz")
 SLOW = ("dataclasses", "inspect")  # 7-13 ms of a cold call; no entsum module imports them
-WATCHED = HEAVY + ("entsum.metrics", "entsum.progressions") + SLOW
+POOL = "concurrent.futures"  # with logging and traceback; only a fuzz run with a process pool loads it
+WATCHED = HEAVY + ("entsum.metrics", "entsum.progressions") + SLOW + (POOL,)
 
 # the public names before they moved into one table
 PUBLIC = frozenset({
@@ -108,7 +109,8 @@ def test_commands_load_only_their_modules(tmp_path, monkeypatch):
         loaded = set(_loaded_in_fresh_interpreter("experiment", *argv))
         allowed = {"inspect"} if "numpy" in loaded else set()
         assert not loaded & set(SLOW) - allowed, (argv, loaded)
-    # the fuzzer and the commands that read its output load neither
+    # the fuzzer and the commands that read its output load neither, and a
+    # one-process campaign loads no process pool
     from entsum import fuzz
 
     out = tmp_path / "fuzz-out"
@@ -118,7 +120,7 @@ def test_commands_load_only_their_modules(tmp_path, monkeypatch):
     for argv in (["fuzz", "--count", "2", "--out", str(out)], ["report", str(out / "results.jsonl")],
                  ["replay", str(witness)]):
         loaded = _loaded_in_fresh_interpreter(*argv)
-        assert not set(loaded) & set(SLOW), (argv, loaded)
+        assert not set(loaded) & {*SLOW, POOL}, (argv, loaded)
 
 
 def test_public_names_listed_once():

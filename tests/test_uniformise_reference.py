@@ -39,7 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entsum import transport
+from entsum import dists, transport
 from entsum.dists import Dist, JointDist, entropy
 from entsum.errors import CertificateError, EntsumError, PreconditionError
 from entsum.fuzz import random_dist
@@ -748,13 +748,101 @@ def _criterion_5_kernel_laws():
     return out + list(box_uniform.values())
 
 
-def test_left_to_right_matches_right_to_left_on_criterion_5(monkeypatch):
-    depths = _count_kernel_splits(monkeypatch)
+def _recorded(fn, seen: list):
+    def recorded(*args):
+        out = fn(*args)
+        seen.append((args, out))
+        return out
+    return recorded
+
+
+@pytest.fixture(scope="module")
+def criterion_5_pass():
+    """The kernel's certificate of each of criterion 5's 104 laws, and the
+    (arguments, result) of every call of the shift scan and of the packed
+    products that the kernel made to build them."""
     laws = _criterion_5_kernel_laws()
+    calls: dict = {"_pick_shift": [], "_raw_extend": [], "_packed_rows": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, seen in calls.items():
+            mp.setattr(transport, name, _recorded(getattr(transport, name), seen))
+        certs = [transport._raw_uniformise(ad, law) for ad, law in laws]
+    return laws, certs, calls
+
+
+def test_left_to_right_matches_right_to_left_on_criterion_5(monkeypatch, criterion_5_pass):
+    depths = _count_kernel_splits(monkeypatch)
+    laws, certs, _ = criterion_5_pass
     assert len(laws) == 104  # 60 on Z/64, 40 on the four boxes, and each box's uniform law
-    for ad, law in laws:
-        assert transport._raw_uniformise(ad, law) == _kernel_uniformise_reference(ad, law)
+    for (ad, law), cert in zip(laws, certs):
+        assert cert == _kernel_uniformise_reference(ad, law)
     assert max(depths) >= 1
+
+
+def test_packed_products_match_byte_slices_on_criterion_5(monkeypatch, criterion_5_pass):
+    # with no native word every slot is written and read by byte slices, as
+    # before word-sized slots: the same counts, in the same order
+    _, _, calls = criterion_5_pass
+    monkeypatch.setattr(dists, "_WORDS", {})
+    for args, out in calls["_raw_extend"]:
+        new = transport._raw_extend(*args)
+        assert new.den == out.den and list(new.coupling.items()) == list(out.coupling.items())
+        assert list(new.target.items()) == list(out.target.items())
+    for args, out in calls["_packed_rows"]:
+        assert list(transport._packed_rows(*args).items()) == list(out.items())
+    assert len(calls["_raw_extend"]) > 100 and len(calls["_packed_rows"]) > 50
+
+
+def _shift_scan_loop(ad, q) -> list[float]:
+    """The float autocorrelation at each shift that `_pick_shift` scans, as
+    its list branch adds it: term by term, each column row after row."""
+    den, mass = q
+    n = ad.size
+    rows = ad.table.tolist()
+    d = [mass.get(e, 0) / den - 1.0 / n for e in range(n)]
+    shifted = []
+    for h in ad._neg:
+        s = 0.0
+        for x in range(n):
+            s += d[x] * d[rows[x][h]]
+        shifted.append(s)
+    return shifted
+
+
+def _assert_scan_is_the_loop(ad, q, h: int) -> None:
+    """numpy's column sums in `_pick_shift` are the loop's floats bit for bit,
+    so every choice among exact ties, and with it every pin, is the loop's;
+    h, the shift `_pick_shift` chose, is the loop's first least one."""
+    den, mass = q
+    d = np.array([mass.get(e, 0) / den for e in range(ad.size)]) - 1.0 / ad.size
+    scanned = (d[:, None] * d[ad.table]).sum(axis=0)[ad._neg].tolist()  # `_pick_shift`'s numpy branch
+    loop = _shift_scan_loop(ad, q)
+    assert [s.hex() for s in scanned] == [s.hex() for s in loop]
+    assert h == loop.index(min(loop))
+
+
+def test_shift_scan_matches_the_loop_on_criterion_5(criterion_5_pass):
+    _, _, calls = criterion_5_pass
+    scans = calls["_pick_shift"]
+    assert len(scans) > 2000 and min(ad.size for (ad, _), _ in scans) > transport._LIST_TABLE_ORDER
+    for (ad, q), h in scans:
+        _assert_scan_is_the_loop(ad, q, h)
+
+
+def test_shift_scan_matches_the_loop_on_small_groups(monkeypatch):
+    # groups of order <= _LIST_TABLE_ORDER scan by the loop itself, so their
+    # choice is checked again with numpy's scan forced
+    rng = random.Random(13)
+    z4 = GroupSpec([4])
+    groups = [transport._spec_group(GroupSpec(m)) for m in ([2], [3], [5], [8], [2, 2], [2, 4], [2, 2, 2])]
+    groups.append(transport._box_group(z4, ((0,), (2,)), (2,)))  # H = {0, 2} in Z/4, times Z/2
+    laws = [(ad, _seeded_law(rng, ad.size, i % 2 == 1)) for ad in groups for i in range(60)]
+    for ad, q in laws:
+        assert ad.size <= transport._LIST_TABLE_ORDER
+        _assert_scan_is_the_loop(ad, q, transport._pick_shift(ad, q))
+    monkeypatch.setattr(transport, "_LIST_TABLE_ORDER", 0)
+    for ad, q in laws:
+        _assert_scan_is_the_loop(ad, q, transport._pick_shift(ad, q))
 
 
 def _seeded_law(rng, size: int, near_uniform: bool):
