@@ -24,9 +24,11 @@ the total time under the current constants, under the fitted ones, with the
 faster side always, and with either side always.  The fit is a grid search
 over the rule `pairs >= fixed * _PACK_PAIRS + weight * slots`, with weight 1
 in `dists._packs`, that minimises the sum over the gates of each gate's
-total time over its fastest possible total.  `--decisions` does
-no timing: it prints how many inputs of each corpus each gate packs and how
-many it loops, which is deterministic.
+total time over its fastest possible total.  Beside the fitted point it
+prints, for each weight, the `_PACK_PAIRS` of every grid point whose sum is
+within 2% of the least, so that a flat fit shows as a wide band.
+`--decisions` does no timing: it prints how many inputs of each corpus each
+gate packs and how many it loops, which is deterministic.
 """
 
 import argparse
@@ -199,11 +201,18 @@ def fastest(rows) -> float:
     return sum(min(row[3:]) for row in rows)
 
 
-def fit(times: dict) -> tuple[int, float]:
+PACK_PAIRS_GRID, WEIGHTS = range(0, 257, 8), (0.25, 0.5, 1, 2, 4)
+GRID = [(pack_pairs, weight) for pack_pairs in PACK_PAIRS_GRID for weight in WEIGHTS]
+NEAR = 0.02  # a grid point this close to the least objective is in the band
+
+
+def fit(times: dict) -> tuple[tuple[int, float], list[tuple[int, float]]]:
     """The (_PACK_PAIRS, weight) of the grid with the least sum over the gates
-    of total time over fastest total."""
-    grid = [(pack_pairs, weight) for pack_pairs in range(0, 257, 8) for weight in (0.25, 0.5, 1, 2, 4)]
-    return min(grid, key=lambda fw: sum(total(rows, *fw) / fastest(rows) for rows in times.values() if rows))
+    of total time over fastest total, and the band: every grid point whose sum
+    is within NEAR of the least, in grid order."""
+    score = {fw: sum(total(rows, *fw) / fastest(rows) for rows in times.values() if rows) for fw in GRID}
+    best = min(GRID, key=score.__getitem__)
+    return best, [fw for fw in GRID if score[fw] <= (1 + NEAR) * score[best]]
 
 
 def main() -> int:
@@ -219,8 +228,14 @@ def main() -> int:
         return 0
     times = timings(corp, args.repeat)
     now = (dists._PACK_PAIRS, 1)
-    fitted = fit(times)
+    fitted, band = fit(times)
     print(f"(_PACK_PAIRS, slot weight): current {now}, fitted {fitted}")
+    by_weight: dict = {}
+    for pack_pairs, weight in band:
+        by_weight.setdefault(weight, []).append(pack_pairs)
+    print(f"within {NEAR:.0%} of the fitted objective ({len(band)} of {len(GRID)} grid points):")
+    for weight, ps in sorted(by_weight.items()):
+        print(f"  weight {weight}: _PACK_PAIRS {min(ps)}-{max(ps)} ({len(ps)} of {len(PACK_PAIRS_GRID)} values)")
     print(f"{'gate':18} {'asked':>6} {'current ms':>11} {'fitted ms':>10} {'faster ms':>10} "
           f"{'loop ms':>9} {'packed ms':>10} {'agree':>6}")
     for gate, rows in times.items():

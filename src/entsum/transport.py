@@ -14,12 +14,13 @@ tie-break, which keys in full only the ties least in their leading rows.
 The constructive side builds certificates by flattening with two-point
 shifts, density-level splitting, and sigma-splits.  It runs in the int
 counts that `Dist` and `JointDist` hold, with the elements of a finite group
-encoded as indices into one addition table.  The certificate is built left
-to right, one flatten stage at a time: each couples a law with independent
-shift noise, or extends the certificate so far by it, a convolution of each
-row with the noise law, formed on a product of cyclic factors as one product
-of packed ints.  Each sigma-split half starts from its law.  Validity is
-always exact and checked in ints; only costs are floating point.
+encoded as row-major indices that add digit by digit.  The certificate is
+built left to right, one flatten stage at a time: each couples a law with
+independent shift noise, or extends the certificate so far by it, a
+convolution of each row with the noise law, formed on a product of cyclic
+factors as one product of packed ints.  Each sigma-split half starts from
+its law.  Validity is always exact and checked in ints; only costs are
+floating point.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from .groups import Element, GroupSpec
 
 SIGMA_MIN_BITS = 20  # the sigma-split floor is sigma_min = 2**-SIGMA_MIN_BITS
 _MAX_FLATTEN_ROUNDS = 400
-# largest group order whose addition table is built: 2048^2 int64 entries are
-# 32 MiB, and the float shift scan adds two temporaries of the same size
+# largest group order that is flattened or sigma-split: the float shift scan
+# reads a 2048^2 int64 table (32 MiB), the split pairs up to |G|^2 / 4 atoms
 MAX_TABLE_ORDER = 2048
-# groups up to this order keep their table in lists and scan shifts in Python
-# floats, which beats numpy there (on Z/8 about 10 µs a scan against 13), so
-# that uniformising on them never imports numpy
+# groups up to this order scan shifts in a Python loop over `add` (10-30 µs a
+# scan against numpy's 9), so that uniformising on them never imports numpy
 _LIST_TABLE_ORDER = 8
 
 
@@ -462,13 +462,13 @@ def translate_shift(p: Dist, q: Dist) -> Element | None:
 # certificate algebra runs over any group with `add`, `neg`, `sub` and
 # `zero()`: a GroupSpec, whose elements are tuples, or an `_IndexedGroup`,
 # which encodes each element of a finite group as its index in a sorted list
-# and looks the group law up in one table.  Masses are Python ints over one
-# common denominator: a law is a pair (den, counts) whose positive counts sum
-# to den, as a `Dist` holds them, and a `_RawCert` keeps one denominator for
-# its coupling and its target.  A law enters as (p.den, p.counts), keyed by
+# and adds indices by their digits.  Masses are Python ints over one common
+# denominator: a law is a pair (den, counts) whose positive counts sum to den,
+# as a `Dist` holds them, and a `_RawCert` keeps one denominator for its
+# coupling and its target.  A law enters as (p.den, p.counts), keyed by
 # element index for an `_IndexedGroup`, and a certificate leaves through
-# `_emit`, which checks it in index arithmetic before it decodes it, or, kept
-# on a GroupSpec, through `_cert`, which builds its laws from the counts.
+# `_emit`, which checks it with the same digit law before it decodes it, or,
+# kept on a GroupSpec, through `_cert`, which builds its laws from the counts.
 # Composition is a matrix product of counts: a dense one packs each row of the
 # second factor into one int, keyed by target position rather than element
 # index, so it serves a GroupSpec too; a sparse one sums its atom pairs one by
@@ -489,8 +489,9 @@ class _IndexedGroup:
     """A finite group H x prod Z/mZ whose elements are the indices of `elems`.
 
     H is given by its own addition table over the indices of its elements,
-    and `elems` lists the group in row-major order, which is sorted order.
-    The group's addition table, |G|^2 entries, is built on first use.
+    and `elems` lists the group in row-major order, which is sorted order, so
+    `add` works on the digits of an index.  The |G|^2 numpy `table` serves
+    only the float shift scan above `_LIST_TABLE_ORDER`.
     """
 
     def __init__(self, elems: list, h_table: list, mods: Sequence[int], zero):
@@ -516,18 +517,8 @@ class _IndexedGroup:
         return tbl
 
     @functools.cached_property
-    def _rows(self) -> list:
-        if self.size > _LIST_TABLE_ORDER:
-            # views into `table` whose items read as Python ints, with no second copy
-            return [memoryview(row) for row in self.table]
-        rows = self._h_table
-        for m in self._mods:  # the composition `table` makes
-            rows = [[x * m + (i + j) % m for x in row for j in range(m)] for row in rows for i in range(m)]
-        return rows
-
-    @functools.cached_property
     def _neg(self) -> list[int]:
-        # -(h, i) = (-h, -i % m), composed as `_rows` composes the table
+        # -(h, i) = (-h, -i % m), composed factor by factor as `add` is
         h_zero = self._zero // (self.size // len(self._h_table))
         neg = [row.index(h_zero) for row in self._h_table]
         for m in self._mods:
@@ -537,14 +528,30 @@ class _IndexedGroup:
     def zero(self) -> int:
         return self._zero
 
-    def add(self, a: int, b: int) -> int:
-        return self._rows[a][b]
+    @functools.cached_property
+    def add(self) -> Callable[[int, int], int]:
+        """The group law in digit arithmetic on the row-major index: (a + b) % m
+        on each cyclic axis and H by its own table."""
+        h, mods = self._h_table, self._mods
+        if len(h) == 1 and len(mods) == 1:
+            return lambda a, b, m=mods[0]: (a + b) % m
+        # the digits of every index, one column per factor, H's first
+        h_col, *cols = zip(*itertools.product(range(len(h)), *map(range, mods)))
+        factors = tuple(zip(mods, cols))
+
+        def add(a: int, b: int) -> int:
+            out = h[h_col[a]][h_col[b]]
+            for m, col in factors:
+                out = out * m + (col[a] + col[b]) % m
+            return out
+
+        return add
 
     def neg(self, a: int) -> int:
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._rows[a][self._neg[b]]
+        return self.add(a, self._neg[b])
 
 
 @functools.lru_cache(maxsize=8)
@@ -566,25 +573,6 @@ def _index_law(ad: _IndexedGroup, den: int, counts: dict) -> _Law:
     """(den, counts) with the counts keyed by element index, in index order."""
     index = ad.index
     return den, dict(sorted((index[e], n) for e, n in counts.items()))
-
-
-def _index_add(ad: _IndexedGroup) -> Callable[[int, int], int]:
-    """The group law of `ad` in digit arithmetic on the row-major index, (a + b) % m
-    on each cyclic axis and H by its own table, reading neither `table` nor `_rows`."""
-    h, mods = ad._h_table, ad._mods
-    if len(h) == 1 and len(mods) == 1:
-        return lambda a, b, m=mods[0]: (a + b) % m
-    # the digits of every index, one column per factor, H's first
-    h_col, *cols = zip(*itertools.product(range(len(h)), *map(range, mods)))
-    factors = tuple(zip(mods, cols))
-
-    def add(a: int, b: int) -> int:
-        out = h[h_col[a]][h_col[b]]
-        for m, col in factors:
-            out = out * m + (col[a] + col[b]) % m
-        return out
-
-    return add
 
 
 def _scaled(counts: dict, k: int) -> dict:
@@ -615,23 +603,19 @@ def _is_uniform(ad, law: _Law) -> bool:
     return len(mass) == ad.size and all(ad.size * n == den for n in mass.values())
 
 
-class _RawCert:
-    """Coupling and target counts over one denominator, kept in lowest terms."""
+class _RawCert(NamedTuple("_RawCert", [("den", int), ("coupling", dict), ("target", dict)])):
+    """Coupling (x, z) -> count and target y -> count over one denominator,
+    reduced to lowest terms by `__new__`."""
 
-    __slots__ = ("den", "coupling", "target")  # coupling (x, z) -> count, target y -> count
+    __slots__ = ()
 
-    def __init__(self, den: int, coupling: dict, target: dict):
+    def __new__(cls, den: int, coupling: dict, target: dict):
         g = math.gcd(den, *coupling.values(), *target.values())
         if g > 1:
             den //= g
             coupling = {k: n // g for k, n in coupling.items()}
             target = {k: n // g for k, n in target.items()}
-        self.den, self.coupling, self.target = den, coupling, target
-
-    def __eq__(self, other):
-        if other.__class__ is not _RawCert:
-            return NotImplemented
-        return (self.den, self.coupling, self.target) == (other.den, other.coupling, other.target)
+        return super().__new__(cls, den, coupling, target)
 
 
 def _raw_source(c: _RawCert) -> dict:
@@ -810,13 +794,13 @@ def _pick_shift(ad, q: _Law) -> int:
     den, mass = q
     n = ad.size
     if n <= _LIST_TABLE_ORDER:
-        rows = ad._rows
+        add = ad.add
         d = [mass.get(e, 0) / den - 1.0 / n for e in range(n)]
         shifted = []
         for h in ad._neg:
             s = 0.0  # added one by one: `sum` may compensate, numpy does not
             for x in range(n):
-                s += d[x] * d[rows[x][h]]
+                s += d[x] * d[add(x, h)]
             shifted.append(s)
         return shifted.index(min(shifted))
     import numpy as np
@@ -963,6 +947,8 @@ def _raw_to_uniform(ad, c: _RawCert | None, q: _Law | None = None, depth: int = 
     )
     if _is_uniform(ad, cur):
         return c
+    if n > MAX_TABLE_ORDER:  # the split's pairs grow as |G|^2, as the scan's table does
+        raise CapExceededError(f"group order {n} exceeds the table cap {MAX_TABLE_ORDER}")
     den, mass = cur
     s = _sigma_excess(ad, cur)
     q_plus = _lowest_terms(s, {e: n * v - den for e, v in mass.items() if n * v > den})
@@ -1009,7 +995,7 @@ def _raw_uniformise(ad, q: _Law) -> _RawCert:
 def _emit(p: Dist, ad: _IndexedGroup, raw: _RawCert) -> TransportCertificate:
     """The certificate `raw` from p, checked in indices, then decoded by `elems`.
 
-    Element i has the digits of i as coordinates, so decoding maps `_index_add`
+    Element i has the digits of i as coordinates, so decoding maps `ad.add`
     to `GroupSpec.add`: these are the checks of `validate`.  Target counts sum
     coupling counts, so the coupling keeps the lowest terms of `raw`; index
     order is element order, so one sort of index pairs makes it canonical.
@@ -1017,7 +1003,7 @@ def _emit(p: Dist, ad: _IndexedGroup, raw: _RawCert) -> TransportCertificate:
     den, coupling, elems, g = raw.den, raw.coupling, ad.elems, p.group
     if min(coupling.values()) <= 0:
         raise CertificateError("coupling has a non-positive count")
-    _check_coupling(_index_add(ad), (den, coupling), (den, raw.target), _index_law(ad, p.den, p.counts))
+    _check_coupling(ad.add, (den, coupling), (den, raw.target), _index_law(ad, p.den, p.counts))
     atoms = {(elems[x], elems[z]): coupling[x, z] for x, z in sorted(coupling)}
     tden, target = _lowest_terms(den, {elems[y]: n for y, n in sorted(raw.target.items())})
     return TransportCertificate(JointDist._canonical((g, g), den, atoms), Dist._canonical(g, tden, target))
@@ -1074,7 +1060,7 @@ def uniformise_coset_progression(
     raw = _raw_compose(ad, c1, _raw_reverse(ad, c2))
     # raw moves box_mass to box_uniform, so x and x + z are box points and each
     # atom leaves the box as the ambient difference of their images
-    _check_coupling(_index_add(ad), (raw.den, raw.coupling), box_uniform, box_mass)
+    _check_coupling(ad.add, (raw.den, raw.coupling), box_uniform, box_mass)
     amb = [emb.forward.get(e) for e in ad.elems]
     atoms = {(amb[x], g.sub(amb[ad.add(x, z)], amb[x])): n for (x, z), n in raw.coupling.items()}
     cert = TransportCertificate(JointDist._with_counts((g, g), raw.den, atoms), target)

@@ -263,8 +263,8 @@ def test_flatten_exact_scan_fallback(monkeypatch):
 
 
 def test_small_group_scan_matches_numpy():
-    # groups up to _LIST_TABLE_ORDER take list tables and a Python scan; the
-    # numpy table and column sums of larger groups are the reference
+    # groups up to _LIST_TABLE_ORDER scan in a Python loop over the digit law
+    # `add`; the numpy table and column sums of larger groups are the reference
     import numpy as np
 
     from entsum import transport
@@ -275,7 +275,7 @@ def test_small_group_scan_matches_numpy():
     groups.append(transport._box_group(z4, ((0,), (2,)), (2,)))  # H = {0, 2} in Z/4, times Z/2
     for ad in groups:
         assert ad.size <= transport._LIST_TABLE_ORDER
-        assert [list(row) for row in ad._rows] == ad.table.tolist()
+        assert [[ad.add(a, b) for b in range(ad.size)] for a in range(ad.size)] == ad.table.tolist()
         for _ in range(300):
             den = rng.choice([8, 64, 1000])
             mass = {e: rng.randrange(den) for e in range(ad.size)}
@@ -342,6 +342,29 @@ def test_flatten_table_cap():
     u = Dist.uniform(g, g.elements())
     assert uniformise_group(u, 10).cost == 0.0
     assert flatten(p, 0)[0] == p
+
+
+def test_sigma_split_table_cap():
+    # a law on Z/2049 this close to uniform takes no shift scan, and would
+    # sigma-split into about a million independent pairs
+    g = GroupSpec([MAX_TABLE_ORDER + 1])
+    counts = [2**22 + 1] * 1024 + [2**22 - 1] * 1024 + [2**22]
+    p = Dist(g, {(e,): F(n, 2**22 * g.order()) for e, n in enumerate(counts)})
+    with pytest.raises(CapExceededError, match=r"^group order 2049 exceeds the table cap 2048$"):
+        uniformise_group(p, 1e9)
+
+
+def test_digit_law_above_the_table_cap(monkeypatch):
+    from entsum import transport
+
+    g = GroupSpec([2 * MAX_TABLE_ORDER])
+    ad = transport._spec_group(g)
+    monkeypatch.setattr(transport._IndexedGroup, "table", property(lambda self: pytest.fail("read the table")))
+    rng = random.Random(4096)
+    for a, b in [(0, 0), (4095, 1), (4095, 4095)] + [(rng.randrange(4096), rng.randrange(4096)) for _ in range(200)]:
+        assert ad.elems[ad.add(a, b)] == g.add(ad.elems[a], ad.elems[b])
+        assert ad.elems[ad.sub(a, b)] == g.sub(ad.elems[a], ad.elems[b])
+        assert ad.elems[ad.neg(a)] == g.neg(ad.elems[a])
 
 
 # ---------------------------------------------------------------------------

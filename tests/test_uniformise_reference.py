@@ -21,12 +21,11 @@ terms, so both orders must give equal raw certificates.
 before `transport._emit`: it decoded each atom by `elems`, built the laws
 through `_with_counts`, which sorts the decoded tuples, and ran the public
 `validate`.  `_emit` checks in index arithmetic first and sorts index pairs
-once; the tests below compare the two exits, check `_index_add` against the
-addition table, and show that the check refuses tampered kernel output
-without reading that table.
+once; the tests below compare the two exits, check the digit law `add`, with
+`sub` and `neg`, against the addition table on every pair, and show that the
+check refuses tampered kernel output without reading that table.
 """
 
-import copy
 import itertools
 import math
 import random
@@ -795,7 +794,7 @@ def test_packed_products_match_byte_slices_on_criterion_5(monkeypatch, criterion
 
 def _shift_scan_loop(ad, q) -> list[float]:
     """The float autocorrelation at each shift that `_pick_shift` scans, as
-    its list branch adds it: term by term, each column row after row."""
+    its loop branch adds it: term by term, each column row after row."""
     den, mass = q
     n = ad.size
     rows = ad.table.tolist()
@@ -909,22 +908,56 @@ def _cert_with_elems(p: Dist, ad, raw: transport._RawCert) -> TransportCertifica
     return cert
 
 
+def _spec(mods):
+    g = GroupSpec(mods)
+    return lambda: (transport._spec_group(g), g.add)
+
+
+def _box(ambient: GroupSpec, subgroup: tuple, mods: tuple):
+    """H x prod Z/mZ, with the law of its elements (h, ns): H's in `ambient`, ns by digits."""
+    def law(a, b):
+        return ambient.add(a[0], b[0]), tuple((x + y) % m for x, y, m in zip(a[1], b[1], mods))
+    return lambda: (transport._box_group(ambient, subgroup, mods), law)
+
+
+def _cp_box(cp: CosetProgression):
+    return _box(cp.group, cp.subgroup, tuple(2 * n for n in cp.lengths))
+
+
+# (group, law of its elements): criterion 5's group and four boxes, the groups
+# of `test_small_group_scan_matches_numpy`, and three more
 INDEX_ADD_GROUPS = {
-    "Z/64": lambda: transport._spec_group(GroupSpec([64])),
-    "Z/4xZ/6": lambda: transport._spec_group(GroupSpec([4, 6])),
-    "Z/2xZ/2xZ/8": lambda: transport._spec_group(GroupSpec([2, 2, 8])),
-    "H-box": SEEDED_GROUPS["H-box"],
+    "Z/64": _spec([64]),
+    "Z/4xZ/6": _spec([4, 6]),
+    "Z/2xZ/2xZ/8": _spec([2, 2, 8]),
+    "H-box": _box(GroupSpec([4, 6]), ((0, 0), (0, 3), (2, 0), (2, 3)), (4, 2)),
     # criterion 5's box with H = {0, 4} x {0} inside Z/8 x Z
-    "H-box Z/8xZ": lambda: transport._box_group(GroupSpec([8, 0]), ((0, 0), (4, 0)), (12,)),
+    "H-box Z/8xZ": _cp_box(CP_SHAPES[3]),
+    "box Z/32": _cp_box(CP_SHAPES[0]),
+    "box Z/24": _cp_box(CP_SHAPES[1]),
+    "box Z/8xZ/8": _cp_box(CP_SHAPES[2]),
+    "Z/2": _spec([2]),
+    "Z/5": _spec([5]),
+    "Z/8": _spec([8]),
+    "Z/2xZ/2": _spec([2, 2]),
+    "Z/2xZ/4": _spec([2, 4]),
+    "H-box Z/4xZ/2": _box(GroupSpec([4]), ((0,), (2,)), (2,)),
 }
 
 
 @pytest.mark.parametrize("name", INDEX_ADD_GROUPS)
 def test_index_add_matches_the_table(name):
-    ad = INDEX_ADD_GROUPS[name]()
-    add = transport._index_add(ad)
-    n = ad.size
-    assert all(add(a, b) == ad.add(a, b) for a in range(n) for b in range(n))
+    # the kernel builds certificates with `add` and `_emit` checks them with it,
+    # so the one law is checked here on every pair: against the numpy table,
+    # which composes the factors on its own, and against the elements' own law
+    ad, law = INDEX_ADD_GROUPS[name]()
+    n, elems, table = ad.size, ad.elems, ad.table.tolist()
+    neg = [row.index(ad.zero()) for row in table]
+    assert [ad.neg(a) for a in range(n)] == neg
+    for a in range(n):
+        assert [ad.add(a, b) for b in range(n)] == table[a]
+        assert [ad.sub(a, b) for b in range(n)] == [table[a][neg[b]] for b in range(n)]
+        assert all(elems[ad.add(a, b)] == law(elems[a], elems[b]) for b in range(n))
 
 
 def _uniformise_route(p: Dist):
@@ -963,17 +996,23 @@ def test_emit_matches_the_decode_and_validate_exit():
 
 def test_emit_reads_no_addition_table(monkeypatch):
     def refuse(self):
-        raise AssertionError("the exit read the addition table")
+        raise AssertionError("the kernel read the addition table")
 
     for g in (GroupSpec([64]), GroupSpec([4, 6])):
         p = random_dist(random.Random(f"no table:{g.moduli}"), g, 12, 128)
-        ad, raw = _uniformise_route(p)  # the kernel builds and reads the table
+        ad, raw = _uniformise_route(p)  # the kernel's shift scan reads the table
         fresh = transport._IndexedGroup(ad.elems, ad._h_table, ad._mods, g.zero())
         with monkeypatch.context() as m:
             m.setattr(transport._IndexedGroup, "table", property(refuse))
-            m.setattr(transport._IndexedGroup, "_rows", property(refuse))
             cert = transport._emit(p, fresh, raw)
         assert cert.to_json() == _cert_with_elems(p, ad, raw).to_json()
+    # groups of order <= _LIST_TABLE_ORDER are uniformised with no table at all
+    for g in (GroupSpec([8]), GroupSpec([2, 4])):
+        p = random_dist(random.Random(f"no table:{g.moduli}"), g, 6, 128)
+        with monkeypatch.context() as m:
+            m.setattr(transport._IndexedGroup, "table", property(refuse))
+            cert = uniformise_group(p, 1e9)
+        assert cert.to_json() == _cert_with_elems(p, *_uniformise_route(p)).to_json()
 
 
 def _tampered(raw: transport._RawCert, how: str, ad) -> transport._RawCert:
@@ -993,9 +1032,7 @@ def _tampered(raw: transport._RawCert, how: str, ad) -> transport._RawCert:
     else:
         rows = [x for x, _ in coupling] + list(range(ad.size))  # a source row, if one has room
         coupling[next((x, z) for x in rows for z in range(ad.size) if (x, z) not in coupling)] = 0
-    out = copy.copy(raw)
-    out.coupling, out.target = coupling, target
-    return out
+    return raw._replace(coupling=coupling, target=target)  # `_replace` skips the reduction
 
 
 @pytest.mark.parametrize("how", ["moved", "dropped", "zero"])
