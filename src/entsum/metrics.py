@@ -225,6 +225,15 @@ def density_level(p_times_a) -> int:
     return k
 
 
+def density_levels(den: int, counts: dict, size: int) -> dict[int, dict]:
+    """The atoms of counts / den by `density_level` of the floor of mass * size,
+    as {level: {atom: count}}, levels ascending and atoms in the order given."""
+    levels: dict[int, dict] = {}
+    for e, n in counts.items():
+        levels.setdefault(density_level(n * size // den), {})[e] = n
+    return dict(sorted(levels.items()))
+
+
 def jensen_level_sets(
     p: Dist, ambient: Iterable[Element], k_bound: float
 ) -> LevelSetReport:
@@ -246,15 +255,8 @@ def jensen_level_sets(
         raise PreconditionError(
             f"entropy {ent:.6f} below log|A| - log K = {math.log(size) - log_k:.6f}"
         )
-    den = p.den
-    levels: dict[int, list[Element]] = {}
-    level_counts: dict[int, int] = {}
-    for e, n in p.counts.items():
-        k = density_level(n * size // den)
-        if k >= 1:
-            levels.setdefault(k, []).append(e)
-            level_counts[k] = level_counts.get(k, 0) + n
-    level_mass = [(k, c / den) for k, c in sorted(level_counts.items())]
+    levels = {k: atoms for k, atoms in density_levels(p.den, p.counts, size).items() if k}
+    level_mass = [(k, sum(atoms.values()) / p.den) for k, atoms in levels.items()]
     weighted = math.fsum(max(2 ** (k - 1) * math.log(2) - 1.0, 0.0) * m for k, m in level_mass)
     classic = math.fsum(2**k * m for k, m in level_mass)
     if weighted > log_k + 1e-9:
@@ -262,7 +264,7 @@ def jensen_level_sets(
             f"level-set bound violated: {weighted} > log K = {log_k}"
         )
     return LevelSetReport(
-        levels={k: tuple(v) for k, v in sorted(levels.items())},
+        levels={k: tuple(atoms) for k, atoms in levels.items()},
         weighted_sum=weighted,
         classic_weighted_sum=classic,
         log_k=log_k,

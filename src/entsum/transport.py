@@ -251,7 +251,8 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     if len(ys) >= len(xs):
         lines, parts = qm, pm
         cells = [[(i, j) for i in range(len(xs))] for j in range(len(ys))]
-        perms = _translation_perms(g, ys, qm)
+        at = {y: j for j, y in enumerate(ys)}
+        perms = [[at[u] for u in us] for c, us in _translations(q, q) if c != g.zero()]
     else:
         lines, parts = pm, qm
         cells = [[(i, j) for j in range(len(ys))] for i in range(len(xs))]
@@ -391,21 +392,6 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
     return cert
 
 
-def _translation_perms(g: GroupSpec, ys: list[Element], qm: list[int]) -> list[list[int]]:
-    """The permutations of q's atoms ys (counts qm) by the translations c != 0
-    with q + c = q: c sends ys[j] to ys[perm[j]], and c = ys[perm[0]] - ys[0].
-    """
-    at = {y: j for j, y in enumerate(ys)}
-    out = []
-    for y, n in zip(ys[1:], qm[1:]):
-        if n == qm[0]:
-            c = g.sub(y, ys[0])
-            perm = [at.get(g.add(u, c)) for u in ys]
-            if all(t is not None and qm[t] == m for t, m in zip(perm, qm)):
-                out.append(perm)
-    return out
-
-
 def _support_order(rows: list[int], n_cols: int) -> tuple:
     """Sort key of a forest support given as one column bitmask per p-atom.
 
@@ -435,22 +421,28 @@ def _support_order(rows: list[int], n_cols: int) -> tuple:
 
 
 def translate_shift(p: Dist, q: Dist) -> Element | None:
-    """A shift c with q = p + c exactly, or None if q is no translate of p.
+    """A shift c with q = p + c exactly, or None if q is no translate of p."""
+    return next((c for c, _ in _translations(p, q)), None)
 
-    Each q-atom is tried as the image of p's first atom, so translates that
-    wrap around a finite factor are found too.
+
+def _translations(p: Dist, q: Dist):
+    """Each shift c with q = p + c exactly, in q's atom order, with the images
+    x + c of p's atoms in p's atom order.
+
+    Each q-atom of the count of p's first atom is tried as its image, so
+    translates that wrap around a finite factor are found too.
     """
     # both laws are in lowest terms, so a translate has the same den and counts
     if p.group != q.group or p.den != q.den or len(p) != len(q):
-        return None
-    g = p.group
+        return
+    add, sub, qc = p.group.add, p.group.sub, q.counts
     x0, n0 = next(iter(p.counts.items()))
-    for y, n in q.counts.items():
+    for y, n in qc.items():
         if n == n0:
-            c = g.sub(y, x0)
-            if q == p.translate(c):
-                return c
-    return None
+            c = sub(y, x0)
+            images = [add(x, c) for x in p.counts]
+            if all(qc.get(u) == m for u, m in zip(images, p.counts.values())):
+                yield c, images
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +472,6 @@ def translate_shift(p: Dist, q: Dist) -> Element | None:
 # z on `dists._Kronecker`, the kernel of `convolve`, when H is trivial and
 # `dists._packs` finds the padded slots worth it; otherwise it composes with
 # q ⊗ z, since placing a row in a box with a nontrivial H needs H's table.
-# An identity is `_raw_noise` with the point law at zero, and touches no group law.
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -637,12 +628,10 @@ def _raw_noise(ad, q: _Law, z: _Law) -> _RawCert:
     """q ⊗ z, whose target q ⊛ z is the pushforward of its atoms.
 
     With z the point law at c this is the deterministic shift by c, cost 0;
-    at zero it is the identity, whose target is q, with no group law used.
+    at zero it is the identity, whose target is q scaled, in q's key order.
     """
     (dq, mq), (dz, mz) = q, z
     atoms = {(x, zz): nx * nz for x, nx in mq.items() for zz, nz in mz.items()}
-    if len(mz) == 1 and ad.zero() in mz:
-        return _RawCert(dq * dz, atoms, _scaled(mq, dz))
     add = ad.add
     return _RawCert(dq * dz, atoms, push_masses(atoms, lambda a: add(*a)))
 
@@ -871,7 +860,7 @@ def _raw_stage(
 ) -> tuple[_RawCert, _Law, list[int], list[tuple[int, int]]]:
     """One flatten stage: flatten q, or c's target when c is given, and add the
     independent sum z of the chosen shifts, as q ⊗ z or as c extended by z;
-    with no shift chosen, c is returned as it is, and no group law is used.
+    with no shift chosen, c is returned as it is, and q ⊗ z is the identity.
 
     Returns (certificate, flattened law, chosen shifts, squared distances).
     """
@@ -968,24 +957,19 @@ def _raw_to_uniform(ad, c: _RawCert | None, q: _Law | None = None, depth: int = 
 
 def _raw_uniformise(ad, q: _Law) -> _RawCert:
     """Full pipeline: density-level partition, per-level flattening, sigma-splits."""
-    from .metrics import density_level
+    from .metrics import density_levels
 
     den, mass = q
     size = ad.size
-    levels: dict[int, dict] = {}
-    weights: dict[int, int] = {}
-    for e, v in mass.items():
-        k = density_level(v * size // den)  # the level thresholds are integers
-        levels.setdefault(k, {})[e] = v
-        weights[k] = weights.get(k, 0) + v
     pieces: list[tuple[int, _RawCert]] = []
-    for k in sorted(levels):
+    for k, level in density_levels(den, mass, size).items():
         # level 0 is kept as it is; the others stop at ||q_k - u||_2^2 <= 1/|G|
+        w = sum(level.values())
         cert = _raw_stage(
-            ad, None, _lowest_terms(weights[k], levels[k]), _MAX_FLATTEN_ROUNDS if k else 0,
+            ad, None, _lowest_terms(w, level), _MAX_FLATTEN_ROUNDS if k else 0,
             lambda c, sq: sq[0] * size <= sq[1],
         )[0]
-        pieces.append((weights[k], cert))
+        pieces.append((w, cert))
     out = _raw_to_uniform(ad, _raw_mix(den, pieces))
     if not _is_uniform(ad, (out.den, out.target)):
         raise CertificateError("uniformisation failed to reach the uniform law")
@@ -1044,8 +1028,10 @@ def uniformise_coset_progression(
     """
     from .progressions import box_embedding
 
-    emb = box_embedding(cp)
     g = cp.group
+    if p.group != g:
+        raise IncompatibleGroupError("the law must live in the progression's group")
+    emb = box_embedding(cp)
     hp = frozenset(emb.backward)
     target = Dist.uniform(g, hp)
     if k_bound is not None:
@@ -1058,11 +1044,10 @@ def uniformise_coset_progression(
     c1 = _raw_uniformise(ad, box_mass)
     c2 = _raw_uniformise(ad, box_uniform)
     raw = _raw_compose(ad, c1, _raw_reverse(ad, c2))
-    # raw moves box_mass to box_uniform, so x and x + z are box points and each
-    # atom leaves the box as the ambient difference of their images
+    # raw moves box_mass to box_uniform, so x and x + z are box points, each atom
+    # leaves as the ambient difference of their images, and as `forward` is
+    # injective the decoded coupling has marginal p and pushforward the target
     _check_coupling(ad.add, (raw.den, raw.coupling), box_uniform, box_mass)
     amb = [emb.forward.get(e) for e in ad.elems]
     atoms = {(amb[x], g.sub(amb[ad.add(x, z)], amb[x])): n for (x, z), n in raw.coupling.items()}
-    cert = TransportCertificate(JointDist._with_counts((g, g), raw.den, atoms), target)
-    cert.validate(p)
-    return cert
+    return TransportCertificate(JointDist._with_counts((g, g), raw.den, atoms), target)

@@ -10,7 +10,9 @@ inputs.
 `_increase_lhs_reference` and `_jensen_level_sets_reference` are the
 truncated-log sum and the density-level partition as they were over
 `Fraction` masses, before they read the counts; both must give bitwise-equal
-floats and the same levels.
+floats and the same levels.  `_jensen_level_sets_counts_reference` is the
+partition over counts as it was before `density_levels` served it and the
+uniformisation alike; it must give the same report, bit for bit.
 """
 
 import math
@@ -31,6 +33,7 @@ from entsum.metrics import (
     _increase_lhs,
     check_ese_suite,
     density_level,
+    density_levels,
     jensen_level_sets,
     ruzsa_distance,
 )
@@ -162,6 +165,42 @@ def _jensen_level_sets_reference(p: Dist, ambient, k_bound: float) -> LevelSetRe
     )
 
 
+def _jensen_level_sets_counts_reference(p: Dist, ambient, k_bound: float) -> LevelSetReport:
+    ambient_set = {p.group.reduce(e) for e in ambient}
+    if not set(p.counts) <= ambient_set:
+        raise PreconditionError("distribution must be supported inside the ambient set")
+    size = len(ambient_set)
+    if not k_bound > 0:  # negated, so that a NaN K is refused
+        raise PreconditionError(f"K must be > 0, got {k_bound}")
+    log_k = math.log(k_bound)
+    ent = entropy(p)
+    if ent < math.log(size) - log_k - 1e-12:
+        raise PreconditionError(
+            f"entropy {ent:.6f} below log|A| - log K = {math.log(size) - log_k:.6f}"
+        )
+    den = p.den
+    levels: dict = {}
+    level_counts: dict = {}
+    for e, n in p.counts.items():
+        k = density_level(n * size // den)
+        if k >= 1:
+            levels.setdefault(k, []).append(e)
+            level_counts[k] = level_counts.get(k, 0) + n
+    level_mass = [(k, c / den) for k, c in sorted(level_counts.items())]
+    weighted = math.fsum(max(2 ** (k - 1) * math.log(2) - 1.0, 0.0) * m for k, m in level_mass)
+    classic = math.fsum(2**k * m for k, m in level_mass)
+    if weighted > log_k + 1e-9:
+        raise AssertionError(
+            f"level-set bound violated: {weighted} > log K = {log_k}"
+        )
+    return LevelSetReport(
+        levels={k: tuple(v) for k, v in sorted(levels.items())},
+        weighted_sum=weighted,
+        classic_weighted_sum=classic,
+        log_k=log_k,
+    )
+
+
 # ---------------------------------------------------------------------------
 # seeded triples
 
@@ -267,3 +306,38 @@ def test_jensen_level_sets_match_reference():
     assert levels >= {1, 2, 3}
     with pytest.raises(PreconditionError):
         jensen_level_sets(Dist.point(GroupSpec([8]), (9,)), [(0,)], 2.0)
+
+
+def _seeded_level_laws():
+    """600 seeded (law, ambient size) pairs on Z/8 to Z/256 and Z/4 x Z/6."""
+    rng = random.Random("density levels")
+    for _ in range(600):
+        g = rng.choice([GroupSpec([8]), GroupSpec([16]), GroupSpec([256]), GroupSpec([4, 6])])
+        size = g.order()
+        yield random_dist(rng, g, min(rng.randrange(1, 13), size), rng.choice([6, 64, 720_720, 2**62])), size
+
+
+def test_density_levels_place_each_atom_once():
+    seen = set()
+    for p, size in _seeded_level_laws():
+        levels = density_levels(p.den, p.counts, size)
+        assert list(levels) == sorted(levels) and all(levels.values())
+        placed = [(e, n, k) for k, atoms in levels.items() for e, n in atoms.items()]
+        assert sorted(placed) == sorted((e, n, density_level(n * size // p.den)) for e, n in p.counts.items())
+        order = list(p.counts)
+        for atoms in levels.values():
+            assert [order.index(e) for e in atoms] == sorted(order.index(e) for e in atoms)
+        seen.update(levels)
+    assert seen >= {0, 1, 2, 3}
+
+
+def test_jensen_level_sets_match_the_counts_loop():
+    for p, size in _seeded_level_laws():
+        ambient = list(p.group.elements())
+        k_bound = math.exp(math.log(size) - entropy(p)) * (1 + 1e-9)
+        new = jensen_level_sets(p, ambient, k_bound)
+        old = _jensen_level_sets_counts_reference(p, ambient, k_bound)
+        assert new.levels == old.levels and list(new.levels) == list(old.levels)
+        assert new.weighted_sum.hex() == old.weighted_sum.hex()
+        assert new.classic_weighted_sum.hex() == old.classic_weighted_sum.hex()
+        assert new.log_k.hex() == old.log_k.hex()

@@ -5,8 +5,8 @@ vertex of equal cost, so `transport_exact` visits one vertex per orbit and
 expands the ties by every such translation.  Three checks hold it to the full
 search:
 
-- the line permutations `_translation_perms` finds, on targets with known
-  stabilisers;
+- the translations `_translations(q, q)` finds, on targets with known
+  stabilisers and against a scan of every group element;
 - a differential test against the forest enumerator of
   `test_oracle_reference.py` on periodic targets that are not uniform;
 - `tests/data/oracle_certs.sha256`, the sha256 of the `to_json()` of the
@@ -27,7 +27,7 @@ import pytest
 from entsum.dists import Dist, convolve
 from entsum.fuzz import random_dist
 from entsum.groups import GroupSpec
-from entsum.transport import _translation_perms, transport_exact
+from entsum.transport import _translations, transport_exact
 from test_oracle_reference import _assert_matches_reference, _nvars
 
 PIN = Path(__file__).parent / "data" / "oracle_certs.sha256"
@@ -65,15 +65,21 @@ def corpus() -> list[tuple[Dist, Dist]]:
     return out
 
 
+def _stabiliser(q: Dist) -> list:
+    """The shifts c with q + c = q that `_translations` finds, checked to come
+    with their images, zero first and the rest in q's atom order."""
+    g, ys = q.group, list(q.support())
+    shifts = []
+    for c, images in _translations(q, q):
+        assert images == [g.add(y, c) for y in ys]
+        shifts.append(c)
+    assert shifts[0] == g.zero()
+    assert [ys.index(g.add(ys[0], c)) for c in shifts] == sorted(ys.index(g.add(ys[0], c)) for c in shifts)
+    return shifts
+
+
 def _stabiliser_order(q: Dist) -> int:
-    ys = list(q.support())
-    qm = [q.counts[y] for y in ys]
-    perms = _translation_perms(q.group, ys, qm)
-    g = q.group
-    for perm in perms:
-        c = g.sub(ys[perm[0]], ys[0])
-        assert [ys[t] for t in perm] == [g.add(y, c) for y in ys]
-    return 1 + len(perms)  # the identity is not listed
+    return len(_stabiliser(q))
 
 
 Z8 = GroupSpec([8])
@@ -90,6 +96,17 @@ Z8 = GroupSpec([8])
 ])
 def test_translation_perms_count_the_stabiliser(q, order):
     assert _stabiliser_order(q) == order
+
+
+@pytest.mark.parametrize("mods", [[8], [6], [2, 2], [2, 4]], ids=["Z/8", "Z/6", "Z/2xZ/2", "Z/2xZ/4"])
+def test_translations_match_a_scan_of_the_group(mods):
+    g = GroupSpec(mods)
+    rng = random.Random(f"stabiliser:{mods}")
+    laws = [Dist.uniform(g, g.elements())]
+    laws += [random_dist(rng, g, rng.randint(1, g.order()), 32) for _ in range(30)]
+    laws += [_periodic(rng, g, rng.randint(1, 3)) for _ in range(30)]
+    for q in laws:
+        assert set(_stabiliser(q)) == {c for c in g.elements() if q.translate(c) == q}, q
 
 
 def _periodic_corpus() -> list[tuple[Dist, Dist]]:

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
+import pytest
+
 from entsum.dists import Dist, JointDist, f_nats
 from entsum.errors import CapExceededError, CertificateError, IncompatibleGroupError
 from entsum.fuzz import random_dist
@@ -287,16 +289,30 @@ def test_corpus_covers_the_required_classes():
     assert sum(label == "z8-heavy" for label, *_ in corpus) == 1
 
 
-def test_oracle_matches_reference():
-    cases = [c for c in _corpus() if c[0] != "z8-heavy"]
+@pytest.fixture(scope="module")
+def comparisons():
+    """The comparisons of `_corpus()`, running on one 2-process pool: the
+    heavy instance, one long enumeration, goes in first, so that the other
+    worker takes the rest while it runs.  Each test raises its own failures."""
+    corpus = _corpus()
+    (heavy,) = [c for c in corpus if c[0] == "z8-heavy"]
+    rest = [c for c in corpus if c[0] != "z8-heavy"]
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1))
+    try:
+        yield heavy, pool.submit(_assert_matches_reference, *heavy), pool.map(
+            _assert_matches_reference, *zip(*rest), chunksize=10)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def test_oracle_matches_reference(comparisons):
     # the comparisons are independent, so a 2-process pool shares them, as
     # `fuzz_run` shares its chunks; a failed assertion is raised here
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
-        list(pool.map(_assert_matches_reference, *zip(*cases), chunksize=10))
+    list(comparisons[2])
 
 
-def test_oracle_matches_reference_on_heavy_instance():
+def test_oracle_matches_reference_on_heavy_instance(comparisons):
     # 3 atoms -> uniform on Z/8: 195,180 forests for the reference
-    (label, p, q, cap), = [c for c in _corpus() if c[0] == "z8-heavy"]
+    (label, p, q, cap), heavy, _ = comparisons
     assert len(p) == 3 and len(q) == 8
-    _assert_matches_reference(label, p, q, cap)
+    heavy.result()

@@ -1,5 +1,6 @@
 """Transport oracle, certificates, flattening, and uniformisation."""
 
+import itertools
 import math
 import os
 import random
@@ -14,6 +15,7 @@ from entsum.dists import Dist, entropy
 from entsum.errors import (
     CapExceededError,
     CertificateError,
+    IncompatibleGroupError,
     NonProperError,
     PreconditionError,
 )
@@ -113,6 +115,44 @@ def test_oracle_zero_iff_translate():
     for p, q in pairs:
         cost = transport_exact(p, q).cost
         assert (cost <= 1e-12) == (translate_shift(p, q) is not None)
+
+
+def _scan_shifts(p, q, shifts):
+    """The shifts c among `shifts` with q = p + c, first by the q-atom that p's
+    first atom reaches, as `translate_shift` orders them."""
+    g, ys, x0 = p.group, list(q.support()), p.support()[0]
+    found = [c for c in shifts if g.add(x0, c) in q.counts and p.translate(c) == q]
+    return sorted(found, key=lambda c: ys.index(g.add(x0, c)))
+
+
+@pytest.mark.parametrize("mods", [[0], [0, 0], [8], [2, 4]], ids=["Z", "Z^2", "Z/8", "Z/2xZ/4"])
+def test_translate_shift_matches_a_scan(mods):
+    g = GroupSpec(mods)
+    rng = random.Random(f"translate:{mods}")
+    # every shift that can matter: on Z, p's atoms lie in [-8, 8], and q's in
+    # [-20, 20] or [-8, 8], with the shift in [-12, 12] or [-16, 16]
+    shifts = list(g.elements() if g.is_finite() else itertools.product(range(-16, 17), repeat=len(mods)))
+    box = shifts if g.is_finite() else list(itertools.product(range(-8, 9), repeat=len(mods)))
+    for _ in range(40):
+        p = random_dist(rng, g, rng.randint(1, 4), 16)
+        c = g.reduce([rng.randrange(m) if m else rng.randrange(-12, 13) for m in mods])
+        # q has p's counts: on p's translate by c, which wraps on a finite factor
+        # when a coordinate passes its modulus, or on random atoms, mostly no translate
+        others = Dist._with_counts(g, p.den, dict(zip(rng.sample(box, len(p)), p.counts.values())))
+        for q in (p.translate(c), others):
+            found = _scan_shifts(p, q, shifts)
+            assert translate_shift(p, q) == (found[0] if found else None), (p, q)
+        assert translate_shift(p, p.translate(c)) is not None
+
+
+def test_translate_shift_refuses_equal_counts():
+    # the same counts at atoms that no shift lines up, in a finite and an infinite group
+    z8 = GroupSpec([8])
+    for g, xs, ys in [(z8, [0, 1, 3], [0, 2, 3]), (Z, [0, 1, 3], [0, 2, 3]), (z8, [0, 4], [0, 3])]:
+        p, q = Dist.uniform(g, [(x,) for x in xs]), Dist.uniform(g, [(y,) for y in ys])
+        assert translate_shift(p, q) is None
+    p = Dist(Z, {(0,): F(1, 2), (1,): F(1, 4), (2,): F(1, 4)})
+    assert translate_shift(p, Dist(Z, {(0,): F(1, 4), (1,): F(1, 2), (2,): F(1, 4)})) is None
 
 
 def test_oracle_beats_constructive_certificates():
@@ -514,3 +554,10 @@ def test_coset_progression_rejects_outside_support():
     p = Dist.uniform(Z, [(0,), (7,)])
     with pytest.raises(PreconditionError):
         uniformise_coset_progression(p, cp)
+
+
+def test_coset_progression_rejects_another_group():
+    # p's atoms lie in H + P as tuples, but p lives in Z, not in Z/10
+    cp = CosetProgression(GroupSpec([10]), [(0,)], (0,), [(1,)], [4])
+    with pytest.raises(IncompatibleGroupError):
+        uniformise_coset_progression(fair_bit(), cp)

@@ -1054,3 +1054,38 @@ def test_tampered_kernel_output_is_refused(monkeypatch, how):
             m.setattr(transport, "_raw_stage", tampered_stage)
             with pytest.raises(CertificateError):
                 flatten(p, 3)
+
+
+@pytest.mark.parametrize("how", ["moved", "dropped"])
+def test_tampered_coset_exit_is_refused(monkeypatch, how):
+    # the box check is the coset exit's only check: its target is built from
+    # H + P, so the tamper is the coupling's, on the final composition only,
+    # a count moved between atoms of different sums or an atom dropped
+    uniformise, compose = transport._raw_uniformise, transport._raw_compose
+    rng = random.Random(f"tamper exit:{how}")
+    for cp in CP_SHAPES + WRAP_SHAPES:
+        elements = sorted(cp.enumerate())
+        p = Dist.uniform(cp.group, rng.sample(elements, rng.randrange(1, len(elements))))
+        done = []
+
+        def counted(ad, q):
+            out = uniformise(ad, q)
+            done.append(q)
+            return out
+
+        def tampered_compose(ad, c1, c2):
+            out = compose(ad, c1, c2)
+            if len(done) < 2:  # inside the two kernel runs, or before them
+                return out
+            if how == "moved":
+                return _tampered(out, how, ad)
+            coupling = dict(out.coupling)
+            del coupling[next(iter(coupling))]
+            return out._replace(coupling=coupling)
+
+        with monkeypatch.context() as m:
+            m.setattr(transport, "_raw_uniformise", counted)
+            m.setattr(transport, "_raw_compose", tampered_compose)
+            with pytest.raises(CertificateError):
+                uniformise_coset_progression(p, cp)
+        assert len(done) == 2
