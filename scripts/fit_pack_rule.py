@@ -149,8 +149,8 @@ def _call(gate: str, args):
 
 def decisions(corp=None) -> dict:
     """(gate, corpus) -> (inputs packed, inputs looped) under the current rule;
-    an input the gate never asks about (an extension on a box with a
-    nontrivial H, a power past SUPPORT_CAP) counts as looped."""
+    an input the gate never asks about (an extension on a box whose H keeps
+    its own table, a power past SUPPORT_CAP) counts as looped."""
     out = {}
     for gate, sets in (corp or corpora()).items():
         for cname, inputs in sets:

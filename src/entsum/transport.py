@@ -14,7 +14,8 @@ tie-break, which keys in full only the ties least in their leading rows.
 The constructive side builds certificates by flattening with two-point
 shifts, density-level splitting, and sigma-splits.  It runs in the int
 counts that `Dist` and `JointDist` hold, with the elements of a finite group
-encoded as row-major indices that add digit by digit.  The certificate is
+encoded as row-major indices that add digit by digit, on cyclic factors as
+ints whose carries between digits are taken back.  The certificate is
 built left to right, one flatten stage at a time: each couples a law with
 independent shift noise, or extends the certificate so far by it, a
 convolution of each row with the noise law, formed on a product of cyclic
@@ -47,8 +48,8 @@ _MAX_FLATTEN_ROUNDS = 400
 # largest group order that is flattened or sigma-split: the float shift scan
 # reads a 2048^2 int64 table (32 MiB), the split pairs up to |G|^2 / 4 atoms
 MAX_TABLE_ORDER = 2048
-# groups up to this order scan shifts in a Python loop over `add` (10-30 µs a
-# scan against numpy's 9), so that uniformising on them never imports numpy
+# groups up to this order scan shifts in a Python loop over `add` (8-16 µs a
+# scan against numpy's 7-8), so that uniformising on them never imports numpy
 _LIST_TABLE_ORDER = 8
 
 
@@ -252,7 +253,8 @@ def transport_exact(p: Dist, q: Dist, cap: int = 24) -> TransportCertificate:
         lines, parts = qm, pm
         cells = [[(i, j) for i in range(len(xs))] for j in range(len(ys))]
         at = {y: j for j, y in enumerate(ys)}
-        perms = [[at[u] for u in us] for c, us in _translations(q, q) if c != g.zero()]
+        # the zero shift maps q's first atom to itself, so the candidates start after it
+        perms = [[at[u] for u in us] for _, us in _translations(q, q, start=1)]
     else:
         lines, parts = pm, qm
         cells = [[(i, j) for j in range(len(ys))] for i in range(len(xs))]
@@ -425,19 +427,20 @@ def translate_shift(p: Dist, q: Dist) -> Element | None:
     return next((c for c, _ in _translations(p, q)), None)
 
 
-def _translations(p: Dist, q: Dist):
+def _translations(p: Dist, q: Dist, start: int = 0):
     """Each shift c with q = p + c exactly, in q's atom order, with the images
     x + c of p's atoms in p's atom order.
 
-    Each q-atom of the count of p's first atom is tried as its image, so
-    translates that wrap around a finite factor are found too.
+    Each q-atom from position `start` on of the count of p's first atom is
+    tried as its image, so translates that wrap around a finite factor are
+    found too.
     """
     # both laws are in lowest terms, so a translate has the same den and counts
     if p.group != q.group or p.den != q.den or len(p) != len(q):
         return
     add, sub, qc = p.group.add, p.group.sub, q.counts
     x0, n0 = next(iter(p.counts.items()))
-    for y, n in qc.items():
+    for y, n in itertools.islice(qc.items(), start, None):
         if n == n0:
             c = sub(y, x0)
             images = [add(x, c) for x in p.counts]
@@ -454,24 +457,28 @@ def _translations(p: Dist, q: Dist):
 # certificate algebra runs over any group with `add`, `neg`, `sub` and
 # `zero()`: a GroupSpec, whose elements are tuples, or an `_IndexedGroup`,
 # which encodes each element of a finite group as its index in a sorted list
-# and adds indices by their digits.  Masses are Python ints over one common
-# denominator: a law is a pair (den, counts) whose positive counts sum to den,
-# as a `Dist` holds them, and a `_RawCert` keeps one denominator for its
-# coupling and its target.  A law enters as (p.den, p.counts), keyed by
+# and adds indices by their digits.  `_box_group` folds an H that is the
+# product of its coordinate projections into cyclic digits; on cyclic digits
+# alone the indices add as ints with the carries between digits taken back,
+# and only another H keeps its own table.  Masses are Python ints over one
+# common denominator: a law is a pair (den, counts) whose positive counts sum
+# to den, as a `Dist` holds them, and a `_RawCert` keeps one denominator for
+# its coupling and its target.  A law enters as (p.den, p.counts), keyed by
 # element index for an `_IndexedGroup`, and a certificate leaves through
 # `_emit`, which checks it with the same digit law before it decodes it, or,
 # kept on a GroupSpec, through `_cert`, which builds its laws from the counts.
 # Composition is a matrix product of counts: a dense one packs each row of the
 # second factor into one int, keyed by target position rather than element
 # index, so it serves a GroupSpec too; a sparse one sums its atom pairs one by
-# one (`_raw_compose`).  The uniformisation composes left to right, one flatten
-# stage per `_raw_stage` call: it flattens a law q and adds independent shift
-# noise z, as the product coupling q ⊗ z of `_raw_noise`, whose target is the
-# pushforward of its atoms, or as an extension of the certificate so far.  As
-# z is the conditional law on every row, `_raw_extend` convolves each row with
-# z on `dists._Kronecker`, the kernel of `convolve`, when H is trivial and
-# `dists._packs` finds the padded slots worth it; otherwise it composes with
-# q ⊗ z, since placing a row in a box with a nontrivial H needs H's table.
+# one (`_raw_compose`).  The uniformisation composes left to right, one
+# flatten stage per `_raw_stage` call: it flattens a law q and adds
+# independent shift noise z, as the product coupling q ⊗ z of `_raw_noise`,
+# whose target is the pushforward of its atoms, or as an extension of the
+# certificate so far.  As z is the conditional law on every row, `_raw_extend`
+# convolves each row with z on `dists._Kronecker`, the kernel of `convolve`,
+# on a product of cyclic factors when `dists._packs` finds the padded slots
+# worth it; otherwise it composes with q ⊗ z, since placing a row in a box
+# whose H keeps its own table needs that table.
 
 _Law = tuple  # (den, {element: count}) with the counts summing to den
 
@@ -480,9 +487,11 @@ class _IndexedGroup:
     """A finite group H x prod Z/mZ whose elements are the indices of `elems`.
 
     H is given by its own addition table over the indices of its elements,
-    and `elems` lists the group in row-major order, which is sorted order, so
-    `add` works on the digits of an index.  The |G|^2 numpy `table` serves
-    only the float shift scan above `_LIST_TABLE_ORDER`.
+    [[0]] when it is trivial, and `elems` lists the group in row-major order,
+    which is sorted order, so `add` and `sub` work on the digits of an index:
+    with a trivial H, as ints whose carries and borrows between cyclic digits
+    are taken back.  The |G|^2 numpy `table` serves only the float shift scan
+    above `_LIST_TABLE_ORDER`.
     """
 
     def __init__(self, elems: list, h_table: list, mods: Sequence[int], zero):
@@ -520,12 +529,37 @@ class _IndexedGroup:
         return self._zero
 
     @functools.cached_property
+    def _carries(self) -> list[tuple[int, list[int]]]:
+        # for each cyclic factor below the first, the carry m * place that its
+        # digit sends up, and the place-valued digit of every index
+        out, place = [], 1
+        for m in reversed(self._mods[1:]):
+            out.append((m * place, [a // place % m * place for a in range(self.size)]))
+            place *= m
+        return out
+
+    @functools.cached_property
     def add(self) -> Callable[[int, int], int]:
-        """The group law in digit arithmetic on the row-major index: (a + b) % m
-        on each cyclic axis and H by its own table."""
-        h, mods = self._h_table, self._mods
-        if len(h) == 1 and len(mods) == 1:
-            return lambda a, b, m=mods[0]: (a + b) % m
+        """The group law on the row-major index.  On cyclic factors alone the
+        indices add as ints, each carry out of a digit below the first is taken
+        back, and the sum is reduced mod |G|; H's own table adds the H digit."""
+        h, mods, n = self._h_table, self._mods, self.size
+        if len(h) == 1:
+            carries = self._carries
+            if not carries:
+                return lambda a, b: (a + b) % n
+            if len(carries) == 1:
+                (top, col), = carries
+                return lambda a, b: (a + b - (top if col[a] + col[b] >= top else 0)) % n
+
+            def add(a: int, b: int) -> int:
+                s = a + b
+                for top, col in carries:
+                    if col[a] + col[b] >= top:
+                        s -= top
+                return s % n
+
+            return add
         # the digits of every index, one column per factor, H's first
         h_col, *cols = zip(*itertools.product(range(len(h)), *map(range, mods)))
         factors = tuple(zip(mods, cols))
@@ -541,8 +575,28 @@ class _IndexedGroup:
     def neg(self, a: int) -> int:
         return self._neg[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
+    @functools.cached_property
+    def sub(self) -> Callable[[int, int], int]:
+        """a - b: the indices subtract, each borrow below the first digit is paid back."""
+        n = self.size
+        if len(self._h_table) > 1:
+            add, neg = self.add, self._neg
+            return lambda a, b: add(a, neg[b])
+        carries = self._carries
+        if not carries:
+            return lambda a, b: (a - b) % n
+        if len(carries) == 1:
+            (top, col), = carries
+            return lambda a, b: (a - b + (top if col[a] < col[b] else 0)) % n
+
+        def sub(a: int, b: int) -> int:
+            s = a - b
+            for top, col in carries:
+                if col[a] < col[b]:
+                    s += top
+            return s % n
+
+        return sub
 
 
 @functools.lru_cache(maxsize=8)
@@ -553,11 +607,20 @@ def _spec_group(g: GroupSpec) -> _IndexedGroup:
 
 @functools.lru_cache(maxsize=8)
 def _box_group(ambient: GroupSpec, subgroup: tuple, mods: tuple) -> _IndexedGroup:
-    """H x prod Z/mZ for a finite subgroup H of `ambient`, given as sorted elements."""
+    """H x prod Z/mZ for a finite subgroup H of `ambient`, given as sorted elements.
+
+    Each coordinate projection of H is cyclic, {0, g, ..., (k - 1)g}, so an H
+    that is, in sorted order, the product of its projections becomes row-major
+    cyclic digits Z/k with the same indices; another H adds by its own table.
+    """
+    elems = [(h, ns) for h in subgroup for ns in itertools.product(*(range(m) for m in mods))]
+    zero = (ambient.zero(), (0,) * len(mods))
+    projections = [sorted(set(coords)) for coords in zip(*subgroup)]
+    if list(itertools.product(*projections)) == list(subgroup):
+        return _IndexedGroup(elems, [[0]], tuple(len(c) for c in projections if len(c) > 1) + mods, zero)
     index = {h: i for i, h in enumerate(subgroup)}
     h_table = [[index[ambient.add(a, b)] for b in subgroup] for a in subgroup]
-    elems = [(h, ns) for h in subgroup for ns in itertools.product(*(range(m) for m in mods))]
-    return _IndexedGroup(elems, h_table, mods, (ambient.zero(), (0,) * len(mods)))
+    return _IndexedGroup(elems, h_table, mods, zero)
 
 
 def _index_law(ad: _IndexedGroup, den: int, counts: dict) -> _Law:
@@ -690,7 +753,8 @@ def _raw_extend(ad, c: _RawCert, z: _Law) -> _RawCert:
     target convolve with z, one packed product each (`dists._Kronecker`) with
     2m - 1 digits on each Z/m, if H is trivial, so that indices run row-major
     over the moduli, and `_packs` finds the padded slots worth the atom pairs.
-    Otherwise c composes with q ⊗ z.
+    A box whose H is the product of its coordinate projections has a trivial
+    H, as `_box_group` folds it.  Otherwise c composes with q ⊗ z.
     """
     rows: dict = {}
     for (x, z1), k in c.coupling.items():

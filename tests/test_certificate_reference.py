@@ -303,7 +303,9 @@ def test_raw_compose_matches_pair_loop(gate, name):
         assert transport._raw_compose(ad, up, back) == _raw_compose_reference(ad, up, back)
 
 
-# name -> (group, whether H is trivial, so that an extension that packs convolves)
+# name -> (group, whether it is a product of cyclic factors, so that an
+# extension that packs convolves); a box whose H is the product of its
+# coordinate projections is folded into one
 NOISE_GROUPS = {
     **{f"Z/{n}": (lambda n=n: transport._spec_group(GroupSpec([n])), True) for n in (1, 2, 8, 12, 64)},
     # the one-dimensional box Z/10 of a progression with a trivial H
@@ -313,7 +315,12 @@ NOISE_GROUPS = {
     "Z/2xZ/2xZ/3": (lambda: transport._spec_group(GroupSpec([2, 2, 3])), True),
     # 3^4 padded slots for 16 elements, packed only when forced
     "(Z/2)^4": (lambda: transport._spec_group(GroupSpec([2] * 4)), True),
-    "box": (KERNEL_GROUPS["box"], False),
+    "box": (KERNEL_GROUPS["box"], True),
+    # criterion 5's box {0, 4} x {0} x Z/12 inside Z/8 x Z, folded to Z/2 x Z/12
+    "box Z/2xZ/12": (lambda: transport._box_group(GroupSpec([8, 0]), ((0, 0), (4, 0)), (12,)), True),
+    # H = <(1, 1)> inside Z/2 x Z/4 is no product of its projections, so it keeps its table
+    "H-table box": (lambda: transport._box_group(GroupSpec([2, 4]), ((0, 0), (0, 2), (1, 1), (1, 3)), (2,)),
+                    False),
 }
 
 

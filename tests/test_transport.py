@@ -302,6 +302,11 @@ def test_flatten_exact_scan_fallback(monkeypatch):
     assert cert.target == out
 
 
+# H = <(1, 1)> inside Z/2 x Z/4, times Z/2: no product of its coordinate
+# projections, so its box adds H by H's own table
+NON_BOX_H = (GroupSpec([2, 4]), ((0, 0), (0, 2), (1, 1), (1, 3)), (2,))
+
+
 def test_small_group_scan_matches_numpy():
     # groups up to _LIST_TABLE_ORDER scan in a Python loop over the digit law
     # `add`; the numpy table and column sums of larger groups are the reference
@@ -313,6 +318,7 @@ def test_small_group_scan_matches_numpy():
     z4 = GroupSpec([4])
     groups = [transport._spec_group(GroupSpec(m)) for m in ([2], [5], [8], [2, 2], [2, 4])]
     groups.append(transport._box_group(z4, ((0,), (2,)), (2,)))  # H = {0, 2} in Z/4, times Z/2
+    groups.append(transport._box_group(*NON_BOX_H))
     for ad in groups:
         assert ad.size <= transport._LIST_TABLE_ORDER
         assert [[ad.add(a, b) for b in range(ad.size)] for a in range(ad.size)] == ad.table.tolist()
@@ -332,6 +338,7 @@ def test_negation_matches_the_table():
     groups = [transport._spec_group(GroupSpec(m)) for m in ([1], [2], [8], [12], [64], [2, 2, 3], [8, 8])]
     groups.append(transport._box_group(z4, ((0,), (2,)), (2,)))
     groups.append(transport._box_group(GroupSpec([2, 2]), tuple(GroupSpec([2, 2]).elements()), (3, 5)))
+    groups.append(transport._box_group(*NON_BOX_H))
     for ad in groups:
         assert ad._neg == (ad.table == ad.zero()).argmax(axis=1).tolist()
 

@@ -23,7 +23,10 @@ through `_with_counts`, which sorts the decoded tuples, and ran the public
 `validate`.  `_emit` checks in index arithmetic first and sorts index pairs
 once; the tests below compare the two exits, check the digit law `add`, with
 `sub` and `neg`, against the addition table on every pair, and show that the
-check refuses tampered kernel output without reading that table.
+check refuses tampered kernel output without reading that table.  They also
+check that `_box_group` folds an H that is the product of its coordinate
+projections into cyclic digits without moving an index, and that on such a
+box the packed noise extension equals the compose with q ⊗ z it replaces.
 """
 
 import itertools
@@ -861,8 +864,11 @@ SEEDED_GROUPS = {
     "Z/8xZ/8": lambda: transport._spec_group(GroupSpec([8, 8])),
     # 3^4 padded slots for 16 elements: the noise extension composes
     "(Z/2)^4": lambda: transport._spec_group(GroupSpec([2] * 4)),
-    # H = {0, 2} x {0, 3} inside Z/4 x Z/6, boxed as H x Z/4 x Z/2
+    # H = {0, 2} x {0, 3} inside Z/4 x Z/6, boxed as H x Z/4 x Z/2 and folded
+    # to the cyclic digits Z/2 x Z/2 x Z/4 x Z/2
     "H-box": lambda: transport._box_group(GroupSpec([4, 6]), ((0, 0), (0, 3), (2, 0), (2, 3)), (4, 2)),
+    # H = <(1, 1)> inside Z/2 x Z/4, times Z/2: H adds by its own table
+    "H-table box": lambda: transport._box_group(*BOXES["H-table box"]),
 }
 
 
@@ -920,28 +926,37 @@ def _box(ambient: GroupSpec, subgroup: tuple, mods: tuple):
     return lambda: (transport._box_group(ambient, subgroup, mods), law)
 
 
-def _cp_box(cp: CosetProgression):
-    return _box(cp.group, cp.subgroup, tuple(2 * n for n in cp.lengths))
+def _cp_box(cp: CosetProgression) -> tuple:
+    return cp.group, cp.subgroup, tuple(2 * n for n in cp.lengths)
 
 
-# (group, law of its elements): criterion 5's group and four boxes, the groups
-# of `test_small_group_scan_matches_numpy`, and three more
-INDEX_ADD_GROUPS = {
-    "Z/64": _spec([64]),
-    "Z/4xZ/6": _spec([4, 6]),
-    "Z/2xZ/2xZ/8": _spec([2, 2, 8]),
-    "H-box": _box(GroupSpec([4, 6]), ((0, 0), (0, 3), (2, 0), (2, 3)), (4, 2)),
+# (ambient, H, mods) of each box: every H but the last is the product of its
+# coordinate projections, so `_box_group` folds it into cyclic digits
+BOXES = {
+    "H-box": (GroupSpec([4, 6]), ((0, 0), (0, 3), (2, 0), (2, 3)), (4, 2)),
     # criterion 5's box with H = {0, 4} x {0} inside Z/8 x Z
     "H-box Z/8xZ": _cp_box(CP_SHAPES[3]),
     "box Z/32": _cp_box(CP_SHAPES[0]),
     "box Z/24": _cp_box(CP_SHAPES[1]),
     "box Z/8xZ/8": _cp_box(CP_SHAPES[2]),
+    "H-box Z/4xZ/2": (GroupSpec([4]), ((0,), (2,)), (2,)),
+    # H = <(1, 1)> = {(0, 0), (0, 2), (1, 1), (1, 3)} inside Z/2 x Z/4, whose
+    # projections make all of Z/2 x Z/4, times Z/2
+    "H-table box": (GroupSpec([2, 4]), ((0, 0), (0, 2), (1, 1), (1, 3)), (2,)),
+}
+
+# (group, law of its elements): criterion 5's group and four boxes, the groups
+# of `test_small_group_scan_matches_numpy`, and four more
+INDEX_ADD_GROUPS = {
+    "Z/64": _spec([64]),
+    "Z/4xZ/6": _spec([4, 6]),
+    "Z/2xZ/2xZ/8": _spec([2, 2, 8]),
+    **{name: _box(*args) for name, args in BOXES.items()},
     "Z/2": _spec([2]),
     "Z/5": _spec([5]),
     "Z/8": _spec([8]),
     "Z/2xZ/2": _spec([2, 2]),
     "Z/2xZ/4": _spec([2, 4]),
-    "H-box Z/4xZ/2": _box(GroupSpec([4]), ((0,), (2,)), (2,)),
 }
 
 
@@ -958,6 +973,39 @@ def test_index_add_matches_the_table(name):
         assert [ad.add(a, b) for b in range(n)] == table[a]
         assert [ad.sub(a, b) for b in range(n)] == [table[a][neg[b]] for b in range(n)]
         assert all(elems[ad.add(a, b)] == law(elems[a], elems[b]) for b in range(n))
+
+
+def _unfolded_box(ambient: GroupSpec, subgroup: tuple, mods: tuple):
+    """The box as it was built before folding: H x prod Z/mZ with H's table."""
+    index = {h: i for i, h in enumerate(subgroup)}
+    h_table = [[index[ambient.add(a, b)] for b in subgroup] for a in subgroup]
+    elems = [(h, ns) for h in subgroup for ns in itertools.product(*(range(m) for m in mods))]
+    return transport._IndexedGroup(elems, h_table, mods, (ambient.zero(), (0,) * len(mods)))
+
+
+def test_box_group_folds_a_box_of_its_coordinates():
+    fourth = transport._box_group(*BOXES["H-box Z/8xZ"])
+    assert fourth._h_table == [[0]] and fourth._mods == (2, 12)
+    kept = transport._box_group(*BOXES["H-table box"])
+    assert kept._h_table == _unfolded_box(*BOXES["H-table box"])._h_table and kept._mods == (2,)
+    for args in BOXES.values():
+        ad, ref = transport._box_group(*args), _unfolded_box(*args)
+        assert ad.elems == ref.elems and ad.zero() == ref.zero()
+        assert ad.table.tolist() == ref.table.tolist() and ad._neg == ref._neg
+
+
+def test_packed_extension_matches_compose_on_folded_boxes(monkeypatch, criterion_5_pass):
+    # on criterion 5's folded box Z/2 x Z/12 an extension convolves each row
+    # where it composed with q ⊗ z; both give one lowest-terms certificate
+    _, _, calls = criterion_5_pass
+    extensions = [(args, out) for args, out in calls["_raw_extend"] if args[0]._mods == (2, 12)]
+    composed = []
+    compose = transport._raw_compose
+    monkeypatch.setattr(transport, "_raw_compose", lambda *a: composed.append(1) or compose(*a))
+    for (ad, c, z), out in extensions:
+        assert transport._raw_extend(ad, c, z) == out
+        assert out == compose(ad, c, transport._raw_noise(ad, (c.den, c.target), z))
+    assert len(extensions) > 10 and len(composed) < len(extensions)
 
 
 def _uniformise_route(p: Dist):
